@@ -5,9 +5,8 @@ package descent
 // The in-process Bus below is the only implementation the plane ships
 // with — it is the simulated-network backend the determinism contract is
 // stated against. A socket transport slots in behind the same three
-// methods: internal/runtime's tcp.go already shows the length-prefixed
-// framing such an implementation would use, and because payloads are
-// flat little-endian bytes (message.go) they can cross a wire verbatim.
+// methods with length-prefixed framing: payloads are flat little-endian
+// bytes (message.go), so they can cross a wire verbatim.
 
 // Transport moves opaque payloads between actors 0..n-1. Send may be
 // called concurrently by different senders; delivery order within a

@@ -7,13 +7,11 @@
 // each step communicates with the locally optimal partner server").
 //
 // The node logic (Server.Handle) is a pure message-in/messages-out state
-// machine, so it runs identically under three buses:
+// machine, so it runs identically under two buses:
 //
 //   - SimBus: deterministic, single-threaded delivery for tests and
 //     experiments;
-//   - Cluster: one goroutine per server over in-memory channels;
-//   - TCPCluster: servers connected by real TCP sockets with gob-encoded
-//     messages (see tcp.go).
+//   - Cluster: one goroutine per server over in-memory channels.
 //
 // The runtime assumes symmetric latencies (c_ij = c_ji), which lets a
 // server use its own latency row as the c_ki column Algorithm 1 needs.

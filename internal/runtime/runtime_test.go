@@ -144,42 +144,6 @@ func TestClusterConverges(t *testing.T) {
 	}
 }
 
-func TestTCPClusterConverges(t *testing.T) {
-	in := testInstance(18, 6)
-	ref := core.ReferenceOptimum(in, rand.New(rand.NewSource(19)))
-	nodes, err := NewTCPClusterFromInstance(in, 1e-6*ref, 20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		for _, n := range nodes {
-			n.Close()
-		}
-	}()
-	cost := func() float64 {
-		a := model.NewAllocation(in.M())
-		for j, n := range nodes {
-			for k, v := range n.Column() {
-				a.R[k][j] = v
-			}
-		}
-		return model.TotalCost(in, a)
-	}
-	deadline := time.Now().Add(15 * time.Second)
-	for time.Now().Before(deadline) {
-		for _, n := range nodes {
-			n.Tick()
-		}
-		time.Sleep(20 * time.Millisecond)
-		if (cost()-ref)/ref < 0.05 {
-			break
-		}
-	}
-	if rel := (cost() - ref) / ref; rel > 0.05 {
-		t.Errorf("TCP cluster stalled %.2f%% above optimum", 100*rel)
-	}
-}
-
 func TestServerRejectsWhenBusy(t *testing.T) {
 	in := testInstance(21, 4)
 	bus := NewSimBus(in, 1e-9, 22)
