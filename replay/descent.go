@@ -3,10 +3,8 @@ package replay
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
-	"math"
 	"time"
 
 	"delaylb"
@@ -64,13 +62,6 @@ type DescentConfig struct {
 	// crash already removed are skipped and counted instead of failing
 	// the replay.
 	CrashPerEpoch int
-}
-
-func (c DescentConfig) band() float64 {
-	if c.Band > 0 {
-		return c.Band
-	}
-	return 0.02
 }
 
 func (c DescentConfig) budget() int {
@@ -181,7 +172,8 @@ func (tl *DescentTimeline) WriteTable(w io.Writer) {
 // it is deterministic for a fixed (trace, config) pair — including any
 // Plane.Faults schedule, which replays byte-for-byte — and on context
 // cancellation the timeline built so far is returned with ctx.Err().
-// LatencyShift/LatencyRestore events are rejected: the plane's actors
+// A trace carrying LatencyShift/LatencyRestore events is refused before
+// epoch 0, naming the first epoch that has one: the plane's actors
 // gossip loads, not delays, so a delay change would desynchronize them
 // silently. The WAN transport (descent.SimTransport) now carries the
 // static delay geometry; the ROADMAP records delay *gossip* — actors
@@ -195,9 +187,9 @@ func RunDescent(ctx context.Context, tr *Trace, cfg DescentConfig) (*DescentTime
 	if err != nil {
 		return nil, err
 	}
-	en := &descentEngine{cfg: cfg, idx: make(map[int64]int), obs: newReplayObs(cfg.Obs, "descent")}
+	en := &planeBackend{cfg: cfg}
 	pcfg := cfg.Plane
-	pcfg.Band = cfg.band()
+	pcfg.Band = bandOr(cfg.Band)
 	pcfg.Target = 0
 	if pcfg.Obs == nil {
 		pcfg.Obs = cfg.Obs
@@ -209,15 +201,9 @@ func RunDescent(ctx context.Context, tr *Trace, cfg DescentConfig) (*DescentTime
 		}
 		// A crash mid-run stales the oracle and the id map's picture of
 		// the fleet: stop this Run segment so measure can re-anchor.
-		if en.crashed {
-			return false
-		}
 		// RelGap is only meaningful once the epoch's oracle has set a
 		// positive target.
-		if cfg.StopInBand && en.target > 0 && met.RelGap <= cfg.band() {
-			return false
-		}
-		return true
+		return !en.crashed && !(cfg.StopInBand && en.target > 0 && met.RelGap <= bandOr(cfg.Band))
 	}
 	userCrash := pcfg.OnCrash
 	pcfg.OnCrash = func(ev descent.CrashEvent) {
@@ -226,63 +212,25 @@ func RunDescent(ctx context.Context, tr *Trace, cfg DescentConfig) (*DescentTime
 			userCrash(ev)
 		}
 	}
-	p, err := descent.NewPlane(in, pcfg)
-	if err != nil {
+	if en.p, err = descent.NewPlane(in, pcfg); err != nil {
 		return nil, err
 	}
-	en.p = p
-	en.tolerateDeadIDs = cfg.CrashPerEpoch > 0 ||
-		(cfg.Plane.Faults != nil && cfg.Plane.Faults.CrashEvery > 0)
-	m := p.M()
-	en.ids = make([]int64, m)
-	for i := 0; i < m; i++ {
-		en.ids[i] = int64(i)
-		en.idx[int64(i)] = i
-	}
-
-	tl := &DescentTimeline{Scenario: tr.Scenario, Band: cfg.band(), Shards: p.Shards(), Runtime: &obs.RuntimeStats{}}
-	total := len(tr.Epochs) + 1
-	if err := en.measure(ctx, tl, 0, 0, 0, total); err != nil {
-		return tl, err
-	}
-	for k, ep := range tr.Epochs {
-		var evStart time.Time
-		if en.obs.applyHist != nil {
-			evStart = time.Now()
-		}
-		for _, ev := range ep.Events {
-			if err := en.apply(ev); err != nil {
-				if en.tolerateDeadIDs && errors.Is(err, errNoLiveServer) {
-					// The event addresses a server a crash removed —
-					// real traces keep naming dead hosts for a while.
-					en.skipped++
-					continue
-				}
-				return tl, fmt.Errorf("replay: descent epoch %d (t=%v): %w", k+1, ep.Time, err)
-			}
-		}
-		if err := en.flush(); err != nil {
-			return tl, fmt.Errorf("replay: descent epoch %d (t=%v): %w", k+1, ep.Time, err)
-		}
-		if en.obs.applyHist != nil {
-			en.obs.applyEvents(len(ep.Events), time.Since(evStart))
-		}
-		if err := en.measure(ctx, tl, k+1, ep.Time, len(ep.Events), total); err != nil {
-			return tl, err
-		}
-	}
-	return tl, nil
+	en.loop = newLoop[DescentEpoch](en, en.p.M(), "descent epoch", cfg.Verify, cfg.Progress, newReplayObs(cfg.Obs, "descent"))
+	shards := en.p.Shards()
+	err = en.run(ctx, tr)
+	return &DescentTimeline{Scenario: tr.Scenario, Band: bandOr(cfg.Band), Shards: shards,
+		Epochs: en.rows, Runtime: &en.runtime}, err
 }
 
-// descentEngine is the mutable driver state: the live plane plus the
-// stable id ↔ index mapping surviving churn (see engine).
-type descentEngine struct {
-	cfg     DescentConfig
-	p       *descent.Plane
-	obs     replayObs
-	ids     []int64
-	idx     map[int64]int
-	pending []float64
+// planeBackend runs the replay loop on a descent.Plane: joins and leaves
+// go through actor churn, and each epoch is a crash drill plus gradient
+// rounds refereed by a centralized oracle. It cannot apply latency
+// events; with a crash schedule active it tolerates events naming
+// crashed servers.
+type planeBackend struct {
+	*loop[DescentEpoch]
+	cfg DescentConfig
+	p   *descent.Plane
 	// target is the current epoch's oracle cost (0: none yet) — read by
 	// the StopInBand round hook.
 	target float64
@@ -291,41 +239,52 @@ type descentEngine struct {
 	// oracle and keep going. crashEvs collects the epoch's crash events
 	// (mass accounting comes from here, not the fault counters, so a
 	// driver-invoked crash and a plane-scheduled one report the same
-	// way); skipped counts trace events that named dead servers.
-	crashed         bool
-	crashEvs        []descent.CrashEvent
-	skipped         int
-	tolerateDeadIDs bool
+	// way).
+	crashed  bool
+	crashEvs []descent.CrashEvent
 }
 
-// errNoLiveServer marks a trace event addressed to a server that is not
-// (or no longer) in the fleet — with a crash schedule active these are
-// skipped rather than fatal.
-var errNoLiveServer = errors.New("no live server")
+func (en *planeBackend) loads() []float64                  { return en.p.Instance().Load }
+func (en *planeBackend) updateLoads(loads []float64) error { return en.p.UpdateLoads(loads) }
+func (en *planeBackend) leave(i int) error                 { return en.p.Leave(i) }
 
-func (en *descentEngine) liveIndex(id int64) (int, error) {
-	i, ok := en.idx[id]
-	if !ok {
-		return 0, fmt.Errorf("%w with id %d", errNoLiveServer, id)
+func (en *planeBackend) toleratesDeadIDs() bool {
+	return en.cfg.CrashPerEpoch > 0 || (en.cfg.Plane.Faults != nil && en.cfg.Plane.Faults.CrashEvery > 0)
+}
+
+func (en *planeBackend) allocation() (int, func(func(i, j int, v float64))) {
+	a := en.p.Allocation()
+	return len(a.Idx), func(f func(i, j int, v float64)) {
+		for i, idx := range a.Idx {
+			for t, j := range idx {
+				f(i, int(j), a.Val[i][t])
+			}
+		}
 	}
-	return i, nil
 }
 
-// noteCrash mirrors a plane crash into the driver's stable-id map: the
-// event's Removed indices (crash-time numbering, ascending) come out of
-// ids highest-first so earlier removals don't shift later ones.
-func (en *descentEngine) noteCrash(ev descent.CrashEvent) {
+func (en *planeBackend) join(ev Event) error {
+	switch ev.Join {
+	case JoinCluster:
+		// Block fast path only: nil rows tell the instance to derive the
+		// newcomer's delays from its metro label.
+		return en.p.Join(ev.Speed, ev.Load, nil, nil, ev.Cluster)
+	case JoinUniform:
+		m := en.p.M()
+		return en.p.Join(ev.Speed, ev.Load, uniformRow(m, ev.Latency), uniformRow(m, ev.Latency), 0)
+	}
+	return fmt.Errorf("unknown join latency mode %q", ev.Join)
+}
+
+// noteCrash mirrors a plane crash into the loop's stable-id map: the
+// event's Removed indices (crash-time numbering, ascending) come out
+// highest-first so earlier removals don't shift later ones.
+func (en *planeBackend) noteCrash(ev descent.CrashEvent) {
 	en.crashed = true
 	en.crashEvs = append(en.crashEvs, ev)
 	for t := len(ev.Removed) - 1; t >= 0; t-- {
-		i := int(ev.Removed[t])
-		if i < 0 || i >= len(en.ids) {
-			continue
-		}
-		delete(en.idx, en.ids[i])
-		en.ids = append(en.ids[:i], en.ids[i+1:]...)
-		for _, id := range en.ids[i:] {
-			en.idx[id]--
+		if i := int(ev.Removed[t]); i >= 0 && i < len(en.ids) {
+			en.remove(i)
 		}
 	}
 	// Any staged-but-unflushed load edits index the pre-crash fleet;
@@ -335,100 +294,9 @@ func (en *descentEngine) noteCrash(ev descent.CrashEvent) {
 	en.pending = nil
 }
 
-func (en *descentEngine) ensurePending() {
-	if en.pending == nil {
-		en.pending = append([]float64(nil), en.p.Instance().Load...)
-	}
-}
-
-func (en *descentEngine) flush() error {
-	if en.pending == nil {
-		return nil
-	}
-	loads := en.pending
-	en.pending = nil
-	return en.p.UpdateLoads(loads)
-}
-
-func (en *descentEngine) apply(ev Event) error {
-	switch ev.Kind {
-	case LoadDelta:
-		i, err := en.liveIndex(ev.ID)
-		if err != nil {
-			return err
-		}
-		en.ensurePending()
-		en.pending[i] = math.Max(0, en.pending[i]+ev.Value)
-	case Spike:
-		i, err := en.liveIndex(ev.ID)
-		if err != nil {
-			return err
-		}
-		en.ensurePending()
-		en.pending[i] *= ev.Value
-	case LatencyShift, LatencyRestore:
-		return fmt.Errorf("descent driver does not support latency shifts")
-	case ServerJoin:
-		if err := en.flush(); err != nil {
-			return err
-		}
-		return en.applyJoin(ev)
-	case ServerLeave:
-		if err := en.flush(); err != nil {
-			return err
-		}
-		i, err := en.liveIndex(ev.ID)
-		if err != nil {
-			return err
-		}
-		if err := en.p.Leave(i); err != nil {
-			return err
-		}
-		en.ids = append(en.ids[:i], en.ids[i+1:]...)
-		delete(en.idx, ev.ID)
-		for _, id := range en.ids[i:] {
-			en.idx[id]--
-		}
-	default:
-		return fmt.Errorf("unknown event kind %q", ev.Kind)
-	}
-	return nil
-}
-
-func (en *descentEngine) applyJoin(ev Event) error {
-	if _, dup := en.idx[ev.ID]; dup {
-		return fmt.Errorf("join id %d already live", ev.ID)
-	}
-	m := en.p.M()
-	switch ev.Join {
-	case JoinCluster:
-		// Block fast path only: nil rows tell the instance to derive the
-		// newcomer's delays from its metro label.
-		if err := en.p.Join(ev.Speed, ev.Load, nil, nil, ev.Cluster); err != nil {
-			return err
-		}
-	case JoinUniform:
-		row := make([]float64, m)
-		for j := range row {
-			row[j] = ev.Latency
-		}
-		if err := en.p.Join(ev.Speed, ev.Load, row, append([]float64(nil), row...), 0); err != nil {
-			return err
-		}
-	default:
-		return fmt.Errorf("unknown join latency mode %q", ev.Join)
-	}
-	en.ids = append(en.ids, ev.ID)
-	en.idx[ev.ID] = m
-	return nil
-}
-
-func (en *descentEngine) measure(ctx context.Context, tl *DescentTimeline, epoch int, t float64, events, total int) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	start := time.Now()
-	span := en.obs.scope.Start("replay.epoch")
+// measure runs the epoch's crash drill, then its gradient rounds in
+// segments re-anchored on the oracle after every mid-run crash.
+func (en *planeBackend) measure(_ context.Context, ep epochInfo) (DescentEpoch, error) {
 	p := en.p
 	en.crashEvs = en.crashEvs[:0]
 
@@ -450,7 +318,7 @@ func (en *descentEngine) measure(ctx context.Context, tl *DescentTimeline, epoch
 			// when nobody can (one metro left), the drill skips. Both
 			// outcomes are functions of (plan, epoch, fleet), so the
 			// replay stays deterministic.
-			victim := plan.CrashVictim(int64(epoch)<<8|int64(c), p.Shards())
+			victim := plan.CrashVictim(int64(ep.epoch)<<8|int64(c), p.Shards())
 			for k, n := 0, p.Shards(); k < n; k++ {
 				ev, err := p.Crash((victim + k) % n)
 				if err == nil && ev.Servers > 0 {
@@ -461,12 +329,13 @@ func (en *descentEngine) measure(ctx context.Context, tl *DescentTimeline, epoch
 	}
 
 	row := DescentEpoch{
-		Epoch:        epoch,
-		Time:         t,
-		Events:       events,
-		Servers:      p.M(),
-		StartCost:    p.Cost(),
-		RoundsToBand: -1,
+		Epoch:         ep.epoch,
+		Time:          ep.time,
+		Events:        ep.events,
+		Servers:       p.M(),
+		StartCost:     p.Cost(),
+		RoundsToBand:  -1,
+		SkippedEvents: ep.skipped,
 	}
 	for _, n := range p.Instance().Load {
 		row.TotalLoad += n
@@ -489,7 +358,7 @@ func (en *descentEngine) measure(ctx context.Context, tl *DescentTimeline, epoch
 		p.SetTarget(en.target)
 		rep, err := p.Run(budget - row.Rounds)
 		if err != nil {
-			return err
+			return DescentEpoch{}, err
 		}
 		if row.RoundsToBand < 0 && rep.RoundsToBand >= 0 {
 			row.RoundsToBand = row.Rounds + rep.RoundsToBand
@@ -521,51 +390,5 @@ func (en *descentEngine) measure(ctx context.Context, tl *DescentTimeline, epoch
 	if faults != (descent.FaultTotals{}) {
 		row.Faults = &faults
 	}
-	row.SkippedEvents = en.skipped
-	en.skipped = 0
-	tl.Runtime.Set(len(tl.Epochs), obs.RuntimeRow{
-		Label:   fmt.Sprintf("epoch %d", epoch),
-		Elapsed: time.Since(start),
-	})
-	tl.Epochs = append(tl.Epochs, row)
-	en.obs.epochs.Inc()
-	en.obs.cost.Set(row.Cost)
-	span.With(obs.Int("epoch", int64(epoch))).
-		With(obs.Float("cost", row.Cost)).
-		With(obs.Int("rounds", int64(row.Rounds))).
-		With(obs.Int("bytes", row.Bytes)).
-		End()
-
-	if en.cfg.Verify {
-		if err := en.verifyFeasible(); err != nil {
-			return fmt.Errorf("replay: descent epoch %d: %w", epoch, err)
-		}
-	}
-	if en.cfg.Progress != nil {
-		en.cfg.Progress(len(tl.Epochs), total)
-	}
-	return nil
-}
-
-// verifyFeasible asserts every actor row is non-negative and sums to
-// its organization's live load.
-func (en *descentEngine) verifyFeasible() error {
-	loads := en.p.Instance().Load
-	alloc := en.p.Allocation()
-	if len(alloc.Idx) != len(loads) {
-		return fmt.Errorf("allocation has %d rows, loads %d", len(alloc.Idx), len(loads))
-	}
-	for i := range alloc.Idx {
-		sum := 0.0
-		for t, v := range alloc.Val[i] {
-			if v < 0 || math.IsNaN(v) {
-				return fmt.Errorf("r[%d][%d]=%v", i, alloc.Idx[i][t], v)
-			}
-			sum += v
-		}
-		if math.Abs(sum-loads[i]) > 1e-6*math.Max(1, loads[i]) {
-			return fmt.Errorf("row %d sums to %v, want %v", i, sum, loads[i])
-		}
-	}
-	return nil
+	return row, nil
 }

@@ -3,6 +3,7 @@ package replay
 import (
 	"bytes"
 	"context"
+	"strings"
 	"testing"
 	"time"
 
@@ -105,15 +106,23 @@ func TestDescentReplayRollingRestart(t *testing.T) {
 }
 
 // TestDescentReplayRejectsLatencyShifts pins the driver's declared
-// limitation with a clear error instead of silent desynchronization.
+// limitation with a clear error instead of silent desynchronization —
+// raised before epoch 0, so no epoch is measured and no round is spent.
 func TestDescentReplayRejectsLatencyShifts(t *testing.T) {
 	sc := delaylb.NewScenario(12).WithClusters(2).WithLoads(delaylb.LoadUniform, 50).WithSeed(6)
 	tr, err := MetroOutage(sc, 0, 1, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RunDescent(context.Background(), tr, DescentConfig{SkipOracle: true}); err == nil {
+	progressed := false
+	cfg := DescentConfig{SkipOracle: true, Progress: func(int, int) { progressed = true }}
+	if _, err := RunDescent(context.Background(), tr, cfg); err == nil {
 		t.Fatal("MetroOutage carries LatencyShift events; the descent driver must refuse them")
+	} else if !strings.Contains(err.Error(), "descent epoch") {
+		t.Errorf("refusal %q does not name the offending epoch", err)
+	}
+	if progressed {
+		t.Error("the driver measured epochs before refusing the trace's latency shifts")
 	}
 }
 

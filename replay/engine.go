@@ -1,9 +1,9 @@
 // Package replay is the trace-driven online balancing engine: it feeds a
 // timestamped trace of workload events — load deltas, demand spikes,
-// latency shifts, server joins and leaves — into a delaylb.Session,
-// re-optimizing warm-started after every epoch, and records a metrics
-// timeline (cost against a cold-solved reference, iterations back into
-// the optimality band, reallocation churn, wall-clock per epoch).
+// latency shifts, server joins and leaves — through one event loop into
+// a delaylb.Session (Run: warm re-solves against a cold baseline) or a
+// distributed descent.Plane (RunDescent: gradient rounds against an
+// oracle), and records a metrics timeline.
 //
 // This is the paper's closing claim (§I, §IX) — fast convergence makes
 // the algorithm usable "in networks with dynamically changing loads" —
@@ -25,592 +25,273 @@ package replay
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"time"
 
-	"delaylb"
 	"delaylb/obs"
 )
 
-// Config tunes a replay run.
-type Config struct {
-	// Options are the session defaults for every warm re-solve and for
-	// the per-epoch cold baseline: solver selection, WithSparse,
-	// iteration caps, tolerances, seed. Do not pass WithProgress or
-	// WithWarmStart here — the engine owns both (warm starts come from
-	// the session, progress callbacks record the cost trajectories).
-	// Nil means DefaultOptions(); pass a non-nil empty slice to run the
-	// registry defaults (MinE, dense) instead.
-	Options []delaylb.Option
-	// Band is the relative optimality band used for iterations-to-band
-	// (default 0.02, the paper's Table I target).
-	Band float64
-	// SkipCold disables the per-epoch cold-solve baseline. Roughly
-	// halves the work; ColdCost/ColdIters columns stay zero and
-	// OptCost degrades to the warm solve's final cost.
-	SkipCold bool
-	// Verify re-checks allocation feasibility (every row summing to its
-	// organization's load, entries non-negative) after each epoch and
-	// fails the run on violation. O(m²) per epoch — cheap next to a
-	// solve; tests and the acceptance harness keep it on.
-	Verify bool
-	// Progress, if non-nil, is called after each completed epoch with
-	// the number of completed timeline rows and the total.
-	Progress func(done, total int)
-	// Obs, if non-nil, receives side-channel telemetry: per-epoch spans,
-	// warm/cold iteration counters, churn mass and event-application
-	// latency. It is also threaded into the underlying qp solver. Never
-	// read back — instrumented replays produce byte-identical timelines.
-	Obs *obs.Scope
+// backend is the balancer a loop drives, holding the fleet in
+// instance-index order: the loop owns everything the tiers share, a
+// backend how its balancer absorbs a change and measures an epoch.
+type backend[R timelineRow] interface {
+	loads() []float64 // live loads, read-only
+	updateLoads(loads []float64) error
+	join(ev Event) error // appends the server at index M
+	leave(i int) error
+	measure(ctx context.Context, ep epochInfo) (R, error)
+	// allocation returns the row count and an entry iterator.
+	allocation() (rows int, each func(func(i, j int, v float64)))
+	// toleratesDeadIDs: events naming removed servers are skipped and
+	// counted instead of failing the replay.
+	toleratesDeadIDs() bool
 }
 
-func (c Config) band() float64 {
-	if c.Band > 0 {
-		return c.Band
-	}
-	return 0.02
+// latencyBackend is the optional capability to apply latency events;
+// without it a trace carrying them is refused before epoch 0.
+type latencyBackend interface {
+	shiftLatency(ev Event, from, to int) error // endpoints resolved, -1 = all
+	restoreLatency(ev Event) error
+	flushLatency() error
 }
 
-// DefaultOptions is the engine's default solver configuration, used when
-// Config.Options is nil: sparse away-step Frank–Wolfe. Away steps make
-// the warm re-solves linearly convergent AND keep the warm iterate's
-// support bounded across epochs — classic FW warm starts accumulate
-// stale vertices every epoch (hundreds of thousands of nnz at m=5000)
-// because nothing ever removes them, while drop steps shed exactly that
-// support. The previous default (MinE) remains available by passing the
-// options explicitly.
-func DefaultOptions() []delaylb.Option {
-	return []delaylb.Option{
-		delaylb.WithSolver("frankwolfe"),
-		delaylb.WithFWVariant(delaylb.FWAway),
-		delaylb.WithSparse(),
-		delaylb.WithTolerance(1e-6),
-		delaylb.WithMaxIterations(600),
-	}
+// timelineRow is a timeline row; observe reports its telemetry onto span.
+type timelineRow interface {
+	observe(ro replayObs, span obs.Span) obs.Span
 }
 
-// Run replays the trace and returns the metrics timeline. The run is
-// deterministic for a fixed (trace, Config.Options) pair — byte-identical
-// timelines per seed, with wall-clock kept out of the JSON form. On
-// context cancellation the timeline built so far is returned alongside
-// ctx.Err().
-func Run(ctx context.Context, tr *Trace, cfg Config) (*Timeline, error) {
-	if err := tr.Validate(); err != nil {
-		return nil, err
-	}
-	sys, err := tr.Scenario.Build()
-	if err != nil {
-		return nil, err
-	}
-	if cfg.Options == nil {
-		cfg.Options = DefaultOptions()
-	}
-	if cfg.Obs.Enabled() {
-		// Thread the scope into every session solve (and the per-epoch
-		// cold baselines, which reuse cfg.Options below).
-		cfg.Options = append(append([]delaylb.Option(nil), cfg.Options...), delaylb.WithObs(cfg.Obs))
-	}
-	en := &engine{
-		cfg:  cfg,
-		sess: sys.NewSession(cfg.Options...),
-		idx:  make(map[int64]int),
-		obs:  newReplayObs(cfg.Obs, "session"),
-	}
-	m := en.sess.M()
-	en.ids = make([]int64, m)
-	for i := 0; i < m; i++ {
-		en.ids[i] = int64(i)
-		en.idx[int64(i)] = i
-	}
-	if delay, _, ok := en.sess.BlockLatency(); ok {
-		// Block-backed session: the metro table is the representation —
-		// no O(m²) matrix materialization, no derivation pass.
-		en.block = delay
-	} else if labels := en.sess.Clusters(); labels != nil {
-		en.block = deriveBlock(labels, en.sess.Latency(), nil)
-	}
-
-	tl := &Timeline{Scenario: tr.Scenario, Band: cfg.band(), ColdBaseline: !cfg.SkipCold, Runtime: &obs.RuntimeStats{}}
-	total := len(tr.Epochs) + 1
-	if err := en.measure(ctx, tl, 0, 0, 0, total); err != nil {
-		return tl, err
-	}
-	for k, ep := range tr.Epochs {
-		var evStart time.Time
-		if en.obs.applyHist != nil {
-			evStart = time.Now()
-		}
-		for _, ev := range ep.Events {
-			if err := en.apply(ev); err != nil {
-				return tl, fmt.Errorf("replay: epoch %d (t=%v): %w", k+1, ep.Time, err)
-			}
-		}
-		if err := en.flush(); err != nil {
-			return tl, fmt.Errorf("replay: epoch %d (t=%v): %w", k+1, ep.Time, err)
-		}
-		if en.obs.applyHist != nil {
-			en.obs.applyEvents(len(ep.Events), time.Since(evStart))
-		}
-		if err := en.measure(ctx, tl, k+1, ep.Time, len(ep.Events), total); err != nil {
-			return tl, err
-		}
-	}
-	return tl, nil
+type epochInfo struct {
+	epoch, events, skipped int // skipped: events naming crashed servers
+	time                   float64
 }
 
-// engine is the mutable replay state: the live session plus the stable
-// id ↔ instance index mapping that survives server churn.
-type engine struct {
-	cfg  Config
-	sess *delaylb.Session
-	obs  replayObs
+// errNoLiveServer marks an event addressed to a server not in the fleet.
+var errNoLiveServer = errors.New("no live server")
+
+// loop is the replay driver: one event loop over a backend.
+type loop[R timelineRow] struct {
+	b        backend[R]
+	lat      latencyBackend // nil when b cannot apply latency events
+	label    string         // names an epoch in errors
+	verify   bool
+	progress func(done, total int)
+	obs      replayObs
 	// ids[i] is the stable id of the server at instance index i; idx is
 	// the inverse. Initial servers get ids 0..m−1, joins carry fresh ids.
 	ids []int64
 	idx map[int64]int
-	// block is the cluster block-delay table for JoinCluster events,
-	// derived from the live matrix and re-derived lazily after anything
-	// that can perturb the structure (latency shifts, uniform joins);
-	// emptied metros keep their last known delays so they can rejoin.
-	// nil on unclustered scenarios.
-	block      [][]float64
-	blockStale bool
-	// pending / pendingLat batch LoadDelta/Spike mutations and latency
-	// shifts so one epoch costs one UpdateLoads / UpdateLatency, not one
-	// per event.
-	pending    []float64
-	pendingLat [][]float64
-	// latSnaps is the stack of pre-shift latency values: every
-	// LatencyShift pushes one, LatencyRestore pops the most recent with
-	// matching endpoints and writes the exact bytes back.
-	latSnaps []latSnap
+	// pending batches LoadDelta/Spike edits so one epoch costs one
+	// updateLoads, not one per event.
+	pending []float64
+	rows    []R
+	runtime obs.RuntimeStats
 }
 
-// latSnap records the entries a LatencyShift scaled, in the shift's own
-// iteration order, so a LatencyRestore can undo it bit-exactly —
-// multiplying by the inverse factor cannot (IEEE round-off).
-//
-// A wildcard shift on a block-backed session takes the structured form
-// instead: the pre-shift k×k delay table plus the metro labels, O(m+k²)
-// against the dense snapshot's O(m²). A block-structured matrix is fully
-// determined by (table, labels), so the structured restore writes back
-// the exact same values the dense snapshot would have recorded.
-type latSnap struct {
-	id, to    int64 // the shift's trace-level endpoints (Wildcard allowed)
-	from, dst int   // resolved instance indices at shift time (-1: all)
-	m         int   // fleet size at shift time
-	vals      []float64
-	// table/labels, when non-nil, mark a structured snapshot: the
-	// pre-shift block-delay table and per-server metro labels.
-	table  [][]float64
-	labels []int
+func newLoop[R timelineRow](b backend[R], m int, label string, verify bool, progress func(done, total int), ro replayObs) *loop[R] {
+	l := &loop[R]{b: b, label: label, verify: verify, progress: progress, obs: ro,
+		ids: make([]int64, m), idx: make(map[int64]int, m)}
+	l.lat, _ = b.(latencyBackend)
+	for i := range l.ids {
+		l.ids[i] = int64(i)
+		l.idx[int64(i)] = i
+	}
+	return l
 }
 
-func (en *engine) liveIndex(id int64) (int, error) {
-	i, ok := en.idx[id]
+// run replays tr: the initial measurement, then per epoch its events,
+// one flush and one measurement. The rows measured so far stay in
+// l.rows whatever the error.
+func (l *loop[R]) run(ctx context.Context, tr *Trace) error {
+	if l.lat == nil {
+		for k, ep := range tr.Epochs {
+			for _, ev := range ep.Events {
+				if ev.Kind == LatencyShift || ev.Kind == LatencyRestore {
+					return l.epochErr(k, ep, errors.New("latency shifts are not supported on this backend"))
+				}
+			}
+		}
+	}
+	total := len(tr.Epochs) + 1
+	if err := l.finishEpoch(ctx, epochInfo{}, total); err != nil {
+		return err
+	}
+	for k, ep := range tr.Epochs {
+		var evStart time.Time
+		if l.obs.applyHist != nil {
+			evStart = time.Now()
+		}
+		info := epochInfo{epoch: k + 1, time: ep.Time, events: len(ep.Events)}
+		for _, ev := range ep.Events {
+			if err := l.apply(ev); err != nil {
+				if l.b.toleratesDeadIDs() && errors.Is(err, errNoLiveServer) {
+					// The event addresses a server a crash removed —
+					// real traces keep naming dead hosts for a while.
+					info.skipped++
+					continue
+				}
+				return l.epochErr(k, ep, err)
+			}
+		}
+		if err := l.flush(); err != nil {
+			return l.epochErr(k, ep, err)
+		}
+		if l.obs.applyHist != nil {
+			l.obs.applyEvents(info.events-info.skipped, time.Since(evStart))
+		}
+		if err := l.finishEpoch(ctx, info, total); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func (l *loop[R]) epochErr(k int, ep Epoch, err error) error {
+	return fmt.Errorf("replay: %s %d (t=%v): %w", l.label, k+1, ep.Time, err)
+}
+
+func (l *loop[R]) liveIndex(id int64) (int, error) {
+	i, ok := l.idx[id]
 	if !ok {
-		return 0, fmt.Errorf("no live server with id %d", id)
+		return 0, fmt.Errorf("%w with id %d", errNoLiveServer, id)
 	}
 	return i, nil
 }
 
-func (en *engine) ensurePending() {
-	if en.pending == nil {
-		en.pending = en.sess.Loads()
+// remove drops instance index i from the id map, shifting every later
+// index down by one as the backend does.
+func (l *loop[R]) remove(i int) {
+	delete(l.idx, l.ids[i])
+	l.ids = append(l.ids[:i], l.ids[i+1:]...)
+	for _, id := range l.ids[i:] {
+		l.idx[id]--
 	}
 }
 
-func (en *engine) flushLoads() error {
-	if en.pending == nil {
-		return nil
+// flush pushes every batched mutation into the backend — required
+// before any event that resizes the fleet and before measuring.
+func (l *loop[R]) flush() error {
+	if l.pending != nil {
+		loads := l.pending
+		l.pending = nil
+		if err := l.b.updateLoads(loads); err != nil {
+			return err
+		}
 	}
-	loads := en.pending
-	en.pending = nil
-	return en.sess.UpdateLoads(loads)
+	if l.lat != nil {
+		return l.lat.flushLatency()
+	}
+	return nil
 }
 
-func (en *engine) flushLatency() error {
-	if en.pendingLat == nil {
-		return nil
-	}
-	lat := en.pendingLat
-	en.pendingLat = nil
-	return en.sess.UpdateLatency(lat)
-}
-
-// flush pushes every batched mutation into the session — required
-// before any event that resizes the instance and before measuring.
-func (en *engine) flush() error {
-	if err := en.flushLoads(); err != nil {
-		return err
-	}
-	return en.flushLatency()
-}
-
-func (en *engine) apply(ev Event) error {
+// apply routes one event. Latency events only reach it on a backend
+// with the capability: run refuses them up front otherwise.
+func (l *loop[R]) apply(ev Event) error {
 	switch ev.Kind {
-	case LoadDelta:
-		i, err := en.liveIndex(ev.ID)
+	case LoadDelta, Spike:
+		i, err := l.liveIndex(ev.ID)
 		if err != nil {
 			return err
 		}
-		en.ensurePending()
-		en.pending[i] = math.Max(0, en.pending[i]+ev.Value)
-	case Spike:
-		i, err := en.liveIndex(ev.ID)
-		if err != nil {
-			return err
+		if l.pending == nil {
+			l.pending = append([]float64(nil), l.b.loads()...)
 		}
-		en.ensurePending()
-		en.pending[i] *= ev.Value
+		if ev.Kind == LoadDelta {
+			l.pending[i] = math.Max(0, l.pending[i]+ev.Value)
+		} else {
+			l.pending[i] *= ev.Value
+		}
 	case LatencyShift:
-		return en.applyLatencyShift(ev)
+		from, to := -1, -1
+		var err error
+		if ev.ID != Wildcard {
+			if from, err = l.liveIndex(ev.ID); err != nil {
+				return err
+			}
+		}
+		if ev.To != Wildcard {
+			if to, err = l.liveIndex(ev.To); err != nil {
+				return err
+			}
+		}
+		return l.lat.shiftLatency(ev, from, to)
 	case LatencyRestore:
-		return en.applyLatencyRestore(ev)
+		return l.lat.restoreLatency(ev)
 	case ServerJoin:
-		if err := en.flush(); err != nil {
+		if err := l.flush(); err != nil {
 			return err
 		}
-		return en.applyJoin(ev)
+		if _, dup := l.idx[ev.ID]; dup {
+			return fmt.Errorf("join id %d already live", ev.ID)
+		}
+		if err := l.b.join(ev); err != nil {
+			return err
+		}
+		l.idx[ev.ID] = len(l.ids)
+		l.ids = append(l.ids, ev.ID)
 	case ServerLeave:
-		if err := en.flush(); err != nil {
+		if err := l.flush(); err != nil {
 			return err
 		}
-		i, err := en.liveIndex(ev.ID)
+		i, err := l.liveIndex(ev.ID)
 		if err != nil {
 			return err
 		}
-		if err := en.sess.RemoveServer(i); err != nil {
+		if err := l.b.leave(i); err != nil {
 			return err
 		}
-		en.ids = append(en.ids[:i], en.ids[i+1:]...)
-		delete(en.idx, ev.ID)
-		for _, id := range en.ids[i:] {
-			en.idx[id]--
-		}
+		l.remove(i)
 	default:
 		return fmt.Errorf("unknown event kind %q", ev.Kind)
 	}
 	return nil
 }
 
-func (en *engine) applyLatencyShift(ev Event) error {
-	// Structured fast path: a wildcard shift scales every off-diagonal
-	// delay — exactly ScaleBackbone on a block-backed session. Applied
-	// natively at O(m + k²) with a k×k snapshot, so a MetroOutage replay
-	// never materializes the dense matrix. A targeted shift, or a shift
-	// after a dense edit is already pending this epoch, falls through to
-	// the dense batch (the oracle and the escape hatch — a targeted
-	// per-server shift need not be block-structured).
-	if ev.ID == Wildcard && ev.To == Wildcard && en.pendingLat == nil {
-		if delay, labels, ok := en.sess.BlockLatency(); ok {
-			if err := en.sess.ApplyLatencyUpdate(delaylb.ScaleBackbone(ev.Value)); err != nil {
-				return err
-			}
-			en.latSnaps = append(en.latSnaps, latSnap{
-				id: ev.ID, to: ev.To, from: -1, dst: -1,
-				m: len(labels), table: delay, labels: labels,
-			})
-			en.blockStale = true
-			return nil
-		}
-	}
-	if en.pendingLat == nil {
-		en.pendingLat = en.sess.Latency()
-	}
-	lat := en.pendingLat
-	m := len(lat)
-	from, to := -1, -1
-	if ev.ID != Wildcard {
-		i, err := en.liveIndex(ev.ID)
-		if err != nil {
-			return err
-		}
-		from = i
-	}
-	if ev.To != Wildcard {
-		j, err := en.liveIndex(ev.To)
-		if err != nil {
-			return err
-		}
-		to = j
-	}
-	snap := latSnap{id: ev.ID, to: ev.To, from: from, dst: to, m: m}
-	for i := 0; i < m; i++ {
-		if from >= 0 && i != from {
-			continue
-		}
-		for j := 0; j < m; j++ {
-			if i == j || (to >= 0 && j != to) {
-				continue
-			}
-			snap.vals = append(snap.vals, lat[i][j])
-			lat[i][j] *= ev.Value
-		}
-	}
-	en.latSnaps = append(en.latSnaps, snap)
-	en.blockStale = true
-	return nil
-}
-
-func (en *engine) applyLatencyRestore(ev Event) error {
-	k := -1
-	for t := len(en.latSnaps) - 1; t >= 0; t-- {
-		if en.latSnaps[t].id == ev.ID && en.latSnaps[t].to == ev.To {
-			k = t
-			break
-		}
-	}
-	if k < 0 {
-		return fmt.Errorf("latrestore %s→%s has no un-restored latshift to undo", idStr(ev.ID), idStr(ev.To))
-	}
-	snap := en.latSnaps[k]
-	en.latSnaps = append(en.latSnaps[:k], en.latSnaps[k+1:]...)
-	if snap.table != nil {
-		return en.restoreStructured(ev, snap)
-	}
-	if en.pendingLat == nil {
-		en.pendingLat = en.sess.Latency()
-	}
-	lat := en.pendingLat
-	// Server churn between shift and restore renumbers the matrix; the
-	// snapshot's coordinates would land on the wrong links.
-	if len(lat) != snap.m {
-		return fmt.Errorf("latrestore %s→%s: fleet has %d servers, had %d when the shift landed",
-			idStr(ev.ID), idStr(ev.To), len(lat), snap.m)
-	}
-	t := 0
-	for i := 0; i < snap.m; i++ {
-		if snap.from >= 0 && i != snap.from {
-			continue
-		}
-		for j := 0; j < snap.m; j++ {
-			if i == j || (snap.dst >= 0 && j != snap.dst) {
-				continue
-			}
-			lat[i][j] = snap.vals[t]
-			t++
-		}
-	}
-	en.blockStale = true
-	return nil
-}
-
-// restoreStructured undoes a structured (block) snapshot. On a session
-// that is still block-backed with no dense edit pending, the saved k×k
-// table is swapped back in natively — O(m + k²), no dense matrix.
-// Otherwise the table-derived entries are written into the pending
-// dense matrix: the pre-shift matrix was block-structured, so these are
-// the exact values a dense snapshot would have recorded, and the two
-// restore paths stay bit-identical.
-func (en *engine) restoreStructured(ev Event, snap latSnap) error {
-	// Server churn between shift and restore renumbers the matrix; the
-	// snapshot's coordinates would land on the wrong links.
-	if m := en.sess.M(); m != snap.m {
-		return fmt.Errorf("latrestore %s→%s: fleet has %d servers, had %d when the shift landed",
-			idStr(ev.ID), idStr(ev.To), m, snap.m)
-	}
-	if en.pendingLat == nil {
-		if _, _, ok := en.sess.BlockLatency(); ok {
-			if err := en.sess.ApplyLatencyUpdate(delaylb.RestoreBlockLatency(snap.table)); err != nil {
-				return err
-			}
-			en.blockStale = true
-			return nil
-		}
-		en.pendingLat = en.sess.Latency()
-	}
-	lat := en.pendingLat
-	for i := 0; i < snap.m; i++ {
-		gi := snap.labels[i]
-		for j := 0; j < snap.m; j++ {
-			if i != j {
-				lat[i][j] = snap.table[gi][snap.labels[j]]
-			}
-		}
-	}
-	en.blockStale = true
-	return nil
-}
-
-func (en *engine) applyJoin(ev Event) error {
-	if _, dup := en.idx[ev.ID]; dup {
-		return fmt.Errorf("join id %d already live", ev.ID)
-	}
-	m := en.sess.M()
-	spec := delaylb.ServerSpec{Speed: ev.Speed, Load: ev.Load}
-	switch ev.Join {
-	case JoinUniform:
-		row := make([]float64, m)
-		for j := range row {
-			row[j] = ev.Latency
-		}
-		spec.LatencyTo = row
-		spec.LatencyFrom = append([]float64(nil), row...)
-		// On a clustered instance a uniform join almost never matches the
-		// block structure; the hint then fails verification and solvers
-		// degrade to the generic (correct, slower) path. Label 0 is as
-		// good as any for a server outside the metro scheme — and the
-		// cached block table can no longer be trusted for later cluster
-		// joins, so mark it stale and let re-derivation decide.
-		spec.Cluster = 0
-		if en.sess.Clusters() != nil {
-			en.blockStale = true
-		}
-	case JoinCluster:
-		labels := en.sess.Clusters()
-		if labels == nil {
-			return fmt.Errorf("join cluster=%d on a scenario without cluster labels", ev.Cluster)
-		}
-		if _, _, ok := en.sess.BlockLatency(); ok {
-			// Block fast path: nil rows tell the session to derive the
-			// newcomer's delays from its metro label — O(m + k²) per
-			// join, no row materialization, no table re-derivation.
-			spec.Cluster = ev.Cluster
-			break
-		}
-		if en.blockStale {
-			nb := deriveBlock(labels, en.sess.Latency(), en.block)
-			if nb == nil {
-				return fmt.Errorf("join cluster=%d: earlier events (latency shifts or uniform joins) broke the block structure", ev.Cluster)
-			}
-			en.block, en.blockStale = nb, false
-		}
-		if en.block == nil || ev.Cluster >= len(en.block) {
-			return fmt.Errorf("join cluster=%d: unknown cluster (table has %d)", ev.Cluster, len(en.block))
-		}
-		g := ev.Cluster
-		latTo := make([]float64, m)
-		latFrom := make([]float64, m)
-		for j, h := range labels {
-			latTo[j] = en.block[g][h]
-			latFrom[j] = en.block[h][g]
-		}
-		spec.LatencyTo, spec.LatencyFrom = latTo, latFrom
-		spec.Cluster = g
-	default:
-		return fmt.Errorf("unknown join latency mode %q", ev.Join)
-	}
-	if err := en.sess.AddServer(spec); err != nil {
+// finishEpoch measures one epoch and records it: the replay.epoch span,
+// the wall-clock row, the telemetry, the feasibility check and the
+// progress callback.
+func (l *loop[R]) finishEpoch(ctx context.Context, ep epochInfo, total int) error {
+	if err := ctx.Err(); err != nil {
 		return err
 	}
-	en.ids = append(en.ids, ev.ID)
-	en.idx[ev.ID] = m
-	return nil
-}
-
-// measure runs the epoch's warm re-solve (and cold baseline), appends
-// the metrics row, and verifies feasibility when configured.
-func (en *engine) measure(ctx context.Context, tl *Timeline, epoch int, t float64, events, total int) error {
 	start := time.Now()
-	span := en.obs.scope.Start("replay.epoch")
-	pre := en.sess.Result()
-	preCost := en.sess.Cost()
-
-	warmTrace := []float64{preCost}
-	warm, err := en.sess.Reoptimize(ctx, delaylb.WithProgress(func(_ int, c float64) bool {
-		warmTrace = append(warmTrace, c)
-		return true
-	}))
+	span := l.obs.scope.Start("replay.epoch")
+	row, err := l.b.measure(ctx, ep)
 	if err != nil {
 		return err
 	}
-	if warmTrace[len(warmTrace)-1] != warm.Cost {
-		warmTrace = append(warmTrace, warm.Cost)
-	}
-
-	row := EpochMetrics{
-		Epoch:         epoch,
-		Time:          t,
-		Events:        events,
-		Servers:       en.sess.M(),
-		WarmStartCost: preCost,
-		Cost:          warm.Cost,
-		WarmIters:     warm.Iterations,
-		NNZ:           warm.NNZ,
-	}
-	for _, n := range en.sess.Loads() {
-		row.TotalLoad += n
-	}
-
-	opt := warm.Cost
-	var coldTrace []float64
-	if epoch == 0 {
-		// The initial solve starts from the identity allocation: it IS
-		// the cold solve. Copy rather than recompute.
-		row.ColdCost, row.ColdIters = warm.Cost, warm.Iterations
-		coldTrace = warmTrace
-	} else if !en.cfg.SkipCold {
-		sys := en.sess.System()
-		coldTrace = []float64{sys.Identity().Cost}
-		opts := append(append([]delaylb.Option(nil), en.cfg.Options...),
-			delaylb.WithProgress(func(_ int, c float64) bool {
-				coldTrace = append(coldTrace, c)
-				return true
-			}))
-		cold, err := sys.OptimizeContext(ctx, opts...)
-		if err != nil {
-			return err
-		}
-		if coldTrace[len(coldTrace)-1] != cold.Cost {
-			coldTrace = append(coldTrace, cold.Cost)
-		}
-		row.ColdCost, row.ColdIters = cold.Cost, cold.Iterations
-		if cold.Cost < opt {
-			opt = cold.Cost
-		}
-	}
-	row.OptCost = opt
-	band := (1 + tl.Band) * opt
-	row.WarmItersToBand = itersToBand(warmTrace, band)
-	if coldTrace != nil {
-		row.ColdItersToBand = itersToBand(coldTrace, band)
-	}
-
-	// Reallocation churn: how many requests this epoch's re-solve moved.
-	// AllocationDistance merges sparse results in O(nnz) and reproduces
-	// the dense row-major summation order exactly.
-	row.Moved = delaylb.AllocationDistance(pre, warm) / 2
-	tl.Runtime.Set(len(tl.Epochs), obs.RuntimeRow{
-		Label:   fmt.Sprintf("epoch %d", epoch),
+	l.runtime.Set(len(l.rows), obs.RuntimeRow{
+		Label:   fmt.Sprintf("epoch %d", ep.epoch),
 		Elapsed: time.Since(start),
 	})
-	tl.Epochs = append(tl.Epochs, row)
-	en.obs.epochs.Inc()
-	en.obs.warmIters.Add(int64(row.WarmIters))
-	en.obs.coldIters.Add(int64(row.ColdIters))
-	en.obs.movedHist.Observe(row.Moved)
-	en.obs.cost.Set(row.Cost)
-	span.With(obs.Int("epoch", int64(epoch))).
-		With(obs.Float("cost", row.Cost)).
-		With(obs.Int("warm_iters", int64(row.WarmIters))).
-		With(obs.Float("moved", row.Moved)).
-		End()
+	l.rows = append(l.rows, row)
+	l.obs.epochs.Inc()
+	row.observe(l.obs, span.With(obs.Int("epoch", int64(ep.epoch)))).End()
 
-	if en.cfg.Verify {
-		if err := en.verifyFeasible(); err != nil {
-			return fmt.Errorf("replay: epoch %d: %w", epoch, err)
+	if l.verify {
+		if err := l.verifyFeasible(); err != nil {
+			return fmt.Errorf("replay: %s %d: %w", l.label, ep.epoch, err)
 		}
 	}
-	if en.cfg.Progress != nil {
-		en.cfg.Progress(len(tl.Epochs), total)
+	if l.progress != nil {
+		l.progress(len(l.rows), total)
 	}
 	return nil
 }
 
 // verifyFeasible asserts the adopted allocation is row-stochastic for
-// the current loads: every row sums to its organization's load with
-// non-negative entries.
-func (en *engine) verifyFeasible() error {
-	loads := en.sess.Loads()
-	res := en.sess.Result()
-	if res.M() != len(loads) {
-		return fmt.Errorf("allocation has %d rows, loads %d", res.M(), len(loads))
+// the live loads: entries non-negative up to 1e-9 of round-off, every
+// row summing to its organization's load.
+func (l *loop[R]) verifyFeasible() error {
+	loads := l.b.loads()
+	rows, each := l.b.allocation()
+	if rows != len(loads) {
+		return fmt.Errorf("allocation has %d rows, loads %d", rows, len(loads))
 	}
 	sums := make([]float64, len(loads))
 	var bad error
-	res.Each(func(i, j int, v float64) {
+	each(func(i, j int, v float64) {
 		if bad == nil && (v < -1e-9 || math.IsNaN(v)) {
 			bad = fmt.Errorf("r[%d][%d]=%v", i, j, v)
 		}
@@ -625,41 +306,4 @@ func (en *engine) verifyFeasible() error {
 		}
 	}
 	return nil
-}
-
-// deriveBlock recovers the k×k cluster block-delay table from the live
-// latency matrix. A cluster pair with no live representative (an
-// emptied metro) keeps base's entry so the metro can rejoin later with
-// its last known delays. Returns nil when the matrix contradicts the
-// labels — the structure is broken and cluster joins must not trust it.
-func deriveBlock(labels []int, lat [][]float64, base [][]float64) [][]float64 {
-	k := len(base)
-	for _, g := range labels {
-		if g+1 > k {
-			k = g + 1
-		}
-	}
-	delay := make([][]float64, k)
-	seen := make([][]bool, k)
-	for a := range delay {
-		delay[a] = make([]float64, k)
-		seen[a] = make([]bool, k)
-		if a < len(base) {
-			copy(delay[a], base[a])
-		}
-	}
-	for i, gi := range labels {
-		for j, gj := range labels {
-			if i == j {
-				continue
-			}
-			if !seen[gi][gj] {
-				delay[gi][gj] = lat[i][j]
-				seen[gi][gj] = true
-			} else if delay[gi][gj] != lat[i][j] {
-				return nil
-			}
-		}
-	}
-	return delay
 }

@@ -7,6 +7,7 @@ import (
 
 	"delaylb"
 	"delaylb/descent"
+	"delaylb/obs"
 )
 
 // TestDescentReplayZeroRateFaultsMatchesBus pins the zero-overhead seam
@@ -134,12 +135,14 @@ func TestDescentReplayCrashSkipsDeadEvents(t *testing.T) {
 		}
 		tr.Epochs = append(tr.Epochs, ep)
 	}
+	reg := obs.NewRegistry()
 	cfg := DescentConfig{
 		Plane:         descent.Config{Seed: 5, Shards: 3},
 		CrashPerEpoch: 1,
 		RoundBudget:   60,
 		SkipOracle:    true,
 		Verify:        true,
+		Obs:           obs.NewScope(reg, nil),
 	}
 	var seen []descent.CrashEvent
 	cfg.Plane.OnCrash = func(ev descent.CrashEvent) { seen = append(seen, ev) }
@@ -150,12 +153,17 @@ func TestDescentReplayCrashSkipsDeadEvents(t *testing.T) {
 	if len(seen) == 0 {
 		t.Fatal("crash drill never fired")
 	}
-	skipped := 0
+	events, skipped := 0, 0
 	for _, row := range tl.Epochs {
+		events += row.Events
 		skipped += row.SkippedEvents
 	}
 	if skipped == 0 {
 		t.Fatal("every epoch touches every initial id, yet no post-crash event was skipped")
+	}
+	// replay_events_total counts applied events only.
+	if got := reg.Counter("replay_events_total", "tier", "descent").Value(); got != int64(events-skipped) {
+		t.Errorf("replay_events_total = %d, want %d (%d events − %d skipped)", got, events-skipped, events, skipped)
 	}
 	// The survivors' loads still took the deltas the skips left alone.
 	if last := tl.Epochs[len(tl.Epochs)-1]; last.Servers >= m {

@@ -8,20 +8,15 @@ import (
 	"delaylb"
 )
 
-// latEngine builds a bare engine around a fresh dense session, the way
-// Run does, for latency-event unit tests.
-func latEngine(t *testing.T, m int) (*engine, [][]float64) {
+// latEngine builds a bare session backend around a fresh dense session,
+// the way Run does, for latency-event unit tests.
+func latEngine(t *testing.T, m int) (*sessionBackend, [][]float64) {
 	t.Helper()
 	sys, err := delaylb.NewScenario(m).WithSeed(3).Build()
 	if err != nil {
 		t.Fatal(err)
 	}
-	en := &engine{sess: sys.NewSession(DefaultOptions()...), idx: make(map[int64]int)}
-	en.ids = make([]int64, m)
-	for i := 0; i < m; i++ {
-		en.ids[i] = int64(i)
-		en.idx[int64(i)] = i
-	}
+	en := newSessionBackend(sys.NewSession(DefaultOptions()...), Config{})
 	return en, en.sess.Latency()
 }
 

@@ -107,6 +107,15 @@ func (tl *Timeline) WriteTable(w io.Writer) {
 	}
 }
 
+// bandOr is the relative optimality band b, or the paper's 2% Table I
+// target when unset.
+func bandOr(b float64) float64 {
+	if b > 0 {
+		return b
+	}
+	return 0.02
+}
+
 // itersToBand returns the first index of trace at or below band, or
 // len(trace) when the trajectory never enters it (one past the last
 // iteration — "not yet").

@@ -37,10 +37,28 @@ func newReplayObs(sc *obs.Scope, tier string) replayObs {
 	}
 }
 
-// applyEvents times one epoch's event-application batch.
+// applyEvents times one epoch's event-application batch of n applied
+// events (skipped ones excluded).
 func (ro replayObs) applyEvents(n int, elapsed time.Duration) {
 	ro.events.Add(int64(n))
 	if ro.applyHist != nil && n > 0 {
 		ro.applyHist.Observe(elapsed.Seconds())
 	}
+}
+
+func (e EpochMetrics) observe(ro replayObs, span obs.Span) obs.Span {
+	ro.warmIters.Add(int64(e.WarmIters))
+	ro.coldIters.Add(int64(e.ColdIters))
+	ro.movedHist.Observe(e.Moved)
+	ro.cost.Set(e.Cost)
+	return span.With(obs.Float("cost", e.Cost)).
+		With(obs.Int("warm_iters", int64(e.WarmIters))).
+		With(obs.Float("moved", e.Moved))
+}
+
+func (e DescentEpoch) observe(ro replayObs, span obs.Span) obs.Span {
+	ro.cost.Set(e.Cost)
+	return span.With(obs.Float("cost", e.Cost)).
+		With(obs.Int("rounds", int64(e.Rounds))).
+		With(obs.Int("bytes", e.Bytes))
 }
