@@ -149,7 +149,11 @@ func RunState(st *State, cfg Config) *Trace {
 				continue
 			}
 			out := ApplyPair(st, id, partner, sel.buf)
-			if out.Gain > 0 {
+			// A pair that moves nothing is not an exchange, whatever
+			// gain the float folds report: the local cost before and
+			// after are summed in different orders, so a no-op step can
+			// show a gain of a few ulps and would stall the stable stop.
+			if out.Moved > 0 && out.Gain > 0 {
 				cost -= out.Gain
 				movedTotal += out.Moved
 				accepted++

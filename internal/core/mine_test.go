@@ -7,6 +7,7 @@ import (
 
 	"delaylb/internal/model"
 	"delaylb/internal/qp"
+	"delaylb/internal/sparse"
 )
 
 func TestRunMonotoneDecreasing(t *testing.T) {
@@ -215,5 +216,30 @@ func BenchmarkMinEIterationProxy1000(b *testing.B) {
 		st := NewIdentityState(in)
 		b.StartTimer()
 		RunState(st, Config{Strategy: StrategyProxy, MaxIters: 1, Rng: rand.New(rand.NewSource(2))})
+	}
+}
+
+// TestRunStopsStableWhenNothingMoves pins the stable stop on the
+// owner-list path. There the local cost before a pair step sums the
+// owners of i and then those of j, while the cost after is summed
+// interleaved, so a step that moves nothing can still report a gain of
+// about 1e-12. Counting such a step as accepted kept this proxy run
+// going to the iteration cap with nearly every iteration idle.
+func TestRunStopsStableWhenNothingMoves(t *testing.T) {
+	in := randInstance(rand.New(rand.NewSource(6)), 25)
+	st := NewSparseState(in, sparse.FromDense(model.Identity(in).R, 0))
+	tr := RunState(st, Config{Strategy: StrategyProxy, Rng: rand.New(rand.NewSource(8))})
+	if tr.Reason != StopStable || !tr.Converged {
+		t.Fatalf("reason %v after %d iterations, want stable", tr.Reason, tr.Iters)
+	}
+	if tr.Iters > 50 {
+		t.Fatalf("took %d iterations to stabilize, want a few dozen at most", tr.Iters)
+	}
+	// Every iteration before the last accepted an exchange, so every
+	// one of them moved requests.
+	for k, mv := range tr.Moved[:len(tr.Moved)-1] {
+		if mv == 0 {
+			t.Fatalf("iteration %d moved nothing but did not stop the run", k+1)
+		}
 	}
 }
