@@ -52,10 +52,12 @@ type State struct {
 	colOwners [][]int32
 }
 
-// NewState wraps an instance and an allocation (not copied) into a State.
+// NewState wraps an instance and an allocation (not copied) into a State
+// with the column index on, so every MinE run takes the owner-list path.
 func NewState(in *model.Instance, a *model.Allocation) *State {
 	st := &State{In: in, Alloc: a, Loads: make([]float64, in.M())}
 	a.LoadsInto(st.Loads)
+	st.EnableColumnIndex()
 	return st
 }
 
