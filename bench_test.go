@@ -375,31 +375,3 @@ func BenchmarkFrankWolfePairwise(b *testing.B) {
 		b.Run(fmt.Sprintf("m=%d", m), func(b *testing.B) { benchmarkFrankWolfeVariant(b, m, qp.VariantPairwise) })
 	}
 }
-
-// BenchmarkMineSparseColumns compares the MinE proxy strategy with and
-// without the column-owner index at a mid-tier size.
-func BenchmarkMineSparseColumns(b *testing.B) {
-	in := scaleTierInstance(b, 300)
-	for name, sparseRun := range map[string]bool{"Dense": false, "Sparse": true} {
-		b.Run(name, func(b *testing.B) {
-			b.ReportAllocs()
-			var first float64
-			for i := 0; i < b.N; i++ {
-				st := core.NewIdentityState(in)
-				core.RunState(st, core.Config{
-					Strategy:      core.StrategyProxy,
-					MaxIters:      8,
-					SparseColumns: sparseRun,
-					Rng:           rand.New(rand.NewSource(6)),
-				})
-				cost := st.Cost()
-				if i == 0 {
-					first = cost
-				} else if cost != first {
-					b.Fatalf("run %d cost %v differs from first run %v", i, cost, first)
-				}
-			}
-			b.ReportMetric(first, "final-cost")
-		})
-	}
-}

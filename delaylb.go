@@ -545,8 +545,7 @@ func (s *System) TheoreticalPoABounds() (lower, upper float64) {
 // deliberately conservative (factor (4m+1)·Σs_i); it is an operator's
 // stop-or-continue signal, not a tight estimate. Expensive: O(m³ log m).
 func (s *System) DistanceBound(res *Result) float64 {
-	alloc := (&model.Allocation{R: res.Requests()}).Clone()
-	st := core.NewState(s.in, alloc)
+	st := core.NewState(s.in, sparse.FromDense(res.Requests(), 0))
 	core.RemoveCycles(st)
 	return core.DistanceBound(st)
 }

@@ -19,12 +19,11 @@ import (
 // and infinite capacity. The min-cost max-flow re-assigns the off-
 // diagonal entries of the allocation; diagonal entries are untouched.
 //
-// On a sparse state the supply/demand vectors and the cost of the
-// current routing are folded over the stored entries only (identical
-// floats: the dense loops add exactly +0.0 for empty slots), and the
-// re-routed rows are rebuilt from the flow arcs in O(flow support). The
-// transportation graph itself involves only servers that currently
-// relay or receive, so its size tracks the allocation's support, not m².
+// The supply/demand vectors and the cost of the current routing are
+// folded over the stored entries only, and the re-routed rows are
+// rebuilt from the flow arcs in O(flow support). The transportation
+// graph itself involves only servers that currently relay or receive,
+// so its size tracks the allocation's support, not m².
 //
 // It returns the reduction of ΣC_i (≥ 0; loads are preserved so only the
 // communication term changes).
@@ -36,49 +35,24 @@ func RemoveCycles(st *State) float64 {
 	inc := make([]float64, m)
 	var totalRelayed float64
 	var before float64
-	if st.Rows != nil {
-		for i := 0; i < m; i++ {
-			for t, j := range st.Rows.Idx[i] {
-				if int(j) == i {
-					continue
-				}
-				v := st.Rows.Val[i][t]
-				out[i] += v
-				inc[j] += v
+	for i := 0; i < m; i++ {
+		for t, j := range st.Rows.Idx[i] {
+			if int(j) == i {
+				continue
 			}
-			totalRelayed += out[i]
+			v := st.Rows.Val[i][t]
+			out[i] += v
+			inc[j] += v
 		}
-		if totalRelayed == 0 {
-			return 0
-		}
-		for i := 0; i < m; i++ {
-			for t, j := range st.Rows.Idx[i] {
-				if int(j) != i && st.Rows.Val[i][t] != 0 {
-					before += st.Rows.Val[i][t] * in.LatAt(i, int(j))
-				}
-			}
-		}
-	} else {
-		a := st.Alloc
-		for i := 0; i < m; i++ {
-			for j := 0; j < m; j++ {
-				if i == j {
-					continue
-				}
-				v := a.R[i][j]
-				out[i] += v
-				inc[j] += v
-			}
-			totalRelayed += out[i]
-		}
-		if totalRelayed == 0 {
-			return 0
-		}
-		for i := 0; i < m; i++ {
-			for j := 0; j < m; j++ {
-				if i != j && a.R[i][j] != 0 {
-					before += a.R[i][j] * in.LatAt(i, j)
-				}
+		totalRelayed += out[i]
+	}
+	if totalRelayed == 0 {
+		return 0
+	}
+	for i := 0; i < m; i++ {
+		for t, j := range st.Rows.Idx[i] {
+			if int(j) != i && st.Rows.Val[i][t] != 0 {
+				before += st.Rows.Val[i][t] * in.LatAt(i, int(j))
 			}
 		}
 	}
@@ -117,66 +91,47 @@ func RemoveCycles(st *State) float64 {
 	if after >= before {
 		return 0
 	}
-	if st.Rows != nil {
-		// Rebuild every relaying row from its flow arcs (generated with j
-		// ascending), splicing the untouched diagonal entry back in at its
-		// sorted position. Non-relaying rows hold only their diagonal and
-		// stay as they are.
-		ai := 0
-		for i := 0; i < m; i++ {
-			start := ai
-			for ai < len(arcs) && arcs[ai].i == i {
-				ai++
-			}
-			if out[i] == 0 {
+	// Rebuild every relaying row from its flow arcs (generated with j
+	// ascending), splicing the untouched diagonal entry back in at its
+	// sorted position. Non-relaying rows hold only their diagonal and
+	// stay as they are.
+	ai := 0
+	for i := 0; i < m; i++ {
+		start := ai
+		for ai < len(arcs) && arcs[ai].i == i {
+			ai++
+		}
+		if out[i] == 0 {
+			continue
+		}
+		diag := st.Rows.Get(i, i)
+		idxNew := make([]int32, 0, ai-start+1)
+		valNew := make([]float64, 0, ai-start+1)
+		placed := diag == 0
+		for t := start; t < ai; t++ {
+			e := arcs[t]
+			f := g.Flow(e.id)
+			if f <= 0 {
 				continue
 			}
-			diag := st.Rows.Get(i, i)
-			idxNew := make([]int32, 0, ai-start+1)
-			valNew := make([]float64, 0, ai-start+1)
-			placed := diag == 0
-			for t := start; t < ai; t++ {
-				e := arcs[t]
-				f := g.Flow(e.id)
-				if f <= 0 {
-					continue
-				}
-				if !placed && e.j > i {
-					idxNew = append(idxNew, int32(i))
-					valNew = append(valNew, diag)
-					placed = true
-				}
-				idxNew = append(idxNew, int32(e.j))
-				valNew = append(valNew, f)
-			}
-			if !placed {
+			if !placed && e.j > i {
 				idxNew = append(idxNew, int32(i))
 				valNew = append(valNew, diag)
+				placed = true
 			}
-			st.Rows.Idx[i], st.Rows.Val[i] = idxNew, valNew
+			idxNew = append(idxNew, int32(e.j))
+			valNew = append(valNew, f)
 		}
-		// Loads are preserved by construction; refresh to clear float
-		// drift, in the dense accumulation order.
-		st.loadsFromRows()
-	} else {
-		a := st.Alloc
-		for i := 0; i < m; i++ {
-			for j := 0; j < m; j++ {
-				if i != j {
-					a.R[i][j] = 0
-				}
-			}
+		if !placed {
+			idxNew = append(idxNew, int32(i))
+			valNew = append(valNew, diag)
 		}
-		for _, e := range arcs {
-			if f := g.Flow(e.id); f > 0 {
-				a.R[e.i][e.j] = f
-			}
-		}
-		// Loads are preserved by construction; refresh to clear float drift.
-		a.LoadsInto(st.Loads)
+		st.Rows.Idx[i], st.Rows.Val[i] = idxNew, valNew
 	}
+	// Loads are preserved by construction; refresh to clear float drift.
+	st.loadsFromRows()
 	// The re-routing rewrote arbitrary off-diagonal entries.
-	st.RebuildColumnIndex()
+	st.rebuildColumnIndex()
 	return before - after
 }
 

@@ -29,7 +29,7 @@ func TestRemoveCyclesReroutes(t *testing.T) {
 	a := model.NewAllocation(4)
 	a.R[0][0], a.R[0][1] = 5, 5
 	a.R[2][2], a.R[2][3] = 5, 5
-	st := NewState(in, a)
+	st := NewState(in, rowsOf(a.R))
 	loadsBefore := append([]float64(nil), st.Loads...)
 	costBefore := st.Cost()
 
@@ -46,6 +46,7 @@ func TestRemoveCyclesReroutes(t *testing.T) {
 			t.Errorf("load[%d] changed: %v → %v", j, loadsBefore[j], st.Loads[j])
 		}
 	}
+	a = denseOf(st)
 	if a.R[0][3] != 5 || a.R[2][1] != 5 {
 		t.Errorf("expected rerouted assignment, got %v", a.R)
 	}
@@ -74,9 +75,7 @@ func TestRemoveCyclesInvariants(t *testing.T) {
 		loadsBefore := append([]float64(nil), st.Loads...)
 		rows := make([]float64, m)
 		for i := 0; i < m; i++ {
-			for j := 0; j < m; j++ {
-				rows[i] += st.Alloc.R[i][j]
-			}
+			rows[i] = st.Rows.RowSum(i)
 		}
 		costBefore := st.Cost()
 		saved := RemoveCycles(st)
@@ -90,11 +89,7 @@ func TestRemoveCyclesInvariants(t *testing.T) {
 			if math.Abs(st.Loads[j]-loadsBefore[j]) > 1e-6*math.Max(1, loadsBefore[j]) {
 				t.Fatalf("load[%d] changed: %v → %v", j, loadsBefore[j], st.Loads[j])
 			}
-			var sum float64
-			for l := 0; l < m; l++ {
-				sum += st.Alloc.R[j][l]
-			}
-			if math.Abs(sum-rows[j]) > 1e-6*math.Max(1, rows[j]) {
+			if sum := st.Rows.RowSum(j); math.Abs(sum-rows[j]) > 1e-6*math.Max(1, rows[j]) {
 				t.Fatalf("row %d sum changed: %v → %v", j, rows[j], sum)
 			}
 		}
@@ -118,9 +113,9 @@ func TestCycleGainDoesNotMutate(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	in := randInstance(rng, 6)
 	st := randState(rng, in)
-	snap := st.Alloc.Clone()
+	snap := denseOf(st)
 	_ = CycleGain(st)
-	if st.Alloc.L1Distance(snap) != 0 {
+	if denseOf(st).L1Distance(snap) != 0 {
 		t.Error("CycleGain mutated the state")
 	}
 }
@@ -132,7 +127,7 @@ func TestMinEConvergedStateHasNoCycles(t *testing.T) {
 	for trial := 0; trial < 5; trial++ {
 		in := randInstance(rng, 4+rng.Intn(12))
 		alloc, _ := Run(in, Config{Rng: rand.New(rand.NewSource(int64(trial)))})
-		st := NewState(in, alloc)
+		st := NewState(in, rowsOf(alloc.R))
 		if gain := CycleGain(st); gain > 1e-4*math.Max(1, st.Cost()) {
 			t.Errorf("converged state still had cycle gain %v", gain)
 		}
@@ -147,8 +142,9 @@ func TestRemoveCyclesRespectsForbiddenLinks(t *testing.T) {
 	a.R[1][1] = 10
 	a.R[2][2], a.R[2][3] = 5, 5
 	a.R[3][3] = 10
-	st := NewState(in, a)
+	st := NewState(in, rowsOf(a.R))
 	RemoveCycles(st)
+	a = denseOf(st)
 	if a.R[0][3] != 0 {
 		t.Errorf("mass %v routed over forbidden link", a.R[0][3])
 	}

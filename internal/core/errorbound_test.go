@@ -12,7 +12,7 @@ func TestTransferMatrixZeroAtOptimum(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	in := randInstance(rng, 8)
 	alloc, _ := Run(in, Config{Rng: rand.New(rand.NewSource(2))})
-	st := NewState(in, alloc)
+	st := NewState(in, rowsOf(alloc.R))
 	dr := TransferMatrix(st)
 	total := 0.0
 	for i := range dr {
@@ -42,7 +42,7 @@ func TestDistanceBoundDominatesActual(t *testing.T) {
 
 		// Optimal allocation for distance measurement.
 		opt, _ := Run(in, Config{Rng: rand.New(rand.NewSource(int64(trial) + 100))})
-		actual := st.Alloc.L1Distance(opt)
+		actual := denseOf(st).L1Distance(opt)
 		if bound+1e-6 < actual {
 			t.Errorf("bound %v below actual distance %v (m=%d)", bound, actual, in.M())
 		}

@@ -146,7 +146,7 @@ func TestMetroIndexRunAgreement(t *testing.T) {
 					MetroIndex: metro,
 					Rng:        rand.New(rand.NewSource(99)),
 				})
-				return st.Alloc, tr
+				return denseOf(st), tr
 			}
 			aPlain, trPlain := run(false)
 			aMetro, trMetro := run(true)

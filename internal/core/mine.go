@@ -54,14 +54,6 @@ type Config struct {
 	// metroindex_test.go), typically O(k log m) per step. Ignored for
 	// the exact strategy and for instances without a block latency view.
 	MetroIndex bool
-	// SparseColumns enables the column-owner index: pairwise evaluation
-	// and application gather only the organizations with requests on the
-	// two involved servers, dropping the per-pair cost from O(m log m) to
-	// O(w log w) for column populations w. Results are equivalent up to
-	// float summation order (tie-breaking inside Algorithm 1 may route
-	// equal-latency request swaps differently); runs remain deterministic
-	// for a fixed seed.
-	SparseColumns bool
 	// MinGain is the absolute improvement below which a pairwise
 	// exchange is considered noise (default: 1e-9·max(1, initial cost)).
 	MinGain float64
@@ -102,15 +94,17 @@ type Trace struct {
 	Moved     []float64 // request volume exchanged per iteration
 	Iters     int
 	Reason    StopReason
-	Converged bool // true unless stopped by MaxIters
+	Converged bool // false when stopped by MaxIters or by cancellation
 }
 
 // Run creates an identity allocation for the instance and optimizes it
-// with MinE under cfg, returning the final allocation and the trace.
+// with MinE under cfg, returning the final allocation, densified, and
+// the trace. For the small-m drivers that want the m×m matrix; at scale,
+// use RunState on a State and keep its rows.
 func Run(in *model.Instance, cfg Config) (*model.Allocation, *Trace) {
 	st := NewIdentityState(in)
 	tr := RunState(st, cfg)
-	return st.Alloc, tr
+	return &model.Allocation{R: st.Rows.Dense()}, tr
 }
 
 // RunState optimizes an existing state in place.
@@ -125,9 +119,6 @@ func RunState(st *State, cfg Config) *Trace {
 	}
 	if cfg.Rng == nil {
 		cfg.Rng = rand.New(rand.NewSource(1))
-	}
-	if cfg.SparseColumns && !st.ColumnIndexEnabled() {
-		st.EnableColumnIndex()
 	}
 	cost := st.Cost()
 	if cfg.MinGain <= 0 {

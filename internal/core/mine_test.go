@@ -7,7 +7,6 @@ import (
 
 	"delaylb/internal/model"
 	"delaylb/internal/qp"
-	"delaylb/internal/sparse"
 )
 
 func TestRunMonotoneDecreasing(t *testing.T) {
@@ -227,7 +226,7 @@ func BenchmarkMinEIterationProxy1000(b *testing.B) {
 // going to the iteration cap with nearly every iteration idle.
 func TestRunStopsStableWhenNothingMoves(t *testing.T) {
 	in := randInstance(rand.New(rand.NewSource(6)), 25)
-	st := NewSparseState(in, sparse.FromDense(model.Identity(in).R, 0))
+	st := NewIdentityState(in)
 	tr := RunState(st, Config{Strategy: StrategyProxy, Rng: rand.New(rand.NewSource(8))})
 	if tr.Reason != StopStable || !tr.Converged {
 		t.Fatalf("reason %v after %d iterations, want stable", tr.Reason, tr.Iters)

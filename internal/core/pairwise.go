@@ -30,7 +30,7 @@ type pairBuffer struct {
 	cI, cJ []float64 // latency columns c_ki and c_kj
 	order  []int     // organizations sorted by c_kj − c_ki
 	keys   []float64
-	ks     []int32 // sparse path: merged owner list of the two columns
+	ks     []int32 // merged owner list of the two columns
 }
 
 func newPairBuffer(m int) *pairBuffer {
@@ -72,8 +72,8 @@ func (b *pairBuffer) loadSparse(st *State, i, j int) int {
 		}
 	}
 	for t, k := range b.ks {
-		b.ri[t] = st.entry(int(k), i)
-		b.rj[t] = st.entry(int(k), j)
+		b.ri[t] = st.Rows.Get(int(k), i)
+		b.rj[t] = st.Rows.Get(int(k), j)
 		b.oi[t] = b.ri[t]
 		b.oj[t] = b.rj[t]
 	}
@@ -83,24 +83,10 @@ func (b *pairBuffer) loadSparse(st *State, i, j int) int {
 	return len(b.ks)
 }
 
-// load extracts columns i and j of the allocation into the buffer.
-func (b *pairBuffer) load(a *model.Allocation, i, j int) {
-	for k := range a.R {
-		b.ri[k] = a.R[k][i]
-		b.rj[k] = a.R[k][j]
-		b.oi[k] = b.ri[k]
-		b.oj[k] = b.rj[k]
-	}
-}
-
-// loadState extracts full columns i and j from whichever store the
-// state uses — the dense-buffer entry point of the Proposition 1
-// estimation, which simulates Algorithm 1 over all m organizations.
+// loadState extracts full m-length columns i and j — the entry point of
+// the Proposition 1 estimation, which simulates Algorithm 1 over all m
+// organizations.
 func (b *pairBuffer) loadState(st *State, i, j int) {
-	if st.Rows == nil {
-		b.load(st.Alloc, i, j)
-		return
-	}
 	m := st.In.M()
 	for k := 0; k < m; k++ {
 		b.ri[k] = 0
@@ -220,25 +206,14 @@ type PairOutcome struct {
 
 // EvaluatePair simulates Algorithm 1 on servers (i, j) without mutating
 // the state and returns the achievable improvement — the paper's
-// impr(i, j) from Algorithm 2. With the state's column index enabled it
-// touches only the organizations owning requests on the two columns.
+// impr(i, j) from Algorithm 2. It touches only the organizations owning
+// requests on the two columns.
 func EvaluatePair(st *State, i, j int, buf *pairBuffer) PairOutcome {
 	if buf == nil {
 		buf = newPairBuffer(st.In.M())
 	}
-	if st.colOwners != nil {
-		out, _, _ := balanceSparse(st, i, j, buf)
-		return out
-	}
-	before := st.localCost(i, j)
-	buf.load(st.Alloc, i, j)
-	li, lj := buf.balance(st.In, i, j)
-	after := pairCost(st.In, buf, i, j, li, lj)
-	var moved float64
-	for k := range buf.ri {
-		moved += math.Abs(buf.ri[k]-buf.oi[k]) + math.Abs(buf.rj[k]-buf.oj[k])
-	}
-	return PairOutcome{Gain: before - after, Moved: moved / 2}
+	out, _, _ := balancePair(st, i, j, buf)
+	return out
 }
 
 // ApplyPair runs Algorithm 1 on servers (i, j) and commits the result to
@@ -248,30 +223,15 @@ func ApplyPair(st *State, i, j int, buf *pairBuffer) PairOutcome {
 	if buf == nil {
 		buf = newPairBuffer(st.In.M())
 	}
-	if st.colOwners != nil {
-		out, li, lj := balanceSparse(st, i, j, buf)
-		commitSparse(st, i, j, buf, li, lj)
-		return out
-	}
-	before := st.localCost(i, j)
-	buf.load(st.Alloc, i, j)
-	li, lj := buf.balance(st.In, i, j)
-	after := pairCost(st.In, buf, i, j, li, lj)
-	var moved float64
-	for k := range buf.ri {
-		moved += math.Abs(buf.ri[k]-buf.oi[k]) + math.Abs(buf.rj[k]-buf.oj[k])
-		st.Alloc.R[k][i] = buf.ri[k]
-		st.Alloc.R[k][j] = buf.rj[k]
-	}
-	st.Loads[i] = li
-	st.Loads[j] = lj
-	return PairOutcome{Gain: before - after, Moved: moved / 2}
+	out, li, lj := balancePair(st, i, j, buf)
+	commitPair(st, i, j, buf, li, lj)
+	return out
 }
 
-// balanceSparse runs Algorithm 1 on the compacted owner union of
-// columns (i, j) and returns the outcome plus the resulting loads,
-// leaving the state untouched (commitSparse writes the buffer back).
-func balanceSparse(st *State, i, j int, buf *pairBuffer) (PairOutcome, float64, float64) {
+// balancePair runs Algorithm 1 on the compacted owner union of columns
+// (i, j) and returns the outcome plus the resulting loads, leaving the
+// state untouched (commitPair writes the buffer back).
+func balancePair(st *State, i, j int, buf *pairBuffer) (PairOutcome, float64, float64) {
 	in := st.In
 	before := st.localCost(i, j)
 	n := buf.loadSparse(st, i, j)
@@ -291,24 +251,18 @@ func balanceSparse(st *State, i, j int, buf *pairBuffer) (PairOutcome, float64, 
 	return PairOutcome{Gain: before - after, Moved: moved / 2}, li, lj
 }
 
-// commitSparse writes the balanced buffer back into the request store
-// and refreshes the owner lists of the two columns (subsets of the
-// gathered union, which is already in ascending order). On the sparse
-// row store, zero results remove their entry — stored and nonzero stay
-// synonymous.
-func commitSparse(st *State, i, j int, buf *pairBuffer, li, lj float64) {
+// commitPair writes the balanced buffer back into the row store and
+// refreshes the owner lists of the two columns (subsets of the gathered
+// union, which is already in ascending order). Zero results remove their
+// entry, so stored and nonzero stay synonymous.
+func commitPair(st *State, i, j int, buf *pairBuffer, li, lj float64) {
 	n := len(buf.ks)
 	ownersI := st.colOwners[i][:0]
 	ownersJ := st.colOwners[j][:0]
 	for t := 0; t < n; t++ {
 		k := buf.ks[t]
-		if st.Rows != nil {
-			st.Rows.SetOrRemove(int(k), i, buf.ri[t])
-			st.Rows.SetOrRemove(int(k), j, buf.rj[t])
-		} else {
-			st.Alloc.R[k][i] = buf.ri[t]
-			st.Alloc.R[k][j] = buf.rj[t]
-		}
+		st.Rows.SetOrRemove(int(k), i, buf.ri[t])
+		st.Rows.SetOrRemove(int(k), j, buf.rj[t])
 		if buf.ri[t] != 0 {
 			ownersI = append(ownersI, k)
 		}
@@ -320,21 +274,4 @@ func commitSparse(st *State, i, j int, buf *pairBuffer, li, lj float64) {
 	st.colOwners[j] = ownersJ
 	st.Loads[i] = li
 	st.Loads[j] = lj
-}
-
-// pairCost computes the local cost of the buffered columns.
-func pairCost(in *model.Instance, b *pairBuffer, i, j int, li, lj float64) float64 {
-	cost := li*li/(2*in.Speed[i]) + lj*lj/(2*in.Speed[j])
-	// b.cI/b.cJ were filled with columns i and j by balance and are not
-	// mutated by BalanceColumns, so reuse them instead of re-reading the
-	// latency view.
-	for k := range b.ri {
-		if v := b.ri[k]; v != 0 {
-			cost += v * b.cI[k]
-		}
-		if v := b.rj[k]; v != 0 {
-			cost += v * b.cJ[k]
-		}
-	}
-	return cost
 }

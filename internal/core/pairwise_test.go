@@ -43,7 +43,7 @@ func randState(rng *rand.Rand, in *model.Instance) *State {
 			a.R[i][j] = in.Load[i] * w[j] / tot
 		}
 	}
-	return NewState(in, a)
+	return NewState(in, rowsOf(a.R))
 }
 
 // Lemma 1: DeltaTransfer minimizes f(Δ) = (l_i−Δ)²/2s_i + (l_j+Δ)²/2s_j +
@@ -98,9 +98,7 @@ func TestApplyPairInvariants(t *testing.T) {
 		m := in.M()
 		rowSums := make([]float64, m)
 		for i := 0; i < m; i++ {
-			for j := 0; j < m; j++ {
-				rowSums[i] += st.Alloc.R[i][j]
-			}
+			rowSums[i] = st.Rows.RowSum(i)
 		}
 		before := st.Cost()
 		i, j := rng.Intn(m), rng.Intn(m)
@@ -116,15 +114,11 @@ func TestApplyPairInvariants(t *testing.T) {
 			t.Fatalf("reported gain %v, actual %v", out.Gain, before-after)
 		}
 		for k := 0; k < m; k++ {
-			var sum float64
-			for l := 0; l < m; l++ {
-				sum += st.Alloc.R[k][l]
-			}
-			if math.Abs(sum-rowSums[k]) > 1e-6*math.Max(1, rowSums[k]) {
+			if sum := st.Rows.RowSum(k); math.Abs(sum-rowSums[k]) > 1e-6*math.Max(1, rowSums[k]) {
 				t.Fatalf("row %d sum changed: %v → %v", k, rowSums[k], sum)
 			}
 		}
-		want := st.Alloc.Loads()
+		want := denseOf(st).Loads()
 		for k := range want {
 			if math.Abs(want[k]-st.Loads[k]) > 1e-6*math.Max(1, want[k]) {
 				t.Fatalf("maintained load[%d]=%v, actual %v", k, st.Loads[k], want[k])
@@ -164,10 +158,10 @@ func TestEvaluateMatchesApply(t *testing.T) {
 	for trial := 0; trial < 30; trial++ {
 		in := randInstance(rng, 3+rng.Intn(6))
 		st := randState(rng, in)
-		snapshot := st.Alloc.Clone()
+		snapshot := denseOf(st)
 		i, j := 0, 1+rng.Intn(in.M()-1)
 		ev := EvaluatePair(st, i, j, nil)
-		if st.Alloc.L1Distance(snapshot) != 0 {
+		if denseOf(st).L1Distance(snapshot) != 0 {
 			t.Fatal("EvaluatePair mutated the allocation")
 		}
 		ap := ApplyPair(st, i, j, nil)
@@ -197,8 +191,8 @@ func TestBalanceTwoServersClosedForm(t *testing.T) {
 	if math.Abs(st.Loads[0]-65) > 1e-9 || math.Abs(st.Loads[1]-55) > 1e-9 {
 		t.Errorf("loads = %v, want [65 55]", st.Loads)
 	}
-	if math.Abs(st.Alloc.R[0][1]-35) > 1e-9 {
-		t.Errorf("r01 = %v, want 35", st.Alloc.R[0][1])
+	if r01 := st.Rows.Get(0, 1); math.Abs(r01-35) > 1e-9 {
+		t.Errorf("r01 = %v, want 35", r01)
 	}
 }
 
@@ -211,14 +205,14 @@ func TestBalanceRespectsForbiddenLinks(t *testing.T) {
 	in.Latency.(model.DenseLatency)[2][0] = math.Inf(1)
 	st := NewIdentityState(in)
 	ApplyPair(st, 0, 2, nil) // must move nothing: org 0 can't use server 2
-	if st.Alloc.R[0][2] != 0 {
-		t.Errorf("r02 = %v, want 0 (forbidden)", st.Alloc.R[0][2])
+	if r02 := st.Rows.Get(0, 2); r02 != 0 {
+		t.Errorf("r02 = %v, want 0 (forbidden)", r02)
 	}
 	ApplyPair(st, 0, 1, nil) // allowed: balances between 0 and 1
-	if st.Alloc.R[0][1] <= 0 {
+	if st.Rows.Get(0, 1) <= 0 {
 		t.Error("expected transfer to server 1")
 	}
-	if err := st.Alloc.Validate(in, 1e-9); err != nil {
+	if err := denseOf(st).Validate(in, 1e-9); err != nil {
 		t.Errorf("allocation invalid: %v", err)
 	}
 }
@@ -242,13 +236,13 @@ func TestBalanceMovesThirdPartyRequests(t *testing.T) {
 	}
 	a := model.NewAllocation(3)
 	a.R[2][0] = 80 // all of org 2's requests on server 0
-	st := NewState(in, a)
+	st := NewState(in, rowsOf(a.R))
 	out := ApplyPair(st, 0, 1, nil)
 	if out.Gain <= 0 {
 		t.Fatal("expected improvement from moving third-party requests")
 	}
-	if st.Alloc.R[2][1] <= 0 {
-		t.Errorf("org 2's requests were not moved to server 1: %v", st.Alloc.R[2])
+	if st.Rows.Get(2, 1) <= 0 {
+		t.Errorf("org 2's requests were not moved to server 1: %v", denseOf(st).R[2])
 	}
 	// c_21 == c_20, so optimal split is li = lj = 40.
 	if math.Abs(st.Loads[0]-40) > 1e-9 || math.Abs(st.Loads[1]-40) > 1e-9 {

@@ -10,7 +10,7 @@ import (
 	"delaylb/internal/workload"
 )
 
-func sparseTestInstance(t *testing.T, m int, seed int64) *model.Instance {
+func sparseTestInstance(t testing.TB, m int, seed int64) *model.Instance {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	lat := netmodel.PlanetLab(m, netmodel.DefaultPlanetLabConfig(), rng)
@@ -26,14 +26,14 @@ func sparseTestInstance(t *testing.T, m int, seed int64) *model.Instance {
 }
 
 // checkColumnIndex verifies the incremental owner lists against the
-// allocation ground truth.
+// row store.
 func checkColumnIndex(t *testing.T, st *State) {
 	t.Helper()
 	m := st.In.M()
 	for j := 0; j < m; j++ {
 		var want []int32
 		for k := 0; k < m; k++ {
-			if st.Alloc.R[k][j] != 0 {
+			if st.Rows.Get(k, j) != 0 {
 				want = append(want, int32(k))
 			}
 		}
@@ -49,55 +49,53 @@ func checkColumnIndex(t *testing.T, st *State) {
 	}
 }
 
-// TestSparseColumnsMatchDense runs MinE with and without the column
-// index on identical instances: final costs must agree to solver
-// precision (summation/tie order may differ in the last bits) and the
-// sparse run's allocation and index must stay internally consistent.
-func TestSparseColumnsMatchDense(t *testing.T) {
+// TestOwnerListsMatchDense runs MinE under every strategy and checks
+// the result against its densified form: the O(nnz) cost matches the
+// dense objective, the allocation is valid, and the owner lists match
+// the nonzero pattern.
+func TestOwnerListsMatchDense(t *testing.T) {
 	for _, m := range []int{6, 12, 25} {
 		for _, strategy := range []Strategy{StrategyExact, StrategyHybrid, StrategyProxy} {
 			in := sparseTestInstance(t, m, int64(m))
-			dense, _ := Run(in, Config{Strategy: strategy, Rng: rand.New(rand.NewSource(5))})
-			stSparse := NewIdentityState(in)
-			RunState(stSparse, Config{Strategy: strategy, SparseColumns: true, Rng: rand.New(rand.NewSource(5))})
+			st := NewIdentityState(in)
+			RunState(st, Config{Strategy: strategy, Rng: rand.New(rand.NewSource(5))})
 
-			dc := model.TotalCost(in, dense)
-			sc := model.TotalCost(in, stSparse.Alloc)
-			if rel := math.Abs(dc-sc) / math.Max(1, dc); rel > 1e-6 {
-				t.Fatalf("m=%d strategy=%d: dense cost %v vs sparse cost %v (rel %g)", m, strategy, dc, sc, rel)
+			dense := denseOf(st)
+			if dc, sc := model.TotalCost(in, dense), st.Cost(); !closeRel(sc, dc, 1e-12) {
+				t.Fatalf("m=%d strategy=%d: Cost %v vs dense objective %v", m, strategy, sc, dc)
 			}
-			if err := stSparse.Alloc.Validate(in, 1e-6); err != nil {
-				t.Fatalf("m=%d strategy=%d: sparse allocation invalid: %v", m, strategy, err)
+			if err := dense.Validate(in, 1e-6); err != nil {
+				t.Fatalf("m=%d strategy=%d: allocation invalid: %v", m, strategy, err)
 			}
-			checkColumnIndex(t, stSparse)
+			checkColumnIndex(t, st)
 		}
 	}
 }
 
-// TestSparseColumnsDeterministic pins run-to-run reproducibility of the
-// sparse path for a fixed seed.
-func TestSparseColumnsDeterministic(t *testing.T) {
+// TestOwnerListsDeterministic pins run-to-run reproducibility for a
+// fixed seed.
+func TestOwnerListsDeterministic(t *testing.T) {
 	in := sparseTestInstance(t, 20, 77)
 	run := func() float64 {
 		st := NewIdentityState(in)
-		RunState(st, Config{SparseColumns: true, Rng: rand.New(rand.NewSource(9))})
+		RunState(st, Config{Rng: rand.New(rand.NewSource(9))})
 		return st.Cost()
 	}
 	a, b := run(), run()
 	if a != b {
-		t.Fatalf("sparse MinE not deterministic: %v vs %v", a, b)
+		t.Fatalf("MinE not deterministic: %v vs %v", a, b)
 	}
 }
 
-// TestSparseColumnsSurviveCycleRemoval checks that the Appendix A
+// TestOwnerListsSurviveCycleRemoval checks that the Appendix A
 // re-routing (which rewrites arbitrary off-diagonal entries) leaves the
-// column index consistent.
-func TestSparseColumnsSurviveCycleRemoval(t *testing.T) {
+// owner lists consistent.
+func TestOwnerListsSurviveCycleRemoval(t *testing.T) {
 	in := sparseTestInstance(t, 15, 3)
 	st := NewIdentityState(in)
-	RunState(st, Config{SparseColumns: true, RemoveCyclesEvery: 2, MaxIters: 6, Rng: rand.New(rand.NewSource(2))})
+	RunState(st, Config{RemoveCyclesEvery: 2, MaxIters: 6, Rng: rand.New(rand.NewSource(2))})
 	checkColumnIndex(t, st)
-	if err := st.Alloc.Validate(in, 1e-6); err != nil {
+	if err := denseOf(st).Validate(in, 1e-6); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -107,10 +105,9 @@ func TestSparseColumnsSurviveCycleRemoval(t *testing.T) {
 func TestSparseStateCostMatchesDenseCost(t *testing.T) {
 	in := sparseTestInstance(t, 18, 8)
 	st := NewIdentityState(in)
-	st.EnableColumnIndex()
-	RunState(st, Config{SparseColumns: true, MaxIters: 4, Rng: rand.New(rand.NewSource(4))})
+	RunState(st, Config{MaxIters: 4, Rng: rand.New(rand.NewSource(4))})
 	sparseCost := st.Cost()
-	denseCost := model.TotalCost(in, st.Alloc)
+	denseCost := model.TotalCost(in, denseOf(st))
 	if rel := math.Abs(sparseCost-denseCost) / math.Max(1, denseCost); rel > 1e-9 {
 		t.Fatalf("sparse Cost %v vs dense TotalCost %v", sparseCost, denseCost)
 	}
@@ -121,7 +118,6 @@ func TestSparseStateCostMatchesDenseCost(t *testing.T) {
 func TestCloneCopiesColumnIndex(t *testing.T) {
 	in := sparseTestInstance(t, 10, 6)
 	st := NewIdentityState(in)
-	st.EnableColumnIndex()
 	cp := st.Clone()
 	ApplyPair(cp, 0, 1, nil)
 	checkColumnIndex(t, st)

@@ -18,70 +18,57 @@ import (
 )
 
 // State couples an instance with a mutable allocation and maintains the
-// server load vector incrementally, so pairwise rebalancing steps cost
-// O(m log m) instead of O(m²).
+// server load vector incrementally.
 //
-// The request matrix lives in exactly one of two stores:
-//
-//   - Alloc, the dense m×m model.Allocation — the verification oracle
-//     and the default for small m;
-//   - Rows, a sparse row store (internal/sparse) holding only the
-//     nonzero r_kj — the scale-tier representation, O(nnz) memory.
-//
-// With the column index enabled (EnableColumnIndex; always on for a
-// sparse state, where colOwners is derived from Rows), pairwise steps
-// shrink to O((w_i + w_j) log(w_i + w_j)) where w_j is the number of
-// organizations with requests on server j. Real allocations keep
-// w_j ≪ m (each server hosts a handful of organizations' requests), so
-// exact and hybrid partner evaluation stop paying for the m − w empty
-// column slots, and a sparse state never allocates the m² matrix at all.
-// Both stores produce bit-identical picks, gains and costs: the sparse
-// paths reproduce the dense float accumulation orders exactly.
+// The request matrix lives in Rows, a sparse row store (internal/sparse)
+// holding only the nonzero r_kj — O(nnz) memory, the m² matrix is never
+// allocated. Its column view, the per-server owner lists, is kept in
+// step with it, so a pairwise step costs O((w_i + w_j) log(w_i + w_j))
+// where w_j is the number of organizations with requests on server j.
+// Real allocations keep w_j ≪ m (each server hosts a handful of
+// organizations' requests), so partner evaluation never pays for the
+// m − w empty column slots. Algorithm 1 only changes the requests of
+// organizations with mass on one of the two servers it balances, so
+// this compacted step is the paper's step.
 type State struct {
-	In    *model.Instance
-	Alloc *model.Allocation
-	// Rows, when non-nil, is the sparse row store of the request matrix
-	// (Alloc is then nil). Invariant: no explicit zeros are stored, so
-	// stored entries and nonzero entries coincide — NewSparseState
-	// establishes it and every mutation preserves it.
+	In *model.Instance
+	// Rows is the request matrix. Invariant: no explicit zeros are
+	// stored, so stored entries and nonzero entries coincide — NewState
+	// establishes it and ApplyPair/RemoveCycles preserve it. Mutate it
+	// only through those two, or the owner lists go stale.
 	Rows  *sparse.Matrix
 	Loads []float64
-	// colOwners[j], when the index is enabled, lists in ascending order
-	// the organizations k with r_kj != 0. nil = index disabled (dense
-	// states only; a sparse state always carries the index).
+	// colOwners[j] lists in ascending order the organizations k with
+	// r_kj != 0: the column view of Rows.
 	colOwners [][]int32
 }
 
-// NewState wraps an instance and an allocation (not copied) into a State
-// with the column index on, so every MinE run takes the owner-list path.
-func NewState(in *model.Instance, a *model.Allocation) *State {
-	st := &State{In: in, Alloc: a, Loads: make([]float64, in.M())}
-	a.LoadsInto(st.Loads)
-	st.EnableColumnIndex()
+// NewState wraps an instance and a sparse request matrix (not copied)
+// into a State. Explicit zeros are pruned (a stored zero contributes
+// exactly +0.0 to every fold) and the owner lists are built. O(nnz + m).
+func NewState(in *model.Instance, rows *sparse.Matrix) *State {
+	rows.Prune(0)
+	m := in.M()
+	st := &State{In: in, Rows: rows, Loads: make([]float64, m), colOwners: make([][]int32, m)}
+	st.loadsFromRows()
+	st.rebuildColumnIndex()
 	return st
 }
 
 // NewIdentityState starts from the identity allocation (everyone local).
 func NewIdentityState(in *model.Instance) *State {
-	return NewState(in, model.Identity(in))
+	m := in.M()
+	rows := sparse.New(m, m)
+	for i := 0; i < m; i++ {
+		rows.Idx[i] = []int32{int32(i)}
+		rows.Val[i] = []float64{in.Load[i]}
+	}
+	return NewState(in, rows)
 }
 
-// NewSparseState wraps an instance and a sparse request matrix (not
-// copied) into a State on the sparse row store. Explicit zeros are
-// pruned (bit-identical: a stored zero contributes exactly +0.0 to every
-// fold) and the column index is built — it is the representation's
-// column view, so it is always on. O(nnz + m).
-func NewSparseState(in *model.Instance, rows *sparse.Matrix) *State {
-	rows.Prune(0)
-	st := &State{In: in, Rows: rows, Loads: make([]float64, in.M())}
-	st.loadsFromRows()
-	st.EnableColumnIndex()
-	return st
-}
-
-// loadsFromRows recomputes Loads from the sparse store, in the same
-// row-major accumulation order as Allocation.LoadsInto (dense zeros add
-// exactly +0.0, so the folds agree bit-for-bit).
+// loadsFromRows recomputes Loads from the row store, row by row in
+// ascending column order (the order of Allocation.LoadsInto, whose
+// zeros add exactly +0.0, so the two folds agree bit for bit).
 func (st *State) loadsFromRows() {
 	for j := range st.Loads {
 		st.Loads[j] = 0
@@ -93,94 +80,45 @@ func (st *State) loadsFromRows() {
 	}
 }
 
-// entry returns r_kj from whichever store is active. O(1) dense,
-// O(log nnz_k) sparse.
-func (st *State) entry(k, j int) float64 {
-	if st.Rows != nil {
-		return st.Rows.Get(k, j)
-	}
-	return st.Alloc.R[k][j]
-}
-
-// Cost returns the current ΣC_i. With the column index enabled the
-// communication term is summed over owner lists (O(nnz) instead of the
-// dense O(m²) row scan).
+// Cost returns the current ΣC_i, with the communication term summed
+// over the owner lists in O(nnz).
 func (st *State) Cost() float64 {
-	if st.colOwners != nil {
-		var cost float64
-		for j, l := range st.Loads {
-			cost += l * l / (2 * st.In.Speed[j])
-		}
-		for j, owners := range st.colOwners {
-			for _, k := range owners {
-				if int(k) != j {
-					cost += st.entry(int(k), j) * st.In.LatAt(int(k), j)
-				}
+	var cost float64
+	for j, l := range st.Loads {
+		cost += l * l / (2 * st.In.Speed[j])
+	}
+	for j, owners := range st.colOwners {
+		for _, k := range owners {
+			if int(k) != j {
+				cost += st.Rows.Get(int(k), j) * st.In.LatAt(int(k), j)
 			}
 		}
-		return cost
 	}
-	return model.TotalCostWithLoads(st.In, st.Alloc, st.Loads)
+	return cost
 }
 
 // Clone deep-copies the state (the instance is shared, it is read-only).
 func (st *State) Clone() *State {
 	cp := &State{
-		In:    st.In,
-		Loads: append([]float64(nil), st.Loads...),
+		In:        st.In,
+		Rows:      st.Rows.Clone(),
+		Loads:     append([]float64(nil), st.Loads...),
+		colOwners: make([][]int32, len(st.colOwners)),
 	}
-	if st.Rows != nil {
-		cp.Rows = st.Rows.Clone()
-	} else {
-		cp.Alloc = st.Alloc.Clone()
-	}
-	if st.colOwners != nil {
-		cp.colOwners = make([][]int32, len(st.colOwners))
-		for j, owners := range st.colOwners {
-			cp.colOwners[j] = append([]int32(nil), owners...)
-		}
+	for j, owners := range st.colOwners {
+		cp.colOwners[j] = append([]int32(nil), owners...)
 	}
 	return cp
 }
 
-// EnableColumnIndex builds the per-column owner lists and switches the
-// pairwise primitives onto the sparse gather path. O(m²) once on a dense
-// state (O(nnz + m) on a sparse one); further maintenance is
-// incremental. Mutating the request store directly afterwards (rather
-// than through ApplyPair/RemoveCycles) invalidates the index — call
-// RebuildColumnIndex after such edits.
-func (st *State) EnableColumnIndex() {
-	st.colOwners = make([][]int32, st.In.M())
-	st.RebuildColumnIndex()
-}
-
-// ColumnIndexEnabled reports whether the sparse column path is active.
-func (st *State) ColumnIndexEnabled() bool { return st.colOwners != nil }
-
-// RebuildColumnIndex recomputes the owner lists from the request store.
-// No-op when the index is disabled.
-func (st *State) RebuildColumnIndex() {
-	if st.colOwners == nil {
-		return
-	}
+// rebuildColumnIndex recomputes the owner lists from Rows. O(nnz + m).
+func (st *State) rebuildColumnIndex() {
 	for j := range st.colOwners {
 		st.colOwners[j] = st.colOwners[j][:0]
 	}
-	if st.Rows != nil {
-		for k := range st.Rows.Idx {
-			for t, j := range st.Rows.Idx[k] {
-				if st.Rows.Val[k][t] != 0 {
-					st.colOwners[j] = append(st.colOwners[j], int32(k))
-				}
-			}
-		}
-		return
-	}
-	for k, row := range st.Alloc.R {
-		for j, v := range row {
-			if v != 0 {
-				st.colOwners[j] = append(st.colOwners[j], int32(k))
-			}
+	for k := range st.Rows.Idx {
+		for _, j := range st.Rows.Idx[k] {
+			st.colOwners[j] = append(st.colOwners[j], int32(k))
 		}
 	}
 }
@@ -192,22 +130,11 @@ func (st *State) localCost(i, j int) float64 {
 	in := st.In
 	li, lj := st.Loads[i], st.Loads[j]
 	cost := li*li/(2*in.Speed[i]) + lj*lj/(2*in.Speed[j])
-	if st.colOwners != nil {
-		for _, k := range st.colOwners[i] {
-			cost += st.entry(int(k), i) * in.LatAt(int(k), i)
-		}
-		for _, k := range st.colOwners[j] {
-			cost += st.entry(int(k), j) * in.LatAt(int(k), j)
-		}
-		return cost
+	for _, k := range st.colOwners[i] {
+		cost += st.Rows.Get(int(k), i) * in.LatAt(int(k), i)
 	}
-	for k := range st.Alloc.R {
-		if v := st.Alloc.R[k][i]; v != 0 {
-			cost += v * in.LatAt(k, i)
-		}
-		if v := st.Alloc.R[k][j]; v != 0 {
-			cost += v * in.LatAt(k, j)
-		}
+	for _, k := range st.colOwners[j] {
+		cost += st.Rows.Get(int(k), j) * in.LatAt(int(k), j)
 	}
 	return cost
 }

@@ -88,29 +88,29 @@ func Track(in *model.Instance, cfg Config) []EpochStats {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 
 	// Balance the initial instance; carry its allocation forward.
-	prev, _ := core.Run(cur, core.Config{
+	initial := core.NewIdentityState(cur)
+	core.RunState(initial, core.Config{
 		Strategy: cfg.Strategy, MaxIters: cfg.MaxIters * 5,
 		Rng: rand.New(rand.NewSource(cfg.Seed)),
 	})
+	prev := initial.Rows
 
 	var out []EpochStats
 	for epoch := 1; epoch <= cfg.Epochs; epoch++ {
 		next := cur.Clone()
 		Evolve(next, cfg.Churn, cfg.SpikeProb, cfg.SpikeFactor, rng)
 
-		warmStart := Rescale(prev, cur, next)
 		ref := core.ReferenceOptimum(next, rand.New(rand.NewSource(cfg.Seed+int64(epoch))))
 
-		st := core.NewState(next, warmStart.Clone())
-		warmCost := st.Cost()
-		warmTr := core.RunState(st, core.Config{
+		warm := core.NewState(next, RescaleSparse(prev, cur.Load, next.Load))
+		warmCost := warm.Cost()
+		warmTr := core.RunState(warm, core.Config{
 			Strategy: cfg.Strategy, MaxIters: cfg.MaxIters,
 			Reference: ref, TargetRel: cfg.Tol,
 			Rng: rand.New(rand.NewSource(cfg.Seed + 1000 + int64(epoch))),
 		})
 
-		coldAlloc := model.Identity(next)
-		coldState := core.NewState(next, coldAlloc)
+		coldState := core.NewIdentityState(next)
 		coldCost := coldState.Cost()
 		coldTr := core.RunState(coldState, core.Config{
 			Strategy: cfg.Strategy, MaxIters: cfg.MaxIters,
@@ -127,7 +127,7 @@ func Track(in *model.Instance, cfg Config) []EpochStats {
 			ColdStartCost: coldCost,
 		})
 
-		prev = st.Alloc
+		prev = warm.Rows
 		cur = next
 	}
 	return out

@@ -32,7 +32,7 @@ func init() {
 
 // warmStartDense resolves the effective dense warm start of a solve:
 // the explicit WarmStart, or the sparse-session warm start densified
-// (dense-state solvers like MinE hold an m×m allocation anyway).
+// (the dense qp solvers hold an m×m iterate anyway).
 func warmStartDense(opts SolveOptions) [][]float64 {
 	if opts.WarmStart != nil || opts.warmSparse == nil {
 		return opts.WarmStart
@@ -124,43 +124,35 @@ func (ms mineSolver) Solve(ctx context.Context, sys *System, opts SolveOptions) 
 			strat = core.StrategyExact
 		}
 	}
-	var st *core.State
-	if opts.Sparse && opts.WarmStart == nil {
-		// Scale-tier path: the request matrix lives in the sparse row
-		// store end to end — the m×m model.Allocation never exists.
-		// Bit-identical to the dense path below (pinned by the lockstep
-		// property test and the solver agreement test).
-		rows, err := warmSparseRequests(sys.in, opts.warmSparse)
+	// The request matrix lives in the sparse row store end to end. Only
+	// a dense WithWarmStart passes through the m×m form, once, on its way
+	// in; every other start is built sparse.
+	var rows *sparse.Matrix
+	if opts.WarmStart != nil {
+		start, err := warmAllocation(sys.in, opts.WarmStart)
 		if err != nil {
 			return nil, err
 		}
-		st = core.NewSparseState(sys.in, rows)
+		rows = sparse.FromDense(start.R, 0)
 	} else {
-		start, err := warmAllocation(sys.in, warmStartDense(opts))
-		if err != nil {
+		var err error
+		if rows, err = warmSparseRequests(sys.in, opts.warmSparse); err != nil {
 			return nil, err
 		}
-		st = core.NewState(sys.in, start)
 	}
+	st := core.NewState(sys.in, rows)
 	tr := core.RunState(st, core.Config{
 		Strategy:          strat,
 		MaxIters:          opts.MaxIterations,
 		RemoveCyclesEvery: opts.CycleRemovalEvery,
-		SparseColumns:     opts.Sparse,
 		MetroIndex:        opts.Sparse,
 		Rng:               rand.New(rand.NewSource(seedOrDefault(opts.Seed))),
 		OnIteration:       opts.Progress,
 		Ctx:               ctx,
 	})
-	var res *Result
-	if st.Rows != nil {
-		res = resultFromSparseRequests(sys.in, st.Rows)
+	res := resultFromSparseRequests(sys.in, st.Rows)
+	if opts.Sparse {
 		res.NNZ = st.Rows.NNZ()
-	} else {
-		res = resultFromAllocation(sys.in, st.Alloc)
-		if opts.Sparse {
-			res.NNZ = st.Alloc.NNZ()
-		}
 	}
 	res.Iterations = tr.Iters
 	res.Converged = tr.Converged

@@ -30,7 +30,6 @@ import (
 	"delaylb/internal/core"
 	"delaylb/internal/model"
 	"delaylb/internal/qp"
-	"delaylb/internal/sparse"
 )
 
 // BenchConfig parameterizes the scale grid. The zero value is not
@@ -41,8 +40,8 @@ type BenchConfig struct {
 	// DenseMax bounds the sizes at which the dense baselines also run
 	// (the point of the tier is that dense stops being practical).
 	DenseMax int
-	// MineMax bounds the sizes for the MinE proxy-strategy cells; their
-	// per-iteration cost is O(m²) even on the sparse path.
+	// MineMax bounds the sizes for the proxy-sparse MinE cells; their
+	// per-iteration cost is O(m²).
 	MineMax int
 	// ChurnDenseMax bounds the sizes at which the dense-representation
 	// session-churn cells run (each dense churn event copies the m×m
@@ -76,12 +75,10 @@ type BenchConfig struct {
 	// by renumbering. Same FWIters/FWTol budget as the classic cells, so
 	// the gap and iters-to-band columns are directly comparable.
 	FWVariantSizes []int
-	// MineSparseSizes is the grid for the sparse-state MinE cells: the
-	// proxy strategy on core.NewSparseState, the row store that removes
-	// the O(m²) identity-allocation wall that kept the proxy-* cells
-	// capped at MineMax. Same solver configuration as proxy-sparse, so
-	// at overlapping sizes the costs agree bit for bit (the lockstep
-	// property the sparse state is pinned to).
+	// MineSparseSizes is the grid for the mine-sparse-state cells, the
+	// tier that took MinE past MineMax once the sparse row store removed
+	// the O(m²) identity-allocation wall. Same solver configuration as
+	// proxy-sparse, so at overlapping sizes the costs agree bit for bit.
 	MineSparseSizes []int
 	// LatencyUpdateSizes is the grid for the structured latency-update
 	// cells: ScaleBackbone / RestoreBlockLatency cycles applied natively
@@ -185,8 +182,10 @@ type benchCell struct {
 }
 
 // cells enumerates the grid in a stable order: per size, the sparse
-// Frank–Wolfe path always, the dense Frank–Wolfe and the two MinE
-// proxy variants only below their bounds.
+// Frank–Wolfe path always, the dense Frank–Wolfe and the MinE proxy
+// cell only below their bounds. The persisted report still holds the
+// proxy-dense cells earlier grids ran; that state is gone, so the grid
+// no longer lists them and AppendBench leaves those entries as they are.
 func (cfg BenchConfig) cells() []benchCell {
 	var out []benchCell
 	for _, m := range cfg.Sizes {
@@ -196,7 +195,6 @@ func (cfg BenchConfig) cells() []benchCell {
 		}
 		if m <= cfg.MineMax {
 			out = append(out, benchCell{m, "proxy-sparse"})
-			out = append(out, benchCell{m, "proxy-dense"})
 		}
 		out = append(out, benchCell{m, "session-churn-block"})
 		if m <= cfg.ChurnDenseMax {
@@ -330,32 +328,15 @@ func (cfg BenchConfig) runCell(ctx context.Context, cell benchCell) (BenchEntry,
 		entry.Cost, entry.Gap, entry.Iters, entry.Converged = c.Cost, c.Gap, c.Iters, c.Converged
 		entry.NNZ = c.NNZ
 		entry.ItersToBand = convtest.ItersToBand(c.Costs, c.Cost-c.Gap, 0.02)
-	case "proxy-sparse", "proxy-dense":
+	case "proxy-sparse", "mine-sparse-state":
+		// Two names for one solve: proxy-sparse is the tier capped at
+		// MineMax, mine-sparse-state the one that runs past it.
 		st := core.NewIdentityState(in)
 		tr := core.RunState(st, core.Config{
-			Strategy:      core.StrategyProxy,
-			MaxIters:      cfg.MineIters,
-			SparseColumns: cell.solver == "proxy-sparse",
-			Rng:           rand.New(rand.NewSource(CellSeed(cfg.Seed, cell.m))),
-			Ctx:           ctx,
-		})
-		entry.Cost, entry.Iters, entry.Converged = st.Cost(), tr.Iters, tr.Converged
-		if cell.solver == "proxy-sparse" {
-			entry.NNZ = st.Alloc.NNZ()
-		}
-	case "mine-sparse-state":
-		// Identical configuration to proxy-sparse — strategy, iteration
-		// budget, seed, column index — on the sparse row store instead of
-		// the dense m×m allocation, so at sizes both tiers cover the costs
-		// agree bit for bit while this one runs at m=5000 where the dense
-		// identity state alone would be ~200 MB.
-		st := core.NewSparseState(in, identitySparse(in))
-		tr := core.RunState(st, core.Config{
-			Strategy:      core.StrategyProxy,
-			MaxIters:      cfg.MineIters,
-			SparseColumns: true,
-			Rng:           rand.New(rand.NewSource(CellSeed(cfg.Seed, cell.m))),
-			Ctx:           ctx,
+			Strategy: core.StrategyProxy,
+			MaxIters: cfg.MineIters,
+			Rng:      rand.New(rand.NewSource(CellSeed(cfg.Seed, cell.m))),
+			Ctx:      ctx,
 		})
 		entry.Cost, entry.Iters, entry.Converged = st.Cost(), tr.Iters, tr.Converged
 		entry.NNZ = st.Rows.NNZ()
@@ -469,18 +450,6 @@ func (cfg BenchConfig) runChurnCell(entry *BenchEntry, sc delaylb.Scenario, dens
 	entry.ChurnEventNS = float64(elapsed.Nanoseconds()) / float64(events)
 	entry.ChurnEventAllocKB = float64(after.TotalAlloc-before.TotalAlloc) / float64(events) / 1024
 	return nil
-}
-
-// identitySparse builds the sparse identity allocation r_ii = n_i
-// without ever materializing the dense m×m form (the point of the
-// mine-sparse-state tier).
-func identitySparse(in *model.Instance) *sparse.Matrix {
-	m := in.M()
-	mx := sparse.New(m, m)
-	for i := 0; i < m; i++ {
-		mx.Set(i, i, in.Load[i])
-	}
-	return mx
 }
 
 // runLatencyUpdateCell measures the structured network-change path: a

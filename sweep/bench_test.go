@@ -36,7 +36,7 @@ func TestRunBenchDeterministicAggregates(t *testing.T) {
 	}
 	t.Logf("two small bench runs in %v", time.Since(start).Round(time.Millisecond))
 
-	wantCells := 2*6 + 1 + 2*2 + 2 + 1 // four solvers + both churn cells per size, one descent cell, two FW-variant cells per size, two mine-sparse-state cells, one latency-update cell
+	wantCells := 2*5 + 1 + 2*2 + 2 + 1 // three solvers + both churn cells per size, one descent cell, two FW-variant cells per size, two mine-sparse-state cells, one latency-update cell
 	if len(a.Entries) != wantCells || len(b.Entries) != wantCells {
 		t.Fatalf("entry counts %d/%d, want %d", len(a.Entries), len(b.Entries), wantCells)
 	}

@@ -201,11 +201,10 @@ func (cfg DescentTableConfig) runCell(ctx context.Context, c descentCell, rng *r
 	fw := qp.SolveFrankWolfeSparse(in, qp.Options{MaxIters: cfg.FWIters, Tol: cfg.FWTol, Ctx: ctx})
 	st := core.NewIdentityState(in)
 	core.RunState(st, core.Config{
-		Strategy:      core.StrategyProxy,
-		MaxIters:      cfg.MineIters,
-		SparseColumns: true,
-		Rng:           rand.New(rand.NewSource(mineSeed)),
-		Ctx:           ctx,
+		Strategy: core.StrategyProxy,
+		MaxIters: cfg.MineIters,
+		Rng:      rand.New(rand.NewSource(mineSeed)),
+		Ctx:      ctx,
 	})
 	oracle := math.Min(fw.Cost, st.Cost())
 	if err := ctx.Err(); err != nil {
