@@ -24,10 +24,10 @@
 // -workers N bounds the pool (default: all CPUs), -seed picks the base
 // seed, and -out results.json (or .csv) persists the aggregate rows.
 //
-// -bench runs the scale-tier benchmark grid (sparse vs dense solver
-// paths on zipf/clustered scenarios; -full adds m=5000) sequentially —
-// cells are timed, so no worker pool — and persists the report to
-// -benchout (default BENCH_scale.json). It is not part of -all: the
+// -bench runs the scale-tier benchmark grid (the sparse solver tiers,
+// session churn and descent on zipf/clustered scenarios; -full adds
+// m=5000) sequentially — cells are timed, so no worker pool — and
+// persists the report to -benchout (default BENCH_scale.json). It is not part of -all: the
 // paper tables are about fidelity, the bench grid about the perf
 // trajectory of this repository. -benchappend instead loads the
 // existing -benchout report and runs only the grid cells it is missing

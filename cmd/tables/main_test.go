@@ -107,7 +107,6 @@ func TestRunBenchWritesReport(t *testing.T) {
 func benchTestConfig() sweep.BenchConfig {
 	cfg := sweep.DefaultBenchConfig()
 	cfg.Sizes = []int{25}
-	cfg.DenseMax = 25
 	cfg.MineMax = 25
 	cfg.FWIters = 30
 	cfg.MineIters = 3

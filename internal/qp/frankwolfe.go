@@ -1,127 +1,22 @@
 package qp
 
-import (
-	"math"
-
-	"delaylb/internal/model"
-	"delaylb/obs"
-)
+import "delaylb/internal/model"
 
 // SolveFrankWolfe minimizes ΣC_i over the product of per-organization
 // simplices with the Frank–Wolfe (conditional gradient) method and exact
-// line search. Each iteration costs O(m²) and produces a duality gap
+// line search. Each iteration produces a duality gap
 //
 //	gap = ⟨∇F(ρ), ρ − v⟩ ≥ F(ρ) − F*,
 //
 // so the returned Result.Gap certifies how far the final cost can be from
 // the optimum. The run stops when gap ≤ Tol·max(1, cost).
-// Options.Variant selects the step rule: VariantAway and VariantPairwise
-// route through the active-vertex-set engine (see frankwolfe_active.go),
-// which runs on the sparse representation internally and densifies the
-// result — the iterate of any FW variant has O(iters) nonzeros per row,
-// so the dense façade loses nothing.
+// Options.Variant selects the step rule; VariantAway and VariantPairwise
+// use the active-vertex-set engine (see frankwolfe_active.go).
+//
+// It is the dense façade of SolveFrankWolfeSparse: every variant runs on
+// the sparse representation and the result is densified. The iterate of
+// any FW variant has O(iters) nonzeros per row, so the façade loses
+// nothing but the O(m²) of the final densification.
 func SolveFrankWolfe(in *model.Instance, opt Options) *Result {
-	if opt.Variant != VariantClassic {
-		return solveFrankWolfeActive(in, opt).Dense()
-	}
-	opt = opt.withDefaults()
-	m := in.M()
-	var rho [][]float64
-	if opt.Initial != nil {
-		rho = cloneMatrix(opt.Initial)
-	} else {
-		rho = identityRho(m)
-	}
-	loads := make([]float64, m)
-	incoming := make([]float64, m) // Σ of n_k whose FW vertex is column j
-	best := make([]int, m)         // FW vertex column per row
-	rowBuf := latRowBuf(in)
-
-	sobs := newSolveObs(opt.Obs, VariantClassic)
-	span := opt.Obs.Start("qp.solve")
-	res := &Result{}
-	for it := 1; it <= opt.MaxIters; it++ {
-		if model.Canceled(opt.Ctx) {
-			break
-		}
-		Loads(in, rho, loads)
-
-		// Linear minimization oracle per row: j* = argmin_j l_j/s_j + c_ij.
-		// The duality gap accumulates Σ_i n_i (⟨ρ_i, score_i⟩ − score_ij*).
-		var gap float64
-		for j := range incoming {
-			incoming[j] = 0
-		}
-		for i := 0; i < m; i++ {
-			ni := in.Load[i]
-			lat := model.RowView(in.Latency, i, rowBuf)
-			bestJ, bestScore := i, loads[i]/in.Speed[i] // c_ii = 0
-			if ni == 0 {
-				best[i] = bestJ
-				continue
-			}
-			var cur float64
-			for j := 0; j < m; j++ {
-				score := loads[j]/in.Speed[j] + lat[j]
-				if f := rho[i][j]; f > 0 {
-					cur += f * score
-				}
-				if score < bestScore {
-					bestScore, bestJ = score, j
-				}
-			}
-			best[i] = bestJ
-			incoming[bestJ] += ni
-			gap += ni * (cur - bestScore)
-		}
-
-		cost := objectiveBuf(in, rho, rowBuf)
-		res.Iters = it
-		res.Gap = gap
-		sobs.sweep(gap, cost, int64(m), nil)
-		if opt.TraceGaps {
-			res.Gaps = append(res.Gaps, gap)
-		}
-		if gap <= opt.Tol*math.Max(1, cost) {
-			res.Converged = true
-			break
-		}
-		if opt.OnIteration != nil && !opt.OnIteration(it, cost) {
-			res.Converged = true
-			break
-		}
-
-		// Exact line search along d = v − ρ: with u_j = Σ_k n_k d_kj,
-		// φ'(0) = −gap and φ''  = Σ_j u_j²/s_j, so t* = gap/φ''.
-		var curvature float64
-		for j := 0; j < m; j++ {
-			u := incoming[j] - loads[j]
-			curvature += u * u / in.Speed[j]
-		}
-		t := 1.0
-		if curvature > 0 {
-			t = math.Min(1, gap/curvature)
-		}
-		if t <= 0 {
-			res.Converged = true
-			break
-		}
-		for i := 0; i < m; i++ {
-			if in.Load[i] == 0 {
-				continue
-			}
-			row := rho[i]
-			for j := range row {
-				row[j] *= 1 - t
-			}
-			row[best[i]] += t
-		}
-	}
-	res.Rho = rho
-	res.Cost = objectiveBuf(in, rho, rowBuf)
-	span.With(obs.Int("iters", int64(res.Iters))).
-		With(obs.Float("gap", res.Gap)).
-		With(obs.Float("cost", res.Cost)).
-		End()
-	return res
+	return SolveFrankWolfeSparse(in, opt).Dense()
 }

@@ -1,6 +1,7 @@
 package qp
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -39,8 +40,108 @@ func clusteredInstance(t *testing.T, m, k int, seed int64) *model.Instance {
 	return in
 }
 
+// solveFrankWolfeDense is the test-only dense reference for classic
+// Frank–Wolfe: the m×m iterate, a full-row oracle scan and a dense
+// update every iteration. SolveFrankWolfeSparse must reproduce it bit
+// for bit.
+func solveFrankWolfeDense(in *model.Instance, opt Options) *Result {
+	opt = opt.withDefaults()
+	m := in.M()
+	var rho [][]float64
+	if opt.Initial != nil {
+		rho = cloneMatrix(opt.Initial)
+	} else {
+		rho = identityRho(m)
+	}
+	loads := make([]float64, m)
+	incoming := make([]float64, m) // Σ of n_k whose FW vertex is column j
+	best := make([]int, m)         // FW vertex column per row
+	rowBuf := latRowBuf(in)
+
+	res := &Result{}
+	for it := 1; it <= opt.MaxIters; it++ {
+		if model.Canceled(opt.Ctx) {
+			break
+		}
+		Loads(in, rho, loads)
+
+		// Linear minimization oracle per row: j* = argmin_j l_j/s_j + c_ij.
+		// The duality gap accumulates Σ_i n_i (⟨ρ_i, score_i⟩ − score_ij*).
+		var gap float64
+		for j := range incoming {
+			incoming[j] = 0
+		}
+		for i := 0; i < m; i++ {
+			ni := in.Load[i]
+			lat := model.RowView(in.Latency, i, rowBuf)
+			bestJ, bestScore := i, loads[i]/in.Speed[i] // c_ii = 0
+			if ni == 0 {
+				best[i] = bestJ
+				continue
+			}
+			var cur float64
+			for j := 0; j < m; j++ {
+				score := loads[j]/in.Speed[j] + lat[j]
+				if f := rho[i][j]; f > 0 {
+					cur += f * score
+				}
+				if score < bestScore {
+					bestScore, bestJ = score, j
+				}
+			}
+			best[i] = bestJ
+			incoming[bestJ] += ni
+			gap += ni * (cur - bestScore)
+		}
+
+		cost := objectiveBuf(in, rho, rowBuf)
+		res.Iters = it
+		res.Gap = gap
+		if opt.TraceGaps {
+			res.Gaps = append(res.Gaps, gap)
+		}
+		if gap <= opt.Tol*math.Max(1, cost) {
+			res.Converged = true
+			break
+		}
+		if opt.OnIteration != nil && !opt.OnIteration(it, cost) {
+			res.Converged = true
+			break
+		}
+
+		// Exact line search along d = v − ρ: with u_j = Σ_k n_k d_kj,
+		// φ'(0) = −gap and φ''  = Σ_j u_j²/s_j, so t* = gap/φ''.
+		var curvature float64
+		for j := 0; j < m; j++ {
+			u := incoming[j] - loads[j]
+			curvature += u * u / in.Speed[j]
+		}
+		t := 1.0
+		if curvature > 0 {
+			t = math.Min(1, gap/curvature)
+		}
+		if t <= 0 {
+			res.Converged = true
+			break
+		}
+		for i := 0; i < m; i++ {
+			if in.Load[i] == 0 {
+				continue
+			}
+			row := rho[i]
+			for j := range row {
+				row[j] *= 1 - t
+			}
+			row[best[i]] += t
+		}
+	}
+	res.Rho = rho
+	res.Cost = objectiveBuf(in, rho, rowBuf)
+	return res
+}
+
 // assertSameRun pins the headline guarantee of the scale tier: the
-// sparse solver reproduces the dense solver bit for bit.
+// sparse solver reproduces the dense reference bit for bit.
 func assertSameRun(t *testing.T, label string, dense *Result, sp *SparseResult) {
 	t.Helper()
 	if dense.Cost != sp.Cost {
@@ -67,12 +168,16 @@ func TestSparseMatchesDense(t *testing.T) {
 	for _, m := range []int{5, 12, 30} {
 		in := randomInstance(t, m, int64(m))
 		opt := Options{Tol: 1e-7, MaxIters: 400}
-		dense := SolveFrankWolfe(in, opt)
+		dense := solveFrankWolfeDense(in, opt)
 		sp := SolveFrankWolfeSparse(in, opt)
 		if sp.ClusteredLMO {
 			t.Fatalf("m=%d: clustered LMO engaged without a hint", m)
 		}
 		assertSameRun(t, "planetlab", dense, sp)
+		if f := SolveFrankWolfe(in, opt); f.Cost != dense.Cost || f.Gap != dense.Gap || f.Iters != dense.Iters {
+			t.Fatalf("m=%d: dense façade (%v, %v, %d) != reference (%v, %v, %d)",
+				m, f.Cost, f.Gap, f.Iters, dense.Cost, dense.Gap, dense.Iters)
+		}
 	}
 }
 
@@ -80,7 +185,7 @@ func TestSparseClusteredLMOMatchesDense(t *testing.T) {
 	in := clusteredInstance(t, 60, 5, 7)
 	opt := Options{Tol: 1e-8, MaxIters: 600}
 
-	dense := SolveFrankWolfe(in, opt)
+	dense := solveFrankWolfeDense(in, opt)
 	hinted := SolveFrankWolfeSparse(in, opt)
 	if !hinted.ClusteredLMO {
 		t.Fatal("clustered LMO not engaged on a verified block instance")
@@ -106,15 +211,15 @@ func TestSparseRejectsCorruptedHint(t *testing.T) {
 	if sp.ClusteredLMO {
 		t.Fatal("clustered LMO trusted a corrupted hint")
 	}
-	dense := SolveFrankWolfe(in, opt)
+	dense := solveFrankWolfeDense(in, opt)
 	assertSameRun(t, "corrupted-hint", dense, sp)
 }
 
 func TestSparseWarmStart(t *testing.T) {
 	in := randomInstance(t, 15, 42)
-	warm := SolveFrankWolfe(in, Options{Tol: 1e-3, MaxIters: 50})
+	warm := solveFrankWolfeDense(in, Options{Tol: 1e-3, MaxIters: 50})
 	opt := Options{Tol: 1e-8, MaxIters: 300, Initial: warm.Rho}
-	dense := SolveFrankWolfe(in, opt)
+	dense := solveFrankWolfeDense(in, opt)
 	sp := SolveFrankWolfeSparse(in, opt)
 	assertSameRun(t, "warm", dense, sp)
 }

@@ -37,9 +37,6 @@ import (
 type BenchConfig struct {
 	// Sizes is the list of network sizes m to sweep.
 	Sizes []int
-	// DenseMax bounds the sizes at which the dense baselines also run
-	// (the point of the tier is that dense stops being practical).
-	DenseMax int
 	// MineMax bounds the sizes for the proxy-sparse MinE cells; their
 	// per-iteration cost is O(m²).
 	MineMax int
@@ -91,11 +88,10 @@ type BenchConfig struct {
 }
 
 // DefaultBenchConfig returns the standing scale grid: m ∈ {100, 500,
-// 2000}, dense baselines up to 500, everything derived from seed 1.
+// 2000}, MinE proxy cells up to 500, everything derived from seed 1.
 func DefaultBenchConfig() BenchConfig {
 	return BenchConfig{
 		Sizes:                []int{100, 500, 2000},
-		DenseMax:             500,
 		MineMax:              500,
 		ChurnDenseMax:        2000,
 		ChurnEvents:          30,
@@ -182,17 +178,14 @@ type benchCell struct {
 }
 
 // cells enumerates the grid in a stable order: per size, the sparse
-// Frank–Wolfe path always, the dense Frank–Wolfe and the MinE proxy
-// cell only below their bounds. The persisted report still holds the
-// proxy-dense cells earlier grids ran; that state is gone, so the grid
-// no longer lists them and AppendBench leaves those entries as they are.
+// Frank–Wolfe path always and the MinE proxy cell only below MineMax.
+// The persisted report still holds the frankwolfe-dense and proxy-dense
+// cells earlier grids ran; their dense engines are gone, so the grid no
+// longer lists them and AppendBench leaves those entries as they are.
 func (cfg BenchConfig) cells() []benchCell {
 	var out []benchCell
 	for _, m := range cfg.Sizes {
 		out = append(out, benchCell{m, "frankwolfe-sparse"})
-		if m <= cfg.DenseMax {
-			out = append(out, benchCell{m, "frankwolfe-dense"})
-		}
 		if m <= cfg.MineMax {
 			out = append(out, benchCell{m, "proxy-sparse"})
 		}
@@ -225,8 +218,8 @@ func (cfg BenchConfig) cells() []benchCell {
 }
 
 // scenario builds the scale scenario for one size. The seed is derived
-// per size (not per cell) so sparse and dense cells of the same m solve
-// the identical instance.
+// per size (not per cell) so every cell of the same m solves the
+// identical instance.
 func (cfg BenchConfig) scenario(m int) delaylb.Scenario {
 	return delaylb.NewScenario(m).
 		WithClusters(cfg.Clusters).
@@ -316,9 +309,6 @@ func (cfg BenchConfig) runCell(ctx context.Context, cell benchCell) (BenchEntry,
 		res := qp.SolveFrankWolfeSparse(in, qp.Options{MaxIters: cfg.FWIters, Tol: cfg.FWTol, Ctx: ctx})
 		entry.Cost, entry.Gap, entry.Iters, entry.Converged = res.Cost, res.Gap, res.Iters, res.Converged
 		entry.NNZ = res.Rho.NNZ()
-	case "frankwolfe-dense":
-		res := qp.SolveFrankWolfe(in, qp.Options{MaxIters: cfg.FWIters, Tol: cfg.FWTol, Ctx: ctx})
-		entry.Cost, entry.Gap, entry.Iters, entry.Converged = res.Cost, res.Gap, res.Iters, res.Converged
 	case "frankwolfe-away", "frankwolfe-pairwise":
 		variant := qp.VariantAway
 		if cell.solver == "frankwolfe-pairwise" {

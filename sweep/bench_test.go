@@ -11,7 +11,6 @@ import (
 func smallBenchConfig() BenchConfig {
 	cfg := DefaultBenchConfig()
 	cfg.Sizes = []int{30, 60}
-	cfg.DenseMax = 60
 	cfg.MineMax = 60
 	cfg.FWIters = 50
 	cfg.MineIters = 4
@@ -36,7 +35,7 @@ func TestRunBenchDeterministicAggregates(t *testing.T) {
 	}
 	t.Logf("two small bench runs in %v", time.Since(start).Round(time.Millisecond))
 
-	wantCells := 2*5 + 1 + 2*2 + 2 + 1 // three solvers + both churn cells per size, one descent cell, two FW-variant cells per size, two mine-sparse-state cells, one latency-update cell
+	wantCells := 2*4 + 1 + 2*2 + 2 + 1 // two solvers + both churn cells per size, one descent cell, two FW-variant cells per size, two mine-sparse-state cells, one latency-update cell
 	if len(a.Entries) != wantCells || len(b.Entries) != wantCells {
 		t.Fatalf("entry counts %d/%d, want %d", len(a.Entries), len(b.Entries), wantCells)
 	}
@@ -58,37 +57,6 @@ func TestRunBenchDeterministicAggregates(t *testing.T) {
 		}
 		if x.Cost <= 0 || x.Iters <= 0 {
 			t.Fatalf("cell %d (m=%d %s) has degenerate aggregates: %+v", i, x.M, x.Solver, x)
-		}
-	}
-}
-
-// TestRunBenchSparseDenseAgree pins the cross-representation guarantee
-// at harness level: the sparse and dense Frank–Wolfe cells of the same
-// size solve the same instance to the same cost, bit for bit.
-func TestRunBenchSparseDenseAgree(t *testing.T) {
-	cfg := smallBenchConfig()
-	rep, err := RunBench(context.Background(), cfg, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	byKey := map[[2]string]BenchEntry{}
-	for _, e := range rep.Entries {
-		byKey[[2]string{e.Scenario, e.Solver}] = e
-	}
-	for _, e := range rep.Entries {
-		if e.Solver != "frankwolfe-sparse" {
-			continue
-		}
-		d, ok := byKey[[2]string{e.Scenario, "frankwolfe-dense"}]
-		if !ok {
-			continue
-		}
-		if e.Cost != d.Cost || e.Gap != d.Gap || e.Iters != d.Iters {
-			t.Fatalf("m=%d: sparse (%g, %g, %d) != dense (%g, %g, %d)",
-				e.M, e.Cost, e.Gap, e.Iters, d.Cost, d.Gap, d.Iters)
-		}
-		if e.NNZ == 0 {
-			t.Fatalf("m=%d: sparse cell recorded no nnz", e.M)
 		}
 	}
 }
