@@ -57,13 +57,7 @@ func NewState(in *model.Instance, rows *sparse.Matrix) *State {
 
 // NewIdentityState starts from the identity allocation (everyone local).
 func NewIdentityState(in *model.Instance) *State {
-	m := in.M()
-	rows := sparse.New(m, m)
-	for i := 0; i < m; i++ {
-		rows.Idx[i] = []int32{int32(i)}
-		rows.Val[i] = []float64{in.Load[i]}
-	}
-	return NewState(in, rows)
+	return NewState(in, sparse.Diagonal(in.Load))
 }
 
 // loadsFromRows recomputes Loads from the row store, row by row in

@@ -50,6 +50,23 @@ func Identity(m int) *Matrix {
 	return mx
 }
 
+// Diagonal returns the len(d)×len(d) matrix with d on its diagonal,
+// zeros included — the identity allocation r_ii = n_i when d holds the
+// loads. All rows share two contiguous backing arrays, each row capped
+// at its one entry, so a whole-matrix build is four allocations.
+func Diagonal(d []float64) *Matrix {
+	m := len(d)
+	mx := New(m, m)
+	ibuf := make([]int32, m)
+	vbuf := append([]float64(nil), d...)
+	for i := range ibuf {
+		ibuf[i] = int32(i)
+		mx.Idx[i] = ibuf[i : i+1 : i+1]
+		mx.Val[i] = vbuf[i : i+1 : i+1]
+	}
+	return mx
+}
+
 // FromDense converts a dense matrix, storing every entry with |v| > eps
 // (eps = 0 keeps all nonzeros). Rows may be ragged only in the sense of
 // the usual [][]float64 contract: every row must have the same length.

@@ -85,6 +85,32 @@ func TestIdentity(t *testing.T) {
 	}
 }
 
+func TestDiagonal(t *testing.T) {
+	d := []float64{3, 0, 5}
+	mx := Diagonal(d)
+	d[0] = 99 // the matrix must not alias its input
+	want := [][]float64{{3, 0, 0}, {0, 0, 0}, {0, 0, 5}}
+	for i, row := range mx.Dense() {
+		for j, v := range row {
+			if v != want[i][j] {
+				t.Fatalf("[%d][%d] = %v, want %v", i, j, v, want[i][j])
+			}
+		}
+	}
+	if mx.NNZ() != 3 {
+		t.Fatalf("NNZ = %d, want 3 (the zero diagonal entry is stored)", mx.NNZ())
+	}
+	// Rows are capped at their one entry: growing row 0 must not
+	// overwrite row 1's storage.
+	mx.Set(0, 2, 7)
+	if mx.Get(1, 1) != 0 || mx.Get(0, 2) != 7 || mx.Get(2, 2) != 5 {
+		t.Fatalf("growing a row clobbered a neighbour: %v", mx.Dense())
+	}
+	if err := mx.Validate(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestSetAddGet(t *testing.T) {
 	mx := New(2, 10)
 	// Insert out of order; the row must stay sorted.

@@ -77,26 +77,11 @@ func (s *System) NewSession(opts ...Option) *Session {
 		base: opts,
 	}
 	if buildOptions(opts).Sparse {
-		sess.salloc = identityRequests(sess.in)
+		sess.salloc = sparse.Diagonal(sess.in.Load)
 	} else {
 		sess.alloc = model.Identity(sess.in)
 	}
 	return sess
-}
-
-// identityRequests is the sparse identity allocation: r_ii = n_i.
-func identityRequests(in *model.Instance) *sparse.Matrix {
-	m := in.M()
-	mx := sparse.New(m, m)
-	ibuf := make([]int32, m)
-	vbuf := make([]float64, m)
-	for i := 0; i < m; i++ {
-		ibuf[i] = int32(i)
-		vbuf[i] = in.Load[i]
-		mx.Idx[i] = ibuf[i : i+1 : i+1]
-		mx.Val[i] = vbuf[i : i+1 : i+1]
-	}
-	return mx
 }
 
 // System returns an immutable snapshot of the session's current instance,

@@ -299,7 +299,7 @@ func (nashSolver) Solve(ctx context.Context, sys *System, opts SolveOptions) (*R
 // from the identity vertex. A nil warm start yields the sparse identity.
 func warmSparseRequests(in *model.Instance, warm *sparse.Matrix) (*sparse.Matrix, error) {
 	if warm == nil {
-		return identityRequests(in), nil
+		return sparse.Diagonal(in.Load), nil
 	}
 	m := in.M()
 	if warm.Rows() != m || warm.Cols != m {
