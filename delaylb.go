@@ -433,12 +433,15 @@ func WithProgress(fn func(iteration int, cost float64) bool) Option {
 // WithSparse routes the solve through the large-m scale tier: the
 // "frankwolfe" solver runs on the sparse row-major iterate (O(nnz)
 // memory, cluster-aware linear minimization on block-structured
-// networks such as NetClustered) and the MinE family ("mine", "hybrid",
-// "proxy") maintains per-server owner lists so pairwise steps touch
-// only organizations with requests on the two servers. Results are
-// equivalent — bit-identical for Frank–Wolfe, up to float summation
-// order for MinE — and deterministic for a fixed seed. Solvers without
-// a sparse path ("projgrad", "nash") ignore the option.
+// networks such as NetClustered) and keeps its result sparse. The MinE
+// family ("mine", "hybrid", "proxy") always runs on sparse rows with
+// per-server owner lists, so pairwise steps touch only organizations
+// with requests on the two servers; the option adds the metro partner
+// index on block networks (the same partners, found without the O(m)
+// scan per server step) and reports Result.NNZ. Results are
+// bit-identical with and without the option and deterministic for a
+// fixed seed. Solvers without a sparse path ("projgrad", "nash")
+// ignore the option.
 func WithSparse() Option { return func(o *options) { o.Sparse = true } }
 
 // WithObs attaches an observability scope to the solve: the QP solvers

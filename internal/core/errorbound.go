@@ -28,7 +28,7 @@ func TransferMatrix(st *State) [][]float64 {
 			if i == j {
 				continue
 			}
-			buf.loadState(st, i, j)
+			buf.loadFull(st, i, j)
 			buf.balance(st.In, i, j)
 			dr[i][j] = buf.movedToward()
 		}

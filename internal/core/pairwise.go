@@ -47,13 +47,14 @@ func newPairBuffer(m int) *pairBuffer {
 	}
 }
 
-// loadSparse extracts the union of the owner lists of columns i and j
+// loadOwners extracts the union of the owner lists of columns i and j
 // into b.ks (ascending merge of two sorted lists) and gathers the
 // corresponding column and latency entries into the leading len(b.ks)
 // slots of the scratch slices. Only organizations with mass on one of
 // the two columns can gain or lose requests in Algorithm 1, so the
-// compacted problem is exactly equivalent to the dense one.
-func (b *pairBuffer) loadSparse(st *State, i, j int) int {
+// compacted problem makes the transfers of the full-column one, up to
+// which of two organizations sharing a key c_kj − c_ki takes one.
+func (b *pairBuffer) loadOwners(st *State, i, j int) int {
 	b.ks = b.ks[:0]
 	oi, oj := st.colOwners[i], st.colOwners[j]
 	x, y := 0, 0
@@ -83,10 +84,10 @@ func (b *pairBuffer) loadSparse(st *State, i, j int) int {
 	return len(b.ks)
 }
 
-// loadState extracts full m-length columns i and j — the entry point of
+// loadFull extracts full m-length columns i and j — the entry point of
 // the Proposition 1 estimation, which simulates Algorithm 1 over all m
 // organizations.
-func (b *pairBuffer) loadState(st *State, i, j int) {
+func (b *pairBuffer) loadFull(st *State, i, j int) {
 	m := st.In.M()
 	for k := 0; k < m; k++ {
 		b.ri[k] = 0
@@ -234,7 +235,7 @@ func ApplyPair(st *State, i, j int, buf *pairBuffer) PairOutcome {
 func balancePair(st *State, i, j int, buf *pairBuffer) (PairOutcome, float64, float64) {
 	in := st.In
 	before := st.localCost(i, j)
-	n := buf.loadSparse(st, i, j)
+	n := buf.loadOwners(st, i, j)
 	li, lj := BalanceColumns(in.Speed[i], in.Speed[j],
 		buf.ri[:n], buf.rj[:n], buf.cI[:n], buf.cJ[:n], buf.order[:n], buf.keys[:n])
 	after := li*li/(2*in.Speed[i]) + lj*lj/(2*in.Speed[j])
