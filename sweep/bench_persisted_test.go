@@ -22,7 +22,7 @@ import (
 // reaches the 2% optimality band within the 600-iteration budget at
 // every grid size, including the m where the classic cells' persisted
 // gap shows them still unconverged; the sparse-state cells match the
-// dense proxy cells' costs bit for bit at the sizes both cover; the
+// proxy-sparse cells' costs bit for bit at the sizes both cover; the
 // latency-update cells record a real per-event cost.
 func TestPersistedBenchReport(t *testing.T) {
 	data, err := os.ReadFile("../BENCH_scale.json")
@@ -104,9 +104,10 @@ func TestPersistedBenchReport(t *testing.T) {
 			if e.NNZ <= 0 {
 				t.Errorf("m=%d %s: no nnz recorded", e.M, e.Solver)
 			}
-			// Identical solver configuration, dense MinE state swapped for
-			// the sparse row store: the persisted costs must agree bit for
-			// bit at the sizes the dense proxy tier could afford.
+			// Identical solver configuration. The proxy-sparse costs were
+			// persisted from the dense state with the owner index, these
+			// from the row store that replaced it: they must agree bit for
+			// bit at the sizes both tiers cover.
 			if want, ok := proxyCost[e.M]; ok && e.Cost != want {
 				t.Errorf("m=%d: mine-sparse-state cost %v != proxy-sparse %v — the sparse state drifted off the oracle",
 					e.M, e.Cost, want)

@@ -142,9 +142,8 @@ func TestAppendBenchPureAppend(t *testing.T) {
 			if e.NNZ <= 0 {
 				t.Fatalf("appended cell m=%d %s recorded no nnz", e.M, e.Solver)
 			}
-			// Same solver configuration as proxy-sparse, dense allocation
-			// swapped for the sparse row store: the costs must agree bit
-			// for bit at sizes both tiers cover.
+			// Same solve as proxy-sparse under another name: the costs
+			// must agree bit for bit at sizes both tiers cover.
 			if want, ok := proxyCost[e.M]; ok && e.Cost != want {
 				t.Fatalf("m=%d: mine-sparse-state cost %v != proxy-sparse %v", e.M, e.Cost, want)
 			}
