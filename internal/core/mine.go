@@ -99,8 +99,8 @@ type Trace struct {
 
 // Run creates an identity allocation for the instance and optimizes it
 // with MinE under cfg, returning the final allocation, densified, and
-// the trace. For the small-m drivers that want the m×m matrix; at scale,
-// use RunState on a State and keep its rows.
+// the trace. Meant for the small-m paper tables and figures, which want
+// the m×m matrix; at scale, use RunState on a State and keep its rows.
 func Run(in *model.Instance, cfg Config) (*model.Allocation, *Trace) {
 	st := NewIdentityState(in)
 	tr := RunState(st, cfg)
