@@ -19,10 +19,13 @@ const (
 	// StrategyProxy scores partners with a closed-form O(1) estimate
 	// (the Lemma 1 improvement for an aggregate transfer at latency
 	// c_ij) and runs Algorithm 1 only on the winner. Cost: O(m log m)
-	// per server step. Used for the very large networks of Figure 2.
+	// per server step. Used for the very large networks of Figure 2. On
+	// block-backed instances the partner search runs on the metro index
+	// (metroindex.go) instead of the O(m) scan, with the same picks.
 	StrategyProxy
 	// StrategyHybrid short-lists the top-K partners by the proxy score
-	// and evaluates those exactly.
+	// and evaluates those exactly; its shortlists use the metro index
+	// the same way.
 	StrategyHybrid
 )
 
@@ -46,14 +49,6 @@ type Config struct {
 	// RemoveCyclesEvery, if positive, runs the Appendix A negative-cycle
 	// removal after every that many iterations (§VI-B compares 0 vs 2).
 	RemoveCyclesEvery int
-	// MetroIndex enables the metro-bucketed candidate index for the
-	// proxy and hybrid partner searches on BlockLatency-backed
-	// instances: instead of scanning all m−1 partners per server step,
-	// candidates are found by exact branch-and-bound over per-metro
-	// segment trees — same partners, same gains (pinned by
-	// metroindex_test.go), typically O(k log m) per step. Ignored for
-	// the exact strategy and for instances without a block latency view.
-	MetroIndex bool
 	// MinGain is the absolute improvement below which a pairwise
 	// exchange is considered noise (default: 1e-9·max(1, initial cost)).
 	MinGain float64
@@ -199,14 +194,14 @@ type selector struct {
 	st     *State
 	cfg    Config
 	buf    *pairBuffer
-	cand   []int     // scratch for hybrid short-lists
-	rowBuf []float64 // scratch for block-view latency rows
-	metro  *MetroIndex
+	cand   []int       // scratch for hybrid short-lists
+	rowBuf []float64   // scratch for block-view latency rows
+	metro  *MetroIndex // nil: the plain O(m) scans
 }
 
 func newSelector(st *State, cfg Config) *selector {
 	s := &selector{st: st, cfg: cfg, buf: newPairBuffer(st.In.M()), rowBuf: make([]float64, st.In.M())}
-	if cfg.MetroIndex && (cfg.Strategy == StrategyProxy || cfg.Strategy == StrategyHybrid) {
+	if cfg.Strategy == StrategyProxy || cfg.Strategy == StrategyHybrid {
 		if s.metro = NewMetroIndex(st.In); s.metro != nil { // nil: view not block-backed
 			s.metro.Rebuild(st.Loads)
 		}

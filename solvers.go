@@ -145,7 +145,6 @@ func (ms mineSolver) Solve(ctx context.Context, sys *System, opts SolveOptions) 
 		Strategy:          strat,
 		MaxIters:          opts.MaxIterations,
 		RemoveCyclesEvery: opts.CycleRemovalEvery,
-		MetroIndex:        opts.Sparse,
 		Rng:               rand.New(rand.NewSource(seedOrDefault(opts.Seed))),
 		OnIteration:       opts.Progress,
 		Ctx:               ctx,
