@@ -437,9 +437,9 @@ func WithProgress(fn func(iteration int, cost float64) bool) Option {
 // family ("mine", "hybrid", "proxy") always runs on sparse rows with
 // per-server owner lists, and "hybrid"/"proxy" always search partners
 // through the metro index on block networks, so for the MinE family the
-// option only reports Result.NNZ. Results are bit-identical with and without the
-// option and deterministic for a fixed seed. Solvers without a sparse
-// path ("projgrad", "nash") ignore the option.
+// option only reports Result.NNZ. Results are bit-identical with and
+// without the option and deterministic for a fixed seed. Solvers without
+// a sparse path ("projgrad", "nash") ignore the option.
 func WithSparse() Option { return func(o *options) { o.Sparse = true } }
 
 // WithObs attaches an observability scope to the solve: the QP solvers
