@@ -19,8 +19,8 @@ var update = flag.Bool("update", false, "rewrite the timeline golden files under
 
 func TestTimelineGolden(t *testing.T) {
 	for name, cfg := range map[string]config{
-		"tiny":    {Algo: "mine", Sparse: true, Replay: "tiny.trace"},
-		"outage":  {Algo: "proxy", Sparse: true, Replay: "outage.trace"},
+		"tiny":    {Algo: "mine", Replay: "tiny.trace"},
+		"outage":  {Algo: "proxy", Replay: "outage.trace"},
 		"descend": {Descend: "descend.trace"},
 		"faulted": {Descend: "faulted.trace", Faults: "drop=0.2,dup=0.1,reorder=0.2,delay=0.1", Crashes: 1},
 	} {

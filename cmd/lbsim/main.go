@@ -8,10 +8,10 @@
 //	lbsim -m 20 -net c20 -dist peak -avg 100000 -algo nash
 //	lbsim -m 30 -net pl -dist uniform -avg 50 -algo frankwolfe
 //	lbsim -m 25 -net pl -dist exp -avg 80 -algo runtime -rounds 30
-//	lbsim -m 2000 -net metro -dist zipf -avg 100 -algo frankwolfe -sparse -iters 600
-//	lbsim -m 2000 -net metro -dist zipf -avg 100 -algo frankwolfe -variant away -sparse
-//	lbsim -replay trace.txt -algo proxy -sparse -timeline timeline.json
-//	lbsim -replay outage.txt -algo proxy -sparse -assert-nodense
+//	lbsim -m 2000 -net metro -dist zipf -avg 100 -algo frankwolfe -iters 600
+//	lbsim -m 2000 -net metro -dist zipf -avg 100 -algo frankwolfe -variant away
+//	lbsim -replay trace.txt -algo proxy -timeline timeline.json
+//	lbsim -replay outage.txt -algo proxy -assert-nodense
 //	lbsim -descend trace.txt -part 0.5 -timeline timeline.json
 package main
 
@@ -41,7 +41,6 @@ type config struct {
 	Avg      float64
 	Rounds   int
 	Seed     int64
-	Sparse   bool
 	Iters    int
 	Replay   string
 	Descend  string
@@ -77,7 +76,6 @@ func main() {
 	flag.StringVar(&cfg.Variant, "variant", "", "Frank–Wolfe step rule with -algo frankwolfe: classic | away | pairwise")
 	flag.IntVar(&cfg.Rounds, "rounds", 30, "rounds for -algo runtime")
 	flag.Int64Var(&cfg.Seed, "seed", 1, "RNG seed")
-	flag.BoolVar(&cfg.Sparse, "sparse", false, "use the large-m sparse solver paths (frankwolfe, mine family)")
 	flag.IntVar(&cfg.Iters, "iters", 0, "iteration cap (0 = solver default)")
 	flag.StringVar(&cfg.Replay, "replay", "", "replay a workload trace file instead of a one-shot solve (-algo picks the solver)")
 	flag.StringVar(&cfg.Descend, "descend", "", "replay a workload trace file on the distributed descent plane (no central solve)")
@@ -141,9 +139,6 @@ func runReplay(ctx context.Context, cfg config, scope *obs.Scope, w io.Writer) e
 		return err
 	}
 	opts = append(opts, vopts...)
-	if cfg.Sparse {
-		opts = append(opts, delaylb.WithSparse())
-	}
 	if cfg.Iters > 0 {
 		opts = append(opts, delaylb.WithMaxIterations(cfg.Iters))
 	}
@@ -314,9 +309,6 @@ func runMode(ctx context.Context, cfg config, scope *obs.Scope, w io.Writer) err
 		} else if cfg.Algo == "projgrad" {
 			opts = append(opts, delaylb.WithTolerance(1e-10))
 		}
-		if cfg.Sparse {
-			opts = append(opts, delaylb.WithSparse())
-		}
 		if cfg.Iters > 0 {
 			opts = append(opts, delaylb.WithMaxIterations(cfg.Iters))
 		}
@@ -328,12 +320,8 @@ func runMode(ctx context.Context, cfg config, scope *obs.Scope, w io.Writer) err
 		if res.Gap > 0 {
 			gap = fmt.Sprintf(", gap=%.3g", res.Gap)
 		}
-		nnz := ""
-		if res.NNZ > 0 {
-			nnz = fmt.Sprintf(", nnz=%d", res.NNZ)
-		}
-		fmt.Fprintf(w, "final ΣC_i = %.6g after %d iterations (%s, reason: %s%s%s)\n",
-			res.Cost, res.Iterations, time.Since(start).Round(time.Millisecond), res.Reason, gap, nnz)
+		fmt.Fprintf(w, "final ΣC_i = %.6g after %d iterations (%s, reason: %s%s, nnz=%d)\n",
+			res.Cost, res.Iterations, time.Since(start).Round(time.Millisecond), res.Reason, gap, res.NNZ)
 	case "nash":
 		nash, err := sys.NashEquilibriumContext(ctx, delaylb.WithProgress(func(sweep int, cost float64) bool {
 			fmt.Fprintf(w, "  sweep %2d  ΣC_i = %.6g\n", sweep, cost)

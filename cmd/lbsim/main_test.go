@@ -134,7 +134,6 @@ func TestRunVariantFlag(t *testing.T) {
 		var sb strings.Builder
 		cfg := base
 		cfg.Variant = variant
-		cfg.Sparse = true
 		if err := run(context.Background(), cfg, &sb); err != nil {
 			t.Fatalf("-variant %s: %v", variant, err)
 		}
@@ -159,7 +158,7 @@ func TestRunVariantFlag(t *testing.T) {
 // rule — the -replay path must thread -variant into the engine options.
 func TestRunReplayVariant(t *testing.T) {
 	var sb strings.Builder
-	cfg := config{Algo: "frankwolfe", Variant: "away", Sparse: true, Seed: 1,
+	cfg := config{Algo: "frankwolfe", Variant: "away", Seed: 1,
 		Replay: filepath.Join("testdata", "tiny.trace")}
 	if err := run(context.Background(), cfg, &sb); err != nil {
 		t.Fatal(err)
@@ -218,7 +217,7 @@ func TestRunReplaySmoke(t *testing.T) {
 // proving the assertion bites.
 func TestRunReplayAssertNoDense(t *testing.T) {
 	var sb strings.Builder
-	cfg := config{Algo: "proxy", Sparse: true, Seed: 1, NoDense: true,
+	cfg := config{Algo: "proxy", Seed: 1, NoDense: true,
 		Replay: filepath.Join("testdata", "outage.trace")}
 	if err := run(context.Background(), cfg, &sb); err != nil {
 		t.Fatal(err)
@@ -368,22 +367,23 @@ func TestRunReplayRejectsBadConfig(t *testing.T) {
 	}
 }
 
-// TestRunSparseScaleTier drives the -sparse flag through the solvers
-// that honor it, on a clustered metro network.
+// TestRunSparseScaleTier drives the scale-tier solvers through the
+// one-shot path on a clustered metro network: each reports the stored
+// entry count of its sparse result.
 func TestRunSparseScaleTier(t *testing.T) {
 	for _, algo := range []string{"frankwolfe", "mine", "proxy"} {
 		var sb strings.Builder
 		cfg := config{M: 30, Net: "metro", Dist: "zipf", Speeds: "uniform",
-			Algo: algo, Avg: 60, Seed: 4, Sparse: true, Iters: 40}
+			Algo: algo, Avg: 60, Seed: 4, Iters: 40}
 		if err := run(context.Background(), cfg, &sb); err != nil {
-			t.Fatalf("run(algo=%s, sparse): %v", algo, err)
+			t.Fatalf("run(algo=%s): %v", algo, err)
 		}
 		out := sb.String()
 		if !strings.Contains(out, "final") {
-			t.Errorf("run(algo=%s, sparse) produced no result line:\n%s", algo, out)
+			t.Errorf("run(algo=%s) produced no result line:\n%s", algo, out)
 		}
-		if algo == "frankwolfe" && !strings.Contains(out, "nnz=") {
-			t.Errorf("sparse frankwolfe did not report nnz:\n%s", out)
+		if !strings.Contains(out, "nnz=") {
+			t.Errorf("%s did not report nnz:\n%s", algo, out)
 		}
 	}
 }

@@ -92,19 +92,19 @@ func (s *System) AverageLatency() float64 { return s.in.AverageLatency() }
 
 // Identity returns the no-relaying baseline: every organization serves
 // its own requests locally. Its Cost is the natural reference point for
-// how much balancing helps.
+// how much balancing helps. It costs O(m): the allocation is the sparse
+// diagonal r_ii = n_i.
 func (s *System) Identity() *Result {
-	return resultFromAllocation(s.in, model.Identity(s.in))
+	return resultFromSparseRequests(s.in, sparse.Diagonal(s.in.Load))
 }
 
 // Result is the outcome of an optimization or equilibrium computation.
 //
-// The allocation itself is stored in whichever form the producing
-// solver worked in — dense, or sparse for the scale-tier paths
-// (WithSparse) — and the dense Requests/Fractions matrices are
-// materialized lazily on first call, so results from an m=5000 sparse
-// solve stay O(nnz) until a caller explicitly asks for the O(m²) form.
-// Use Each / AllocationDistance to consume large results sparsely.
+// The allocation is stored as sparse rows in request units, whatever
+// form the producing solver worked in; the dense Requests/Fractions
+// matrices are materialized lazily on first call, so results from an
+// m=5000 solve stay O(nnz) until a caller explicitly asks for the O(m²)
+// form. Use Each / AllocationDistance to consume large results sparsely.
 type Result struct {
 	// Loads[j] is the resulting total load of server j.
 	Loads []float64
@@ -124,38 +124,40 @@ type Result struct {
 	// Gap is the final Frank–Wolfe duality gap (0 for other solvers);
 	// Cost − Gap lower-bounds the optimal cost.
 	Gap float64
-	// NNZ is the number of nonzero entries in the final allocation when
-	// the solve ran on the sparse scale-tier path (WithSparse); 0
-	// otherwise. nnz ≪ m² is what makes m in the thousands practical.
+	// NNZ is the number of allocation entries the result stores — the
+	// entries Each visits (0 when the result carries no allocation).
+	// nnz ≪ m² is what makes m in the thousands practical.
 	NNZ int
 	// Reason says why the solve stopped: "stable", "tolerance",
 	// "max-iters", "callback", "target" or "canceled" for solver runs;
 	// "rounds" for a Session.RunCluster that completed its tick budget.
 	Reason string
 
-	mu sync.Mutex
-	// Exactly one of requests / sparseReq is set at construction; the
-	// other — and fractions — materialize lazily under mu.
-	requests  [][]float64
-	sparseReq *sparse.Matrix
-	fractions [][]float64
+	// req is the allocation r_ij, set at construction and never
+	// mutated; nil on a metadata-only result.
+	req *sparse.Matrix
 	// orgLoads is n_i at solve time, the Fractions denominator.
 	orgLoads []float64
+
+	mu sync.Mutex
+	// requests and fractions are the dense views, materialized lazily
+	// under mu.
+	requests  [][]float64
+	fractions [][]float64
 }
 
 // M returns the number of organizations covered by the result.
 func (r *Result) M() int { return len(r.orgLoads) }
 
 // Requests returns the dense r matrix: Requests()[i][j] is r_ij, the
-// number of organization i's requests executed at server j. For a
-// sparse-backed result the matrix is materialized (O(m²)) on first call
-// and cached; prefer Each at scale. Treat the returned matrix as
-// read-only.
+// number of organization i's requests executed at server j. The matrix
+// is materialized (O(m²)) on first call and cached; prefer Each at
+// scale. Treat the returned matrix as read-only.
 func (r *Result) Requests() [][]float64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.requests == nil && r.sparseReq != nil {
-		r.requests = r.sparseReq.Dense()
+	if r.requests == nil && r.req != nil {
+		r.requests = r.req.Dense()
 	}
 	return r.requests
 }
@@ -172,32 +174,14 @@ func (r *Result) Fractions() [][]float64 {
 	m := r.M()
 	rho := make([][]float64, m)
 	buf := make([]float64, m*m)
-	for i := range rho {
-		rho[i], buf = buf[:m:m], buf[m:]
-	}
-	fill := func(i, j int, v float64) { rho[i][j] = v / r.orgLoads[i] }
 	for i, n := range r.orgLoads {
+		rho[i], buf = buf[:m:m], buf[m:]
 		if n == 0 {
 			rho[i][i] = 1
+			continue
 		}
-	}
-	if r.sparseReq != nil && r.requests == nil {
-		for i, idx := range r.sparseReq.Idx {
-			if r.orgLoads[i] == 0 {
-				continue
-			}
-			for t, j := range idx {
-				fill(i, int(j), r.sparseReq.Val[i][t])
-			}
-		}
-	} else {
-		for i, row := range r.requests {
-			if r.orgLoads[i] == 0 {
-				continue
-			}
-			for j, v := range row {
-				fill(i, j, v)
-			}
+		for t, j := range r.req.Idx[i] {
+			rho[i][j] = r.req.Val[i][t] / n
 		}
 	}
 	r.fractions = rho
@@ -205,25 +189,14 @@ func (r *Result) Fractions() [][]float64 {
 }
 
 // Each calls f for every stored allocation entry (i, j, r_ij) in row-
-// major order. On a sparse-backed result only the nonzeros are visited;
-// on a dense-backed one every entry is, including explicit zeros — check
-// req != 0 when only mass matters. This is the O(nnz) way to consume a
-// scale-tier result without materializing Requests.
+// major order — NNZ calls in all. A stored entry may be an explicit
+// zero (an organization with no load keeps its identity entry), so
+// check req != 0 when only mass matters. This is the O(nnz) way to
+// consume a scale-tier result without materializing Requests.
 func (r *Result) Each(f func(i, j int, req float64)) {
-	r.mu.Lock()
-	sp, dense := r.sparseReq, r.requests
-	r.mu.Unlock()
-	if dense != nil || sp == nil {
-		for i, row := range dense {
-			for j, v := range row {
-				f(i, j, v)
-			}
-		}
-		return
-	}
-	for i, idx := range sp.Idx {
-		val := sp.Val[i]
-		for t, j := range idx {
+	for i := 0; i < r.M(); i++ {
+		val := r.req.Val[i]
+		for t, j := range r.req.Idx[i] {
 			f(i, int(j), val[t])
 		}
 	}
@@ -231,48 +204,32 @@ func (r *Result) Each(f func(i, j int, req float64)) {
 
 // AllocationDistance returns Σ_ij |a_ij − b_ij|, the Manhattan distance
 // between two results' allocations (the metric of paper Proposition 1;
-// half of it is the volume of requests that changed server). When both
-// results are sparse-backed the merge runs in O(nnz_a + nnz_b). Results
-// of different sizes (a churn event between them) are infinitely far
-// apart: the distance is +Inf.
+// half of it is the volume of requests that changed server), merged over
+// the stored entries in O(nnz_a + nnz_b). Results of different sizes (a
+// churn event between them) are infinitely far apart: the distance is
+// +Inf.
 func AllocationDistance(a, b *Result) float64 {
 	if a.M() != b.M() {
 		return math.Inf(1)
 	}
-	a.mu.Lock()
-	sa, da := a.sparseReq, a.requests
-	a.mu.Unlock()
-	b.mu.Lock()
-	sb, db := b.sparseReq, b.requests
-	b.mu.Unlock()
-	if sa != nil && da == nil && sb != nil && db == nil {
-		var d float64
-		for i := range sa.Idx {
-			ia, va := sa.Idx[i], sa.Val[i]
-			ib, vb := sb.Idx[i], sb.Val[i]
-			x, y := 0, 0
-			for x < len(ia) || y < len(ib) {
-				switch {
-				case y == len(ib) || (x < len(ia) && ia[x] < ib[y]):
-					d += math.Abs(va[x])
-					x++
-				case x == len(ia) || ib[y] < ia[x]:
-					d += math.Abs(vb[y])
-					y++
-				default:
-					d += math.Abs(va[x] - vb[y])
-					x++
-					y++
-				}
-			}
-		}
-		return d
-	}
-	ra, rb := a.Requests(), b.Requests()
 	var d float64
-	for i, row := range ra {
-		for j, v := range row {
-			d += math.Abs(v - rb[i][j])
+	for i := 0; i < a.M(); i++ {
+		ia, va := a.req.Idx[i], a.req.Val[i]
+		ib, vb := b.req.Idx[i], b.req.Val[i]
+		x, y := 0, 0
+		for x < len(ia) || y < len(ib) {
+			switch {
+			case y == len(ib) || (x < len(ia) && ia[x] < ib[y]):
+				d += math.Abs(va[x])
+				x++
+			case x == len(ia) || ib[y] < ia[x]:
+				d += math.Abs(vb[y])
+				y++
+			default:
+				d += math.Abs(va[x] - vb[y])
+				x++
+				y++
+			}
 		}
 	}
 	return d
@@ -284,8 +241,10 @@ func AllocationDistance(a, b *Result) float64 {
 // registered via RegisterSolver: loads, total cost and per-organization
 // costs are derived from the system, exactly as the built-in solvers
 // do, so Session.Reoptimize adopts the allocation and EpsilonNash /
-// DistanceBound / RoundTasks accept the result. The matrix is not
-// copied. Iteration/convergence metadata is the caller's to fill in.
+// DistanceBound / RoundTasks accept the result. The result stores the
+// matrix's nonzeros and keeps the matrix itself, uncopied, as its
+// Requests view. Iteration/convergence metadata is the caller's to fill
+// in.
 func NewResult(sys *System, requests [][]float64) (*Result, error) {
 	m := sys.in.M()
 	if len(requests) != m {
@@ -301,39 +260,22 @@ func NewResult(sys *System, requests [][]float64) (*Result, error) {
 
 // hasAllocation reports whether the result carries an allocation at all
 // (solver errors can produce metadata-only results).
-func (r *Result) hasAllocation() bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.requests != nil || r.sparseReq != nil
-}
+func (r *Result) hasAllocation() bool { return r.req != nil }
 
-// sparseRequests returns the sparse backing, materializing it from the
-// dense form when needed (O(m²) scan, only on mixed solver/session
-// mode combinations such as a MinE solve feeding a sparse session).
-func (r *Result) sparseRequests() *sparse.Matrix {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.sparseReq == nil && r.requests != nil {
-		r.sparseReq = sparse.FromDense(r.requests, 0)
-	}
-	return r.sparseReq
-}
-
+// resultFromAllocation builds a Result around a dense allocation: its
+// nonzeros become the sparse backing and a.R the pre-filled Requests
+// view. Loads, Cost and OrgCosts match model's dense folds bit for bit,
+// since a dense zero only ever adds +0 to them.
 func resultFromAllocation(in *model.Instance, a *model.Allocation) *Result {
-	return &Result{
-		requests: a.R,
-		orgLoads: append([]float64(nil), in.Load...),
-		Loads:    a.Loads(),
-		Cost:     model.TotalCost(in, a),
-		OrgCosts: model.OrgCosts(in, a),
-	}
+	res := resultFromSparseRequests(in, sparse.FromDense(a.R, 0))
+	res.requests = a.R
+	return res
 }
 
 // resultFromSparseRequests builds a Result around a sparse requests
 // matrix without densifying: loads, total cost and per-organization
-// costs are computed in O(nnz + m) with the same accumulation order as
-// the dense resultFromAllocation, so the two agree bit for bit on
-// matching allocations (dense zeros contribute exact +0 terms).
+// costs are computed in O(nnz + m) with the accumulation order of the
+// dense model.TotalCost and model.OrgCosts.
 func resultFromSparseRequests(in *model.Instance, req *sparse.Matrix) *Result {
 	m := in.M()
 	loads := make([]float64, m)
@@ -368,11 +310,12 @@ func resultFromSparseRequests(in *model.Instance, req *sparse.Matrix) *Result {
 		orgCosts[i] = c
 	}
 	return &Result{
-		sparseReq: req,
-		orgLoads:  append([]float64(nil), in.Load...),
-		Loads:     loads,
-		Cost:      congestion + comm,
-		OrgCosts:  orgCosts,
+		req:      req,
+		orgLoads: append([]float64(nil), in.Load...),
+		Loads:    loads,
+		Cost:     congestion + comm,
+		OrgCosts: orgCosts,
+		NNZ:      req.NNZ(),
 	}
 }
 
@@ -413,10 +356,9 @@ func WithSolver(name string) Option { return func(o *options) { o.solver = name 
 // WithFWVariant selects the Frank–Wolfe step rule for the "frankwolfe"
 // solver: FWClassic (plain conditional gradient, the default), FWAway
 // (away steps over the active vertex set — linear convergence, lean warm
-// iterates) or FWPairwise (pairwise steps, same properties). The choice
-// applies to both the dense and the sparse (WithSparse) paths, which stay
-// bit-identical; solvers other than "frankwolfe" reject non-classic
-// variants. Use ParseFWVariant to map command-line spellings.
+// iterates) or FWPairwise (pairwise steps, same properties). Solvers
+// other than "frankwolfe" reject non-classic variants. Use
+// ParseFWVariant to map command-line spellings.
 func WithFWVariant(v FWVariant) Option { return func(o *options) { o.FWVariant = v } }
 
 // WithTolerance sets the convergence tolerance of the QP baselines and
@@ -430,17 +372,12 @@ func WithProgress(fn func(iteration int, cost float64) bool) Option {
 	return func(o *options) { o.Progress = fn }
 }
 
-// WithSparse routes the solve through the large-m scale tier: the
-// "frankwolfe" solver runs on the sparse row-major iterate (O(nnz)
-// memory, cluster-aware linear minimization on block-structured
-// networks such as NetClustered) and keeps its result sparse. The MinE
-// family ("mine", "hybrid", "proxy") always runs on sparse rows with
-// per-server owner lists, and "hybrid"/"proxy" always search partners
-// through the metro index on block networks, so for the MinE family the
-// option only reports Result.NNZ. Results are bit-identical with and
-// without the option and deterministic for a fixed seed. Solvers without
-// a sparse path ("projgrad", "nash") ignore the option.
-func WithSparse() Option { return func(o *options) { o.Sparse = true } }
+// WithSparse once selected the large-m scale tier. Every solve and
+// every Session now keeps its allocation as sparse rows, and every
+// Result reports NNZ, so the option does nothing.
+//
+// Deprecated: drop the call; results are identical without it.
+func WithSparse() Option { return func(*options) {} }
 
 // WithObs attaches an observability scope to the solve: the QP solvers
 // report per-sweep duality gap, oracle-call and drop-step counts, and a
@@ -597,7 +534,7 @@ func (s *System) RoundTasks(res *Result, tasks []Task) ([]int, *Result) {
 // with the number of delivered messages.
 func (s *System) SimulateDistributed(rounds int, opts ...Option) (*Result, int) {
 	o := buildOptions(opts)
-	minGain := 1e-6 * (1 + model.TotalCost(s.in, model.Identity(s.in)))
+	minGain := 1e-6 * (1 + s.Identity().Cost)
 	bus := runtime.NewSimBus(s.in, minGain, o.Seed)
 	bus.Run(s.in, rounds, 1e-9)
 	res := resultFromAllocation(s.in, bus.Allocation())

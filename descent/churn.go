@@ -32,7 +32,7 @@ func (p *Plane) UpdateLoads(loads []float64) error {
 			return fmt.Errorf("descent: UpdateLoads load[%d]=%v, must be non-negative and finite", i, l)
 		}
 	}
-	next := dynamic.RescaleSparse(p.Allocation(), p.in.Load, loads)
+	next := dynamic.Rescale(p.Allocation(), p.in.Load, loads)
 	in := p.in.Clone()
 	copy(in.Load, loads)
 	return p.rebuild(in, next)
@@ -47,7 +47,7 @@ func (p *Plane) Join(speed, load float64, latTo, latFrom []float64, cluster int)
 	if err != nil {
 		return err
 	}
-	next := dynamic.ExpandSparse(p.Allocation(), load)
+	next := dynamic.Expand(p.Allocation(), load)
 	return p.rebuild(in, next)
 }
 
@@ -63,7 +63,7 @@ func (p *Plane) Leave(i int) error {
 	if err != nil {
 		return err
 	}
-	next := dynamic.CollapseSparse(p.Allocation(), i)
+	next := dynamic.Collapse(p.Allocation(), i)
 	return p.rebuild(in, next)
 }
 

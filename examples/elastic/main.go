@@ -61,7 +61,6 @@ func run(w io.Writer) error {
 	tl, err := replay.Run(context.Background(), tr, replay.Config{
 		Options: []delaylb.Option{
 			delaylb.WithSolver("mine"),
-			delaylb.WithSparse(),
 			delaylb.WithSeed(seed),
 		},
 		Verify: true, // re-check row-stochastic feasibility every epoch

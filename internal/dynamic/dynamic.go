@@ -102,7 +102,7 @@ func Track(in *model.Instance, cfg Config) []EpochStats {
 
 		ref := core.ReferenceOptimum(next, rand.New(rand.NewSource(cfg.Seed+int64(epoch))))
 
-		warm := core.NewState(next, RescaleSparse(prev, cur.Load, next.Load))
+		warm := core.NewState(next, Rescale(prev, cur.Load, next.Load))
 		warmCost := warm.Cost()
 		warmTr := core.RunState(warm, core.Config{
 			Strategy: cfg.Strategy, MaxIters: cfg.MaxIters,
@@ -146,26 +146,6 @@ func Evolve(in *model.Instance, churn, spikeProb, spikeFactor float64, rng *rand
 			in.Load[i] = 0
 		}
 	}
-}
-
-// Rescale adapts an allocation from the old loads to the new ones by
-// preserving each organization's relay fractions — what a running system
-// does naturally when its demand changes but its routing table persists.
-// Organizations that previously had zero load start from identity.
-func Rescale(a *model.Allocation, oldIn, newIn *model.Instance) *model.Allocation {
-	m := oldIn.M()
-	out := model.NewAllocation(m)
-	for i := 0; i < m; i++ {
-		if oldIn.Load[i] > 0 {
-			scale := newIn.Load[i] / oldIn.Load[i]
-			for j := 0; j < m; j++ {
-				out.R[i][j] = a.R[i][j] * scale
-			}
-		} else {
-			out.R[i][i] = newIn.Load[i]
-		}
-	}
-	return out
 }
 
 // Summary aggregates the tracking run.

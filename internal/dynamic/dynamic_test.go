@@ -7,6 +7,7 @@ import (
 
 	"delaylb/internal/model"
 	"delaylb/internal/netmodel"
+	"delaylb/internal/sparse"
 	"delaylb/internal/workload"
 )
 
@@ -51,24 +52,22 @@ func TestRescalePreservesFractionsAndMass(t *testing.T) {
 	oldIn := testInstance(5, 10)
 	newIn := oldIn.Clone()
 	Evolve(newIn, 0.2, 0, 0, rand.New(rand.NewSource(6)))
-	a := model.Identity(oldIn)
+	a := sparse.Diagonal(oldIn.Load)
 	// Spread some mass around first.
 	for i := 0; i < 10; i++ {
 		if oldIn.Load[i] > 0 {
-			a.R[i][i] /= 2
-			a.R[i][(i+1)%10] = oldIn.Load[i] / 2
+			a.Set(i, i, oldIn.Load[i]/2)
+			a.Set(i, (i+1)%10, oldIn.Load[i]/2)
 		}
 	}
-	out := Rescale(a, oldIn, newIn)
-	if err := out.Validate(newIn, 1e-9); err != nil {
-		t.Fatalf("rescaled allocation invalid: %v", err)
-	}
+	out := Rescale(a, oldIn.Load, newIn.Load)
+	assertFeasible(t, out, newIn)
 	for i := 0; i < 10; i++ {
 		if oldIn.Load[i] == 0 || newIn.Load[i] == 0 {
 			continue
 		}
-		oldFrac := a.R[i][i] / oldIn.Load[i]
-		newFrac := out.R[i][i] / newIn.Load[i]
+		oldFrac := a.Get(i, i) / oldIn.Load[i]
+		newFrac := out.Get(i, i) / newIn.Load[i]
 		if math.Abs(oldFrac-newFrac) > 1e-9 {
 			t.Fatalf("org %d fraction changed: %v → %v", i, oldFrac, newFrac)
 		}
@@ -80,10 +79,9 @@ func TestRescaleHandlesZeroOldLoad(t *testing.T) {
 	oldIn.Load[2] = 0
 	newIn := oldIn.Clone()
 	newIn.Load[2] = 50
-	a := model.Identity(oldIn)
-	out := Rescale(a, oldIn, newIn)
-	if out.R[2][2] != 50 {
-		t.Errorf("new load of previously empty org not placed locally: %v", out.R[2])
+	out := Rescale(sparse.Diagonal(oldIn.Load), oldIn.Load, newIn.Load)
+	if out.Get(2, 2) != 50 {
+		t.Errorf("new load of previously empty org not placed locally: %v", out.Dense()[2])
 	}
 }
 

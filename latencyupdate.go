@@ -14,7 +14,7 @@ import (
 // table — and a NetClustered session absorbs it natively on the k×k
 // delay table in O(m + k²).
 //
-// The dense path survives as the oracle: on a dense session with
+// The dense path survives as the oracle: on a dense-latency session with
 // cluster labels the same update is applied entry-by-entry, bit-identical
 // to the block fast path (pinned by FuzzLatencyUpdate), so a replay on a
 // block session and its dense twin produce byte-identical timelines.
@@ -79,8 +79,8 @@ func DenseMaterializations() int64 {
 // On a block-latency (NetClustered) session this is the O(m + k²) fast
 // path: a fresh k×k table is swapped in copy-on-write — the session
 // stays block-backed, no dense matrix is ever materialized, and
-// subsequent churn keeps its O(m + k²) cost. On a dense session with
-// cluster labels the update applies to the matrix entry-by-entry
+// subsequent churn keeps its O(m + k²) cost. On a dense-latency session
+// with cluster labels the update applies to the matrix entry-by-entry
 // (bit-identical to the block path); without labels it errors, and
 // Session.UpdateLatency remains the escape hatch for unstructured
 // changes. The allocation is untouched — it stays feasible because no

@@ -19,7 +19,7 @@
 // seeding discipline as the sweep engine.
 //
 //	tr, _ := replay.FlashCrowd(delaylb.NewScenario(2000).WithClusters(12).WithLoads(delaylb.LoadZipf, 100), 8, 6, 10, 1)
-//	tl, _ := replay.Run(ctx, tr, replay.Config{}) // DefaultOptions: sparse away-step Frank–Wolfe
+//	tl, _ := replay.Run(ctx, tr, replay.Config{}) // DefaultOptions: away-step Frank–Wolfe
 //	tl.WriteTable(os.Stdout)
 package replay
 

@@ -8,7 +8,7 @@ import (
 	"delaylb"
 )
 
-// latEngine builds a bare session backend around a fresh dense session,
+// latEngine builds a bare session backend around a fresh dense-latency session,
 // the way Run does, for latency-event unit tests.
 func latEngine(t *testing.T, m int) (*sessionBackend, [][]float64) {
 	t.Helper()

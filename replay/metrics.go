@@ -51,8 +51,7 @@ type EpochMetrics struct {
 	// pre- and post-reoptimization request matrices — the number of
 	// requests the epoch's re-solve actually moved.
 	Moved float64 `json:"moved"`
-	// NNZ is the adopted allocation's nonzero count when the solve ran
-	// on the sparse scale-tier path; 0 otherwise.
+	// NNZ is the warm solve's stored-entry count (Result.NNZ).
 	NNZ int `json:"nnz,omitempty"`
 }
 

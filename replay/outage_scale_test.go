@@ -30,7 +30,6 @@ func TestMetroOutageReplayBlockMatchesDenseTimeline(t *testing.T) {
 	cfg := Config{
 		Options: []delaylb.Option{
 			delaylb.WithSolver("proxy"),
-			delaylb.WithSparse(),
 			delaylb.WithMaxIterations(40),
 		},
 		SkipCold: true,
@@ -67,7 +66,7 @@ func TestMetroOutageReplayBlockMatchesDenseTimeline(t *testing.T) {
 // TestMetroOutageReplayM5000NoDense is the acceptance bar of this tier,
 // verbatim: an m=5000 NetClustered metro-outage replay — the workload
 // whose LatencyShift event used to force the dense m×m matrix into
-// existence — runs with the proxy solver under WithSparse on one CPU
+// existence — runs with the proxy solver on one CPU
 // with the dense matrix never materialized and resident memory far
 // below the ~190 MiB a single m=5000 float64 matrix costs. The shift
 // and its restore ride the structured-update path (O(m + k²) per event,
@@ -86,7 +85,6 @@ func TestMetroOutageReplayM5000NoDense(t *testing.T) {
 	cfg := Config{
 		Options: []delaylb.Option{
 			delaylb.WithSolver("proxy"),
-			delaylb.WithSparse(),
 			delaylb.WithMaxIterations(40),
 		},
 		SkipCold: true,

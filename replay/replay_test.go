@@ -97,7 +97,7 @@ func TestRunTimelineDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := []delaylb.Option{delaylb.WithSolver("frankwolfe"), delaylb.WithSparse(), delaylb.WithTolerance(1e-8), delaylb.WithMaxIterations(300)}
+	opts := []delaylb.Option{delaylb.WithSolver("frankwolfe"), delaylb.WithTolerance(1e-8), delaylb.WithMaxIterations(300)}
 	var bufs [2]bytes.Buffer
 	for r := 0; r < 2; r++ {
 		tl := run(t, tr, opts...)
@@ -141,7 +141,7 @@ func TestRunMetroOutageDipsAndRecovers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tl := run(t, tr, delaylb.WithSolver("frankwolfe"), delaylb.WithSparse(), delaylb.WithTolerance(1e-8))
+	tl := run(t, tr, delaylb.WithSolver("frankwolfe"), delaylb.WithTolerance(1e-8))
 	first, last := tl.Epochs[1], tl.Epochs[len(tl.Epochs)-1]
 	if first.Servers >= 12 {
 		t.Errorf("outage epoch kept m=%d", first.Servers)

@@ -40,7 +40,6 @@ func TestScaleTierReplayM2000(t *testing.T) {
 	cfg := Config{
 		Options: []delaylb.Option{
 			delaylb.WithSolver("proxy"),
-			delaylb.WithSparse(),
 			delaylb.WithMaxIterations(60),
 		},
 		Verify: true,
@@ -133,7 +132,6 @@ func TestReplayBlockMatchesDenseTimelineM2000(t *testing.T) {
 	cfg := Config{
 		Options: []delaylb.Option{
 			delaylb.WithSolver("proxy"),
-			delaylb.WithSparse(),
 			delaylb.WithMaxIterations(40),
 		},
 		SkipCold: true, // halves the work; the warm path is what differs
@@ -187,7 +185,6 @@ func TestScaleTierReplayM5000NoDense(t *testing.T) {
 	cfg := Config{
 		Options: []delaylb.Option{
 			delaylb.WithSolver("frankwolfe"),
-			delaylb.WithSparse(),
 			delaylb.WithMaxIterations(120),
 		},
 		SkipCold: true,
@@ -258,7 +255,6 @@ func TestScaleTierAwayFWWarmSupport(t *testing.T) {
 			Options: []delaylb.Option{
 				delaylb.WithSolver("frankwolfe"),
 				delaylb.WithFWVariant(variant),
-				delaylb.WithSparse(),
 				delaylb.WithMaxIterations(120),
 			},
 			SkipCold: true,

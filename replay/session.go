@@ -11,12 +11,12 @@ import (
 // Config tunes a replay run.
 type Config struct {
 	// Options are the session defaults for every warm re-solve and for
-	// the per-epoch cold baseline: solver selection, WithSparse,
-	// iteration caps, tolerances, seed. Do not pass WithProgress or
-	// WithWarmStart here — the engine owns both (warm starts come from
-	// the session, progress callbacks record the cost trajectories).
-	// Nil means DefaultOptions(); pass a non-nil empty slice to run the
-	// registry defaults (MinE, dense) instead.
+	// the per-epoch cold baseline: solver selection, iteration caps,
+	// tolerances, seed. Do not pass WithProgress or WithWarmStart here —
+	// the engine owns both (warm starts come from the session, progress
+	// callbacks record the cost trajectories). Nil means
+	// DefaultOptions(); pass a non-nil empty slice to run the registry
+	// default (exact MinE) instead.
 	Options []delaylb.Option
 	// Band is the relative optimality band used for iterations-to-band
 	// (default 0.02, the paper's Table I target).
@@ -28,8 +28,8 @@ type Config struct {
 	// Verify re-checks allocation feasibility (every row summing to its
 	// organization's load, entries non-negative) after each epoch and
 	// fails the run on violation. It walks the allocation's stored
-	// entries: O(nnz) per epoch on sparse sessions, O(m²) on dense ones —
-	// cheap next to a solve; tests and the acceptance harness keep it on.
+	// entries, O(nnz) per epoch — cheap next to a solve; tests and the
+	// acceptance harness keep it on.
 	Verify bool
 	// Progress, if non-nil, is called after each completed epoch with
 	// the number of completed timeline rows and the total.
@@ -42,7 +42,7 @@ type Config struct {
 }
 
 // DefaultOptions is the engine's default solver configuration, used when
-// Config.Options is nil: sparse away-step Frank–Wolfe. Away steps make
+// Config.Options is nil: away-step Frank–Wolfe. Away steps make
 // the warm re-solves linearly convergent AND keep the warm iterate's
 // support bounded across epochs — classic FW warm starts accumulate
 // stale vertices every epoch (hundreds of thousands of nnz at m=5000)
@@ -53,7 +53,6 @@ func DefaultOptions() []delaylb.Option {
 	return []delaylb.Option{
 		delaylb.WithSolver("frankwolfe"),
 		delaylb.WithFWVariant(delaylb.FWAway),
-		delaylb.WithSparse(),
 		delaylb.WithTolerance(1e-6),
 		delaylb.WithMaxIterations(600),
 	}
@@ -408,8 +407,7 @@ func (en *sessionBackend) measure(ctx context.Context, ep epochInfo) (EpochMetri
 	}
 
 	// Reallocation churn: how many requests this epoch's re-solve moved.
-	// AllocationDistance merges sparse results in O(nnz) and reproduces
-	// the dense row-major summation order exactly.
+	// AllocationDistance merges the two results' sparse rows in O(nnz).
 	row.Moved = delaylb.AllocationDistance(pre, warm) / 2
 	return row, nil
 }

@@ -33,7 +33,6 @@ func TestScaleTierM2000(t *testing.T) {
 		// long) in about 2 s on a single CPU.
 		res, err := sys.Optimize(
 			WithSolver("frankwolfe"),
-			WithSparse(),
 			WithMaxIterations(600),
 			WithTolerance(1e-6),
 		)

@@ -28,8 +28,8 @@ const (
 	// small intra-metro value within a metro and one shared backbone
 	// delay per metro pair (metro centers sit in a square of side
 	// Scenario.Latency ms). The latency matrix is exactly
-	// block-structured, which the sparse Frank–Wolfe solver detects and
-	// exploits (WithSparse) — the realistic structure of large
+	// block-structured, which the Frank–Wolfe solver detects and
+	// exploits — the realistic structure of large
 	// deployments, where each organization routes to a handful of
 	// nearby sites.
 	NetClustered NetworkKind = "clustered"

@@ -43,12 +43,11 @@ import (
 // event costs O(m + k²) instead of the O(m²) full-matrix clone of the
 // dense path — the property session_alloc_test.go pins.
 //
-// For sessions over thousands of servers, pass WithSparse (and usually
-// WithSolver("frankwolfe") or the "proxy" MinE variant) as a session
-// default at NewSession: every Reoptimize then runs on the scale-tier
-// sparse paths, and the session itself carries the allocation in sparse
-// form end to end — UpdateLoads and churn projections are O(nnz + m),
-// and results stay sparse until a caller materializes them.
+// The allocation itself is carried as sparse rows in request units, so
+// UpdateLoads and the churn projections are O(nnz + m) and results stay
+// sparse until a caller materializes them. For sessions over thousands
+// of servers, pass WithSolver("frankwolfe") or the "proxy" MinE variant
+// as a session default at NewSession.
 //
 // A Session is safe for concurrent use. The lock is released while a
 // solve or cluster run is in flight, so observers — including the
@@ -56,32 +55,20 @@ import (
 // any time; a result computed against a state that was updated mid-run
 // is returned but not adopted.
 type Session struct {
-	mu sync.Mutex
-	in *model.Instance
-	// Exactly one of alloc (dense mode) and salloc (sparse mode, request
-	// units) is non-nil; the mode is fixed at NewSession by WithSparse.
-	alloc  *model.Allocation
-	salloc *sparse.Matrix
-	base   []Option // defaults captured at NewSession, prepended per call
-	epoch  int      // counts load/latency updates
+	mu    sync.Mutex
+	in    *model.Instance
+	alloc *sparse.Matrix // the current allocation, request units
+	base  []Option       // defaults captured at NewSession, prepended per call
+	epoch int            // counts load/latency updates
 }
 
 // NewSession starts a session from the system's instance and the identity
-// allocation (every organization serving itself). The given options
-// become the session's defaults for every Reoptimize/RunCluster call;
-// per-call options override them. With WithSparse among the defaults the
-// session carries its allocation sparsely end to end.
+// allocation (every organization serving itself), held as sparse rows.
+// The given options become the session's defaults for every
+// Reoptimize/RunCluster call; per-call options override them.
 func (s *System) NewSession(opts ...Option) *Session {
-	sess := &Session{
-		in:   s.in.Clone(),
-		base: opts,
-	}
-	if buildOptions(opts).Sparse {
-		sess.salloc = sparse.Diagonal(sess.in.Load)
-	} else {
-		sess.alloc = model.Identity(sess.in)
-	}
-	return sess
+	in := s.in.Clone()
+	return &Session{in: in, alloc: sparse.Diagonal(in.Load), base: opts}
 }
 
 // System returns an immutable snapshot of the session's current instance,
@@ -170,16 +157,13 @@ func (s *Session) Clusters() []int {
 }
 
 // Result snapshots the current allocation as a Result (no solving). The
-// snapshot is a copy: mutating it cannot corrupt the session. On a
-// sparse session the snapshot stays sparse (O(nnz)); its dense
-// Requests/Fractions views materialize lazily if asked for.
+// snapshot is a copy: mutating it cannot corrupt the session. It stays
+// sparse (O(nnz)); its dense Requests/Fractions views materialize lazily
+// if asked for.
 func (s *Session) Result() *Result {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.salloc != nil {
-		return resultFromSparseRequests(s.in, s.salloc.Clone())
-	}
-	return resultFromAllocation(s.in, s.alloc.Clone())
+	return resultFromSparseRequests(s.in, s.alloc.Clone())
 }
 
 // Cost returns ΣC_i of the current allocation under the current loads
@@ -187,17 +171,7 @@ func (s *Session) Result() *Result {
 func (s *Session) Cost() float64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.salloc != nil {
-		return sparseTotalCost(s.in, s.salloc)
-	}
-	return model.TotalCost(s.in, s.alloc)
-}
-
-// sparseTotalCost is model.TotalCost on a sparse requests matrix, with
-// the same accumulation order (O(nnz + m)). It lives in the model
-// package now so the descent plane shares the exact fold.
-func sparseTotalCost(in *model.Instance, req *sparse.Matrix) float64 {
-	return model.TotalCostSparse(in, req)
+	return model.TotalCostSparse(s.in, s.alloc)
 }
 
 // UpdateLoads replaces the per-organization loads. The current allocation
@@ -207,7 +181,7 @@ func sparseTotalCost(in *model.Instance, req *sparse.Matrix) float64 {
 //
 // Only the load vector is copied: the latency view, speeds and cluster
 // labels are shared with the previous epoch's instance (which is
-// immutable), so the update is O(m + nnz) in either session mode.
+// immutable), so the update is O(m + nnz).
 func (s *Session) UpdateLoads(loads []float64) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -225,11 +199,7 @@ func (s *Session) UpdateLoads(loads []float64) error {
 		Latency: s.in.Latency,
 		Cluster: s.in.Cluster,
 	}
-	if s.salloc != nil {
-		s.salloc = dynamic.RescaleSparse(s.salloc, s.in.Load, next.Load)
-	} else {
-		s.alloc = dynamic.Rescale(s.alloc, s.in, next)
-	}
+	s.alloc = dynamic.Rescale(s.alloc, s.in.Load, next.Load)
 	s.in = next
 	s.epoch++
 	return nil
@@ -319,11 +289,7 @@ func (s *Session) AddServer(spec ServerSpec) error {
 	if err != nil {
 		return err
 	}
-	if s.salloc != nil {
-		s.salloc = dynamic.ExpandSparse(s.salloc, spec.Load)
-	} else {
-		s.alloc = dynamic.Expand(s.alloc, spec.Load)
-	}
+	s.alloc = dynamic.Expand(s.alloc, spec.Load)
 	s.in = next
 	s.epoch++
 	return nil
@@ -342,11 +308,7 @@ func (s *Session) RemoveServer(i int) error {
 	if err != nil {
 		return err
 	}
-	if s.salloc != nil {
-		s.salloc = dynamic.CollapseSparse(s.salloc, i)
-	} else {
-		s.alloc = dynamic.Collapse(s.alloc, i)
-	}
+	s.alloc = dynamic.Collapse(s.alloc, i)
 	s.in = next
 	s.epoch++
 	return nil
@@ -363,10 +325,9 @@ func (s *Session) RemoveServer(i int) error {
 // UpdateLoads/UpdateLatency lands mid-solve the stale result is returned
 // but not adopted — call Reoptimize again for the new epoch.
 //
-// On a sparse session the warm start is handed to the built-in solvers
-// in sparse form; a third-party solver registered via RegisterSolver
-// sees a nil WarmStart on sparse sessions and solves cold (materializing
-// the dense warm matrix would defeat the mode's purpose).
+// The built-in solvers take the warm start in its sparse form. A
+// third-party solver registered via RegisterSolver receives it as the
+// dense SolveOptions.WarmStart, an O(m²) copy per call.
 //
 // For the away/pairwise Frank–Wolfe variants (WithFWVariant) the sparse
 // warm start carries the active vertex set itself: a simplex vertex is a
@@ -379,17 +340,17 @@ func (s *Session) RemoveServer(i int) error {
 func (s *Session) Reoptimize(ctx context.Context, opts ...Option) (*Result, error) {
 	s.mu.Lock()
 	o := buildOptions(append(append([]Option(nil), s.base...), opts...))
-	if s.salloc != nil {
-		o.warmSparse = s.salloc
-	} else {
-		o.WarmStart = s.alloc.R
-	}
-	in := s.in
-	epoch := s.epoch
+	in, alloc, epoch := s.in, s.alloc, s.epoch
 	s.mu.Unlock()
 	solver, err := resolveSolver(o.solver)
 	if err != nil {
 		return nil, err
+	}
+	switch solver.(type) {
+	case mineSolver, qpSolver, nashSolver:
+		o.WarmStart, o.warmSparse = nil, alloc
+	default:
+		o.WarmStart = alloc.Dense()
 	}
 	// Telemetry only: the churn baseline snapshot is taken only when a
 	// scope is attached, so un-instrumented sessions skip the O(nnz) copy.
@@ -420,19 +381,13 @@ func (s *Session) Reoptimize(ctx context.Context, opts ...Option) (*Result, erro
 
 // adoptLocked installs a result's allocation as the session state,
 // rescaled defensively to the instance's loads (mirroring
-// warmAllocation). Callers hold s.mu.
+// warmSparseRequests). Callers hold s.mu.
 func (s *Session) adoptLocked(in *model.Instance, res *Result) {
-	if s.salloc == nil {
-		if a, err := warmAllocation(in, res.Requests()); err == nil {
-			s.alloc = a
-		}
+	req := res.req
+	if req.Rows() != in.M() || req.Cols != in.M() {
 		return
 	}
-	req := res.sparseRequests()
-	if req == nil || len(req.Idx) != in.M() {
-		return
-	}
-	s.salloc = sparse.ScaleRows(req, func(i int) (float64, float64, bool) {
+	s.alloc = sparse.ScaleRows(req, func(i int) (float64, float64, bool) {
 		if sum := req.RowSum(i); sum > 0 {
 			return in.Load[i] / sum, 0, true
 		}
@@ -450,8 +405,8 @@ func (s *Session) adoptLocked(in *model.Instance, res *Result) {
 //
 // The session lock is not held while the cluster runs; see Reoptimize.
 // The runtime itself is dense (one goroutine per server exchanging full
-// columns), so a sparse session materializes its allocation for the run
-// — RunCluster targets the m≲hundreds regime either way.
+// columns), so the session materializes its allocation for the run —
+// RunCluster targets the m≲hundreds regime.
 // Unlike SimulateDistributed this exercises true concurrency — message
 // interleavings vary across runs — so treat per-round costs as
 // monotone-ish, not bit-reproducible.
@@ -461,14 +416,9 @@ func (s *Session) RunCluster(ctx context.Context, rounds int, onRound func(round
 	}
 	s.mu.Lock()
 	o := buildOptions(append(append([]Option(nil), s.base...), opts...))
-	in := s.in
-	start := s.alloc
-	if s.salloc != nil {
-		start = &model.Allocation{R: s.salloc.Dense()}
-	}
-	epoch := s.epoch
+	in, start, epoch := s.in, &model.Allocation{R: s.alloc.Dense()}, s.epoch
 	s.mu.Unlock()
-	minGain := 1e-6 * (1 + model.TotalCost(in, model.Identity(in)))
+	minGain := 1e-6 * (1 + (&System{in: in}).Identity().Cost)
 	cl := runtime.NewClusterFromAllocation(in, start, minGain, o.Seed)
 	defer cl.Stop()
 	done := 0
@@ -485,19 +435,15 @@ func (s *Session) RunCluster(ctx context.Context, rounds int, onRound func(round
 			break
 		}
 	}
-	reached := cl.Allocation()
+	// The session adopts the result's sparse rows, which nothing mutates;
+	// the dense matrix the cluster reached is only the result's Requests
+	// view.
+	res := resultFromAllocation(in, cl.Allocation())
 	s.mu.Lock()
 	if s.epoch == epoch {
-		if s.salloc != nil {
-			s.salloc = sparse.FromDense(reached.R, 0)
-		} else {
-			s.alloc = reached
-		}
+		s.alloc = res.req
 	}
 	s.mu.Unlock()
-	// The result gets its own copy so callers cannot mutate the adopted
-	// allocation through it.
-	res := resultFromAllocation(in, reached.Clone())
 	res.Iterations = done
 	switch {
 	case ctx.Err() != nil:

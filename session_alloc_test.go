@@ -2,6 +2,7 @@ package delaylb
 
 import (
 	"context"
+	"runtime"
 	"testing"
 
 	"delaylb/internal/model"
@@ -18,48 +19,38 @@ import (
 //
 // The bounds are intentionally loose (≳4× the measured counts, far
 // below m): they guard the complexity class, not the constant.
+// TestIdentityAllocationBound bounds bytes instead: the identity's
+// allocation count is constant either way, its size is what grows.
 
 const allocSmokeM = 500
 
-func newAllocSmokeSession(t testing.TB, sparse bool) *Session {
+func newAllocSmokeSession(t testing.TB) *Session {
 	t.Helper()
 	sc := NewScenario(allocSmokeM).WithClusters(12).WithLoads(LoadZipf, 100).WithSeed(1)
 	sys, err := sc.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sparse {
-		return sys.NewSession(WithSparse())
-	}
 	return sys.NewSession()
 }
 
 func TestUpdateLoadsAllocationBound(t *testing.T) {
-	for _, mode := range []struct {
-		name   string
-		sparse bool
-		bound  float64
-	}{
-		// Dense mode rescales into a fresh contiguous m×m allocation
-		// (3 allocs); sparse mode rebuilds the nnz backing (≈6).
-		{"dense-alloc", false, 30},
-		{"sparse-alloc", true, 30},
-	} {
-		t.Run(mode.name, func(t *testing.T) {
-			sess := newAllocSmokeSession(t, mode.sparse)
-			loads := sess.Loads()
-			n := testing.AllocsPerRun(20, func() {
-				loads[3] += 1
-				if err := sess.UpdateLoads(loads); err != nil {
-					t.Fatal(err)
-				}
-			})
-			t.Logf("UpdateLoads at m=%d: %.1f allocs/op", allocSmokeM, n)
-			if n > mode.bound {
-				t.Errorf("UpdateLoads allocates %.1f times per call (bound %v) — an O(m) clone is back on the hot path", n, mode.bound)
+	// The rescale rebuilds the sparse allocation's nnz backing (≈6
+	// allocations).
+	t.Run("sparse-alloc", func(t *testing.T) {
+		sess := newAllocSmokeSession(t)
+		loads := sess.Loads()
+		n := testing.AllocsPerRun(20, func() {
+			loads[3] += 1
+			if err := sess.UpdateLoads(loads); err != nil {
+				t.Fatal(err)
 			}
 		})
-	}
+		t.Logf("UpdateLoads at m=%d: %.1f allocs/op", allocSmokeM, n)
+		if n > 30 {
+			t.Errorf("UpdateLoads allocates %.1f times per call (bound 30) — an O(m) clone is back on the hot path", n)
+		}
+	})
 }
 
 // TestFWVariantReoptimizeAllocationBound bounds the active-set
@@ -75,7 +66,7 @@ func TestUpdateLoadsAllocationBound(t *testing.T) {
 func TestFWVariantReoptimizeAllocationBound(t *testing.T) {
 	for _, variant := range []FWVariant{FWClassic, FWAway, FWPairwise} {
 		t.Run(string(variant), func(t *testing.T) {
-			sess := newAllocSmokeSession(t, true)
+			sess := newAllocSmokeSession(t)
 			opts := []Option{WithSolver("frankwolfe"), WithFWVariant(variant), WithMaxIterations(10)}
 			ctx := context.Background()
 			// Prime once so the measured runs start from a realistic warm
@@ -111,7 +102,7 @@ func TestLatencyUpdateAllocationBound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sess := sys.NewSession(WithSparse())
+	sess := sys.NewSession()
 	delay, _, ok := sess.BlockLatency()
 	if !ok {
 		t.Fatal("clustered scenario is not block-backed")
@@ -144,31 +135,53 @@ func TestLatencyUpdateAllocationBound(t *testing.T) {
 }
 
 func TestChurnEventAllocationBound(t *testing.T) {
-	for _, mode := range []struct {
-		name   string
-		sparse bool
-		bound  float64
-	}{
-		{"dense-alloc", false, 60},
-		{"sparse-alloc", true, 60},
-	} {
-		t.Run(mode.name, func(t *testing.T) {
-			sess := newAllocSmokeSession(t, mode.sparse)
-			// One churn event = a metro join (block fast path: nil rows,
-			// label only) followed by the newcomer leaving again, so the
-			// session size is restored every iteration.
-			n := testing.AllocsPerRun(20, func() {
-				if err := sess.AddServer(ServerSpec{Speed: 2, Load: 10, Cluster: 3}); err != nil {
-					t.Fatal(err)
-				}
-				if err := sess.RemoveServer(sess.M() - 1); err != nil {
-					t.Fatal(err)
-				}
-			})
-			t.Logf("join+leave at m=%d: %.1f allocs/op", allocSmokeM, n)
-			if n > mode.bound {
-				t.Errorf("churn event allocates %.1f times per join+leave (bound %v) — an O(m²) clone is back on the churn path", n, mode.bound)
+	t.Run("sparse-alloc", func(t *testing.T) {
+		sess := newAllocSmokeSession(t)
+		// One churn event = a metro join (block fast path: nil rows,
+		// label only) followed by the newcomer leaving again, so the
+		// session size is restored every iteration.
+		n := testing.AllocsPerRun(20, func() {
+			if err := sess.AddServer(ServerSpec{Speed: 2, Load: 10, Cluster: 3}); err != nil {
+				t.Fatal(err)
+			}
+			if err := sess.RemoveServer(sess.M() - 1); err != nil {
+				t.Fatal(err)
 			}
 		})
+		t.Logf("join+leave at m=%d: %.1f allocs/op", allocSmokeM, n)
+		if n > 60 {
+			t.Errorf("churn event allocates %.1f times per join+leave (bound 60) — an O(m²) clone is back on the churn path", n)
+		}
+	})
+}
+
+// TestIdentityAllocationBound pins System.Identity at O(m) bytes. Every
+// replay cold baseline and every one-shot lbsim run starts from the
+// identity cost, and a dense m×m identity allocates 200 MB at m=5000;
+// the sparse diagonal needs well under 1 MiB. At the smoke size the
+// cost must also match the dense identity's fold bit for bit.
+func TestIdentityAllocationBound(t *testing.T) {
+	const m = 5000
+	sys, err := NewScenario(m).WithClusters(8).WithLoads(LoadZipf, 100).WithSeed(1).Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	res := sys.Identity()
+	runtime.ReadMemStats(&after)
+	bytes := after.TotalAlloc - before.TotalAlloc
+	t.Logf("Identity at m=%d: %d bytes, cost %v", m, bytes, res.Cost)
+	if bytes >= 1<<20 {
+		t.Errorf("Identity allocates %d bytes at m=%d (bound 1 MiB) — a dense m×m identity is back", bytes, m)
+	}
+
+	small, err := NewScenario(allocSmokeM).WithClusters(12).WithLoads(LoadZipf, 100).WithSeed(1).Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := small.Identity().Cost, model.TotalCost(small.in, model.Identity(small.in)); got != want {
+		t.Errorf("identity cost %v, dense fold %v", got, want)
 	}
 }

@@ -9,10 +9,13 @@ import (
 
 // BenchmarkSessionChurn measures the per-event cost of the session's
 // copy-on-write state under server churn: metro joins, leaves, load
-// updates and a (densifying) latency shift, on the block representation
-// and on the dense oracle. Run with -benchmem: the block path's bytes
-// per event are O(m + k²) while the dense path pays the O(m²) matrix
-// copy — the drop cmd/tables -bench persists into BENCH_scale.json.
+// updates and a (densifying) latency shift, on the block latency
+// representation and on the dense latency oracle. Both sessions hold
+// the same sparse allocation; the twins differ only in latency. Run
+// with -benchmem: the block path's bytes per event are O(m + k²) while
+// the dense path pays the O(m²) latency copy — the drop cmd/tables
+// -bench persists into BENCH_scale.json (whose session-churn-dense
+// rows were taken when the dense twin also held a dense allocation).
 //
 // Costs and allocation counts are deterministic; wall-clock is logged
 // for the trajectory only (1-CPU containers make speedups machine-
@@ -36,10 +39,7 @@ func BenchmarkSessionChurn(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if repr.dense {
-				return sys.NewSession()
-			}
-			return sys.NewSession(delaylb.WithSparse())
+			return sys.NewSession()
 		}
 		b.Run(repr.name+"/join-leave", func(b *testing.B) {
 			sess := build(b)
@@ -87,7 +87,7 @@ func BenchmarkSessionChurn(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		sess := sys.NewSession(delaylb.WithSparse())
+		sess := sys.NewSession()
 		delay, _, ok := sess.BlockLatency()
 		if !ok {
 			b.Fatal("clustered scenario is not block-backed")
@@ -185,12 +185,7 @@ func TestSessionChurnDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var sess *delaylb.Session
-		if dense {
-			sess = sys.NewSession()
-		} else {
-			sess = sys.NewSession(delaylb.WithSparse())
-		}
+		sess := sys.NewSession()
 		loads := sess.Loads()
 		for i := range loads {
 			loads[i] = loads[i]*1.25 + float64(i%7)
@@ -215,16 +210,15 @@ func TestSessionChurnDeterministic(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		res := sess.Result()
-		return sess.Cost(), sess.M(), res.NNZ
+		return sess.Cost(), sess.M(), sess.Result().NNZ
 	}
-	cb1, mb1, _ := run(false)
-	cb2, mb2, _ := run(false)
-	if cb1 != cb2 || mb1 != mb2 {
-		t.Fatalf("block churn not deterministic: cost %v vs %v", cb1, cb2)
+	cb1, mb1, nb1 := run(false)
+	cb2, mb2, nb2 := run(false)
+	if cb1 != cb2 || mb1 != mb2 || nb1 != nb2 {
+		t.Fatalf("block churn not deterministic: cost %v vs %v (nnz %d vs %d)", cb1, cb2, nb1, nb2)
 	}
-	cd, md, _ := run(true)
-	if cd != cb1 || md != mb1 {
-		t.Fatalf("block and dense churn disagree: cost %v vs %v (m %d vs %d)", cb1, cd, mb1, md)
+	cd, md, nd := run(true)
+	if cd != cb1 || md != mb1 || nd != nb1 {
+		t.Fatalf("block and dense churn disagree: cost %v vs %v (m %d vs %d, nnz %d vs %d)", cb1, cd, mb1, md, nb1, nd)
 	}
 }

@@ -96,7 +96,7 @@ func TestSessionChurnDuringSparseSession(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sess := sys.NewSession(WithSparse(), WithSolver("frankwolfe"), WithTolerance(1e-8), WithMaxIterations(200))
+	sess := sys.NewSession(WithSolver("frankwolfe"), WithTolerance(1e-8), WithMaxIterations(200))
 	if _, err := sess.Reoptimize(context.Background()); err != nil {
 		t.Fatal(err)
 	}

@@ -38,13 +38,11 @@ type SolveOptions struct {
 	// WarmStart, if non-nil, is a requests matrix r_ij the solver should
 	// start from instead of the identity allocation. Rows are rescaled to
 	// the instance's loads, so an allocation computed for slightly
-	// different loads (a Session after UpdateLoads) remains usable. The
-	// "nash" solver ignores it: best-response dynamics are defined from
-	// the identity start.
+	// different loads (a Session after UpdateLoads) remains usable.
+	// Session.Reoptimize fills it in for third-party solvers. The "nash"
+	// solver ignores it: best-response dynamics are defined from the
+	// identity start.
 	WarmStart [][]float64
-	// Sparse routes the solve through the large-m scale tier (see
-	// WithSparse). Solvers without a sparse path ignore it.
-	Sparse bool
 	// FWVariant selects the Frank–Wolfe step rule for the "frankwolfe"
 	// solver: FWClassic (default), FWAway or FWPairwise (see
 	// WithFWVariant). "projgrad" rejects non-classic values rather than
@@ -57,9 +55,9 @@ type SolveOptions struct {
 	// default adds zero allocations. See WithObs.
 	Obs *obs.Scope
 
-	// warmSparse is the sparse-session warm start (request units), set
-	// by Session.Reoptimize on sparse sessions. Only the built-in
-	// solvers read it; third-party solvers see a nil WarmStart instead.
+	// warmSparse is the session's allocation (request units), the warm
+	// start Session.Reoptimize hands the built-in solvers in place of
+	// WarmStart.
 	warmSparse *sparse.Matrix
 }
 

@@ -71,28 +71,22 @@ func TestCrossSolverAgreement(t *testing.T) {
 		}
 
 		// The away-step and pairwise variants must land in the same
-		// agreement band, dense and sparse alike — same optimum, same
-		// oracle, different (faster) route.
+		// agreement band — same optimum, same oracle, different (faster)
+		// route.
 		for _, variant := range []FWVariant{FWAway, FWPairwise} {
-			for _, sparseRun := range []bool{false, true} {
-				opts := []Option{WithSolver("frankwolfe"), WithFWVariant(variant), WithTolerance(1e-9)}
-				if sparseRun {
-					opts = append(opts, WithSparse())
-				}
-				res, err := sys.Optimize(opts...)
-				if err != nil {
-					t.Fatalf("%v fw/%s: %v", sc, variant, err)
-				}
-				if res.Cost < lower-1e-9*math.Max(1, lower) {
-					t.Fatalf("%v fw/%s: cost %v below certified lower bound %v", sc, variant, res.Cost, lower)
-				}
-				if res.Cost > lower*(1+relTol)+1e-9 {
-					t.Fatalf("%v fw/%s: cost %v exceeds optimum %v by more than %g rel", sc, variant, res.Cost, lower, relTol)
-				}
-				flat := qp.Flatten(res.Fractions())
-				if got := qp.QuadraticForm(q, b, flat); math.Abs(got-res.Cost)/math.Max(1, res.Cost) > 1e-9 {
-					t.Fatalf("%v fw/%s: dense QP evaluates plan to %v, solver reported %v", sc, variant, got, res.Cost)
-				}
+			res, err := sys.Optimize(WithSolver("frankwolfe"), WithFWVariant(variant), WithTolerance(1e-9))
+			if err != nil {
+				t.Fatalf("%v fw/%s: %v", sc, variant, err)
+			}
+			if res.Cost < lower-1e-9*math.Max(1, lower) {
+				t.Fatalf("%v fw/%s: cost %v below certified lower bound %v", sc, variant, res.Cost, lower)
+			}
+			if res.Cost > lower*(1+relTol)+1e-9 {
+				t.Fatalf("%v fw/%s: cost %v exceeds optimum %v by more than %g rel", sc, variant, res.Cost, lower, relTol)
+			}
+			flat := qp.Flatten(res.Fractions())
+			if got := qp.QuadraticForm(q, b, flat); math.Abs(got-res.Cost)/math.Max(1, res.Cost) > 1e-9 {
+				t.Fatalf("%v fw/%s: dense QP evaluates plan to %v, solver reported %v", sc, variant, got, res.Cost)
 			}
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"sync"
 	"testing"
 	"time"
 )
@@ -330,5 +331,71 @@ func TestThirdPartySolverViaNewResult(t *testing.T) {
 	// Shape mismatches are rejected instead of corrupting state.
 	if _, err := NewResult(sys, make([][]float64, 3)); err == nil {
 		t.Fatal("NewResult accepted a wrong-shaped matrix")
+	}
+}
+
+// warmRecorder is a third-party solver that records the warm start a
+// solve hands it and answers with the identity allocation.
+type warmRecorder struct {
+	mu   sync.Mutex
+	warm [][]float64
+}
+
+func (*warmRecorder) Name() string { return "warm-recorder" }
+
+func (w *warmRecorder) Solve(ctx context.Context, sys *System, opts SolveOptions) (*Result, error) {
+	w.mu.Lock()
+	w.warm = opts.WarmStart
+	w.mu.Unlock()
+	return sys.Identity(), ctx.Err()
+}
+
+// TestThirdPartySolverGetsSessionWarmStart pins the session side of the
+// RegisterSolver contract: Reoptimize hands a third-party solver the
+// session's carried-over allocation as the dense WarmStart, so after
+// UpdateLoads it sees the rescaled matrix, every row summing to its new
+// load.
+func TestThirdPartySolverGetsSessionWarmStart(t *testing.T) {
+	s, ok := LookupSolver("warm-recorder")
+	if !ok {
+		s = &warmRecorder{}
+		if err := RegisterSolver(s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rec := s.(*warmRecorder)
+	sess := testSystem(t, 8, 31).NewSession()
+	ctx := context.Background()
+	if _, err := sess.Reoptimize(ctx); err != nil {
+		t.Fatal(err)
+	}
+	loads := sess.Loads()
+	for i := range loads {
+		loads[i] = loads[i]*1.5 + float64(i)
+	}
+	if err := sess.UpdateLoads(loads); err != nil {
+		t.Fatal(err)
+	}
+	want := sess.Result().Requests()
+	if _, err := sess.Reoptimize(ctx, WithSolver("warm-recorder")); err != nil {
+		t.Fatal(err)
+	}
+	rec.mu.Lock()
+	warm := rec.warm
+	rec.mu.Unlock()
+	if len(warm) != len(loads) {
+		t.Fatalf("third-party solver got a %d-row warm start, want %d rows", len(warm), len(loads))
+	}
+	for i, row := range warm {
+		var sum float64
+		for j, r := range row {
+			if r != want[i][j] {
+				t.Fatalf("warm start r[%d][%d] = %v, session holds %v", i, j, r, want[i][j])
+			}
+			sum += r
+		}
+		if math.Abs(sum-loads[i]) > 1e-9*math.Max(1, loads[i]) {
+			t.Errorf("warm start row %d sums to %v, want the new load %v", i, sum, loads[i])
+		}
 	}
 }

@@ -31,8 +31,8 @@ func init() {
 }
 
 // warmStartDense resolves the effective dense warm start of a solve:
-// the explicit WarmStart, or the sparse-session warm start densified
-// (the dense qp solvers hold an m×m iterate anyway).
+// the explicit WarmStart, or the session's warm start densified
+// ("projgrad" holds an m×m iterate anyway).
 func warmStartDense(opts SolveOptions) [][]float64 {
 	if opts.WarmStart != nil || opts.warmSparse == nil {
 		return opts.WarmStart
@@ -42,13 +42,10 @@ func warmStartDense(opts SolveOptions) [][]float64 {
 
 // warmAllocation turns a WarmStart requests matrix into an allocation
 // consistent with the instance's current loads: each row is scaled so it
-// sums to n_i (rows that carried no mass restart from identity). A nil
-// warm start yields the identity allocation; a warm start of the wrong
-// shape is an error — silently solving cold would hide the mistake.
+// sums to n_i (rows that carried no mass restart from identity). A warm
+// start of the wrong shape is an error — silently solving cold would
+// hide the mistake.
 func warmAllocation(in *model.Instance, warm [][]float64) (*model.Allocation, error) {
-	if warm == nil {
-		return model.Identity(in), nil
-	}
 	m := in.M()
 	if len(warm) != m {
 		return nil, fmt.Errorf("delaylb: warm start has %d rows, want %d", len(warm), m)
@@ -150,9 +147,6 @@ func (ms mineSolver) Solve(ctx context.Context, sys *System, opts SolveOptions) 
 		Ctx:               ctx,
 	})
 	res := resultFromSparseRequests(sys.in, st.Rows)
-	if opts.Sparse {
-		res.NNZ = st.Rows.NNZ()
-	}
 	res.Iterations = tr.Iters
 	res.Converged = tr.Converged
 	res.CostTrace = tr.Costs
@@ -206,8 +200,7 @@ func (qs qpSolver) Solve(ctx context.Context, sys *System, opts SolveOptions) (*
 		Ctx:         ctx,
 		Obs:         opts.Obs,
 	}
-	sparseFW := qs.name == "frankwolfe" && opts.Sparse
-	if sparseFW && opts.warmSparse != nil {
+	if qs.name == "frankwolfe" && opts.warmSparse != nil {
 		qopt.InitialSparse = warmFractionsSparse(sys.in, opts.warmSparse)
 	} else if warm := warmStartDense(opts); warm != nil {
 		start, err := warmAllocation(sys.in, warm)
@@ -216,42 +209,24 @@ func (qs qpSolver) Solve(ctx context.Context, sys *System, opts SolveOptions) (*
 		}
 		qopt.Initial = start.Fractions(sys.in)
 	}
-	if sparseFW {
-		// The scale-tier path: the iterate, the result and everything in
-		// between stay sparse; dense Requests/Fractions materialize only
-		// if a caller asks the Result for them.
-		sres := qp.SolveFrankWolfeSparse(sys.in, qopt)
-		res := resultFromSparseRequests(sys.in, requestsFromRho(sys.in, sres.Rho))
-		res.Iterations = sres.Iters
-		res.Converged = sres.Converged
-		res.Gap = sres.Gap
-		res.NNZ = sres.Rho.NNZ()
-		switch {
-		case *stopped:
-			res.Reason = "callback"
-			res.Converged = false
-		case sres.Converged:
-			res.Reason = "tolerance"
-		default:
-			res.Reason = "max-iters"
-		}
-		return finishSolve(ctx, res)
-	}
-	var qres *qp.Result
+	var res *Result
 	if qs.name == "frankwolfe" {
-		qres = qp.SolveFrankWolfe(sys.in, qopt)
+		// The iterate, the result and everything in between stay sparse;
+		// dense Requests/Fractions materialize only if a caller asks the
+		// Result for them.
+		sres := qp.SolveFrankWolfeSparse(sys.in, qopt)
+		res = resultFromSparseRequests(sys.in, requestsFromRho(sys.in, sres.Rho))
+		res.Iterations, res.Converged, res.Gap = sres.Iters, sres.Converged, sres.Gap
 	} else {
-		qres = qp.SolveProjectedGradient(sys.in, qopt)
+		qres := qp.SolveProjectedGradient(sys.in, qopt)
+		res = resultFromAllocation(sys.in, qres.Allocation(sys.in))
+		res.Iterations, res.Converged, res.Gap = qres.Iters, qres.Converged, qres.Gap
 	}
-	res := resultFromAllocation(sys.in, qres.Allocation(sys.in))
-	res.Iterations = qres.Iters
-	res.Converged = qres.Converged
-	res.Gap = qres.Gap
 	switch {
 	case *stopped:
 		res.Reason = "callback"
 		res.Converged = false
-	case qres.Converged:
+	case res.Converged:
 		res.Reason = "tolerance"
 	default:
 		res.Reason = "max-iters"

@@ -360,9 +360,12 @@ func (cfg BenchConfig) runCell(ctx context.Context, cell benchCell) (BenchEntry,
 // leaves and load updates in equal parts — against a live Session and
 // records the per-event wall-clock and allocation cost. No solving: the
 // cell isolates the state-maintenance cost the copy-on-write session
-// refactor targets. Cost is the final session ΣC_i, which is identical
-// between the block and dense cells (pinned at test scale by
-// TestSessionChurnDeterministic).
+// refactor targets. The dense cell differs from the block cell only in
+// the latency representation; both sessions hold a sparse allocation.
+// (BENCH_scale.json's session-churn-dense timings predate that: they
+// were taken with a dense m×m allocation.) Cost is the final session
+// ΣC_i, which is identical between the block and dense cells (pinned at
+// test scale by TestSessionChurnDeterministic).
 func (cfg BenchConfig) runChurnCell(entry *BenchEntry, sc delaylb.Scenario, dense bool) error {
 	events := cfg.ChurnEvents
 	if events <= 0 {
@@ -375,12 +378,7 @@ func (cfg BenchConfig) runChurnCell(entry *BenchEntry, sc delaylb.Scenario, dens
 	if err != nil {
 		return err
 	}
-	var sess *delaylb.Session
-	if dense {
-		sess = sys.NewSession()
-	} else {
-		sess = sys.NewSession(delaylb.WithSparse())
-	}
+	sess := sys.NewSession()
 	// The dense representation needs explicit join rows; derive them
 	// from the block twin of the same seed (identical network).
 	var delay [][]float64
@@ -459,7 +457,7 @@ func (cfg BenchConfig) runLatencyUpdateCell(entry *BenchEntry, sc delaylb.Scenar
 	if err != nil {
 		return err
 	}
-	sess := sys.NewSession(delaylb.WithSparse())
+	sess := sys.NewSession()
 	delay, _, ok := sess.BlockLatency()
 	if !ok {
 		return fmt.Errorf("latency-structured-update cell needs a block-latency scenario, got %s", sc)
