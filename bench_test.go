@@ -173,7 +173,7 @@ func BenchmarkSolverVsDistributed(b *testing.B) {
 	})
 	b.Run("FrankWolfe", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			qp.SolveFrankWolfe(in, qp.Options{Tol: 1e-6, MaxIters: 100000})
+			qp.SolveFrankWolfeSparse(in, qp.Options{Tol: 1e-6, MaxIters: 100000}).Dense()
 		}
 	})
 	b.Run("ProjGrad", func(b *testing.B) {
@@ -321,7 +321,7 @@ func benchmarkFrankWolfe(b *testing.B, m int, sparseRun bool) {
 		if sparseRun {
 			cost = qp.SolveFrankWolfeSparse(in, opt).Cost
 		} else {
-			cost = qp.SolveFrankWolfe(in, opt).Cost
+			cost = qp.SolveFrankWolfeSparse(in, opt).Dense().Cost
 		}
 		if i == 0 {
 			first = cost

@@ -222,6 +222,9 @@ func TestRoundTasks(t *testing.T) {
 	}
 }
 
+// TestSimulateDistributed checks that the runtime converges, and pins its
+// run and the hybrid and Nash solves on the same system bit for bit: no
+// golden covers these paths.
 func TestSimulateDistributed(t *testing.T) {
 	sys := testSystem(t, 15, 12)
 	opt, err := sys.Optimize()
@@ -234,6 +237,31 @@ func TestSimulateDistributed(t *testing.T) {
 	}
 	if rel := (res.Cost - opt.Cost) / opt.Cost; rel > 0.05 {
 		t.Errorf("distributed simulation stalled %.2f%% above optimum", 100*rel)
+	}
+	if got := math.Float64bits(res.Cost); got != 0x40cea45f8c0164a2 || delivered != 649 {
+		t.Errorf("runtime: cost bits %#x after %d messages, want 0x40cea45f8c0164a2 after 649", got, delivered)
+	}
+
+	hybrid, err := sys.Optimize(WithSolver("hybrid"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	nash, err := sys.NashEquilibrium()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name  string
+		res   *Result
+		bits  uint64
+		iters int
+	}{
+		{"hybrid", hybrid, 0x40cea0d77add63b2, 6},
+		{"nash", nash, 0x40cfc35067aea5a6, 6},
+	} {
+		if got := math.Float64bits(c.res.Cost); got != c.bits || c.res.Iterations != c.iters {
+			t.Errorf("%s: cost bits %#x in %d iterations, want %#x in %d", c.name, got, c.res.Iterations, c.bits, c.iters)
+		}
 	}
 }
 

@@ -23,7 +23,7 @@ func HomogeneousLatencies(m int, c float64) [][]float64 {
 // and shortest-path completion (see internal/netmodel for the full
 // construction and its calibration).
 func PlanetLabLatencies(m int, seed int64) [][]float64 {
-	return netmodel.PlanetLab(m, netmodel.DefaultPlanetLabConfig(), rand.New(rand.NewSource(seed)))
+	return netmodel.PlanetLab(m, rand.New(rand.NewSource(seed)))
 }
 
 // EuclideanLatencies places m nodes uniformly in a square of side `side`

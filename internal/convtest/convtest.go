@@ -3,13 +3,12 @@
 // recording the full per-iteration trajectory — cost curve, duality-gap
 // curve, iterate support size — and provides the analyses the regression
 // assertions are phrased in (iterations to an optimality band, geometric
-// decay rate of the gap, warm-start support trajectories across epochs).
+// decay rate of the gap).
 //
-// The package depends only on model/qp/sparse, so both the qp-level
-// tests (external package qp_test) and the public-API tests can use it
-// without import cycles. Everything here is deterministic: the only
-// randomness a caller can introduce is in the instance or the perturb
-// callback it supplies.
+// The package depends only on model/qp/sparse, so the sweep tables and
+// tests can use it without import cycles. Everything here is
+// deterministic: the only randomness a caller can introduce is in the
+// instance it supplies.
 package convtest
 
 import (
@@ -98,43 +97,4 @@ func GeometricRate(gaps []float64) float64 {
 	}
 	// Geometric mean of ratios telescopes to (g_{n-1}/g_0)^(1/(n-1)).
 	return math.Pow(gaps[n-1]/gaps[0], 1/float64(n-1))
-}
-
-// Epoch is one warm re-solve in a WarmEpochs trajectory.
-type Epoch struct {
-	// Cost, Gap, Iters mirror the epoch's solver result.
-	Cost  float64
-	Gap   float64
-	Iters int
-	// NNZ is the adopted iterate's stored-nonzero count — the signal the
-	// warm-support regression watches across epochs.
-	NNZ int
-}
-
-// WarmEpochs runs `epochs` successive warm-started solves: each epoch
-// perturbs a copy of the instance's loads via the callback (epoch is
-// 1-based; the slice arrives pre-filled with the previous epoch's loads)
-// and re-solves starting from the previous epoch's iterate, exactly as a
-// Session.Reoptimize loop would. Epoch 0 in the result is the cold solve
-// on the unperturbed instance. The returned trajectory has epochs+1
-// entries.
-func WarmEpochs(in *model.Instance, variant qp.Variant, opt qp.Options, epochs int, perturb func(epoch int, load []float64)) []Epoch {
-	out := make([]Epoch, 0, epochs+1)
-	cur := in
-	var warm *sparse.Matrix
-	for e := 0; e <= epochs; e++ {
-		if e > 0 {
-			next := cur.Clone()
-			load := append([]float64(nil), next.Load...)
-			perturb(e, load)
-			next.Load = load
-			cur = next
-		}
-		opt.InitialSparse = warm
-		opt.Variant = variant
-		res := qp.SolveFrankWolfeSparse(cur, opt)
-		out = append(out, Epoch{Cost: res.Cost, Gap: res.Gap, Iters: res.Iters, NNZ: res.Rho.NNZ()})
-		warm = res.Rho
-	}
-	return out
 }

@@ -7,6 +7,7 @@ import (
 	"delaylb/internal/model"
 	"delaylb/internal/netmodel"
 	"delaylb/internal/qp"
+	"delaylb/internal/sparse"
 	"delaylb/internal/workload"
 )
 
@@ -112,6 +113,45 @@ func TestLinearConvergenceWhereClassicStalls(t *testing.T) {
 	}
 }
 
+// epoch is one warm re-solve in a warmEpochs trajectory.
+type epoch struct {
+	// Cost, Gap, Iters mirror the epoch's solver result.
+	Cost  float64
+	Gap   float64
+	Iters int
+	// NNZ is the adopted iterate's stored-nonzero count — the signal the
+	// warm-support regression watches across epochs.
+	NNZ int
+}
+
+// warmEpochs runs `epochs` successive warm-started solves: each epoch
+// perturbs a copy of the instance's loads via the callback (epoch is
+// 1-based; the slice arrives pre-filled with the previous epoch's loads)
+// and re-solves starting from the previous epoch's iterate, exactly as a
+// Session.Reoptimize loop would. Epoch 0 in the result is the cold solve
+// on the unperturbed instance. The returned trajectory has epochs+1
+// entries.
+func warmEpochs(in *model.Instance, variant qp.Variant, opt qp.Options, epochs int, perturb func(epoch int, load []float64)) []epoch {
+	out := make([]epoch, 0, epochs+1)
+	cur := in
+	var warm *sparse.Matrix
+	for e := 0; e <= epochs; e++ {
+		if e > 0 {
+			next := cur.Clone()
+			load := append([]float64(nil), next.Load...)
+			perturb(e, load)
+			next.Load = load
+			cur = next
+		}
+		opt.InitialSparse = warm
+		opt.Variant = variant
+		res := qp.SolveFrankWolfeSparse(cur, opt)
+		out = append(out, epoch{Cost: res.Cost, Gap: res.Gap, Iters: res.Iters, NNZ: res.Rho.NNZ()})
+		warm = res.Rho
+	}
+	return out
+}
+
 // TestWarmEpochsBoundedSupport pins the warm-start support trajectory at
 // the qp level: across perturbed epochs, away-step warm solves keep the
 // iterate's nnz bounded while classic FW's support grows monotonically —
@@ -127,8 +167,8 @@ func TestWarmEpochsBoundedSupport(t *testing.T) {
 	}
 	budget := qp.Options{Tol: 1e-7, MaxIters: 150}
 
-	away := WarmEpochs(in, qp.VariantAway, budget, epochs, perturb)
-	classic := WarmEpochs(in, qp.VariantClassic, budget, epochs, perturb)
+	away := warmEpochs(in, qp.VariantAway, budget, epochs, perturb)
+	classic := warmEpochs(in, qp.VariantClassic, budget, epochs, perturb)
 	if len(away) != epochs+1 || len(classic) != epochs+1 {
 		t.Fatalf("trajectory lengths %d/%d, want %d", len(away), len(classic), epochs+1)
 	}

@@ -20,7 +20,7 @@ func TestEmbedsEuclideanMatrix(t *testing.T) {
 
 func TestEmbedsPlanetLabMatrix(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	lat := netmodel.PlanetLab(40, netmodel.DefaultPlanetLabConfig(), rng)
+	lat := netmodel.PlanetLab(40, rng)
 	s := NewSpace(40, 3, rand.New(rand.NewSource(4)))
 	s.Train(lat, 300)
 	// PlanetLab-like matrices are not metric-embeddable exactly; Vivaldi

@@ -134,12 +134,3 @@ func RemoveCycles(st *State) float64 {
 	st.rebuildColumnIndex()
 	return before - after
 }
-
-// CycleGain reports how much communication cost negative-cycle removal
-// would save on the current state, without mutating it. A positive value
-// means the current allocation contains negative cycles in the sense of
-// §IV-B.
-func CycleGain(st *State) float64 {
-	cp := st.Clone()
-	return RemoveCycles(cp)
-}

@@ -177,7 +177,7 @@ func TestMetroIndexHybridShortlistAgreement(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for _, in := range agreementInstances(t, 23, 4, 50) {
 		m := in.M()
-		s := newSelector(NewIdentityState(in), Config{Strategy: StrategyHybrid, HybridK: 8})
+		s := newSelector(NewIdentityState(in), Config{Strategy: StrategyHybrid})
 		for round := 0; round < 3; round++ {
 			for id := 0; id < m; id += 1 + m/11 {
 				checkShortlists(t, s, id, 8)

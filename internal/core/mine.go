@@ -29,13 +29,17 @@ const (
 	StrategyHybrid
 )
 
+// hybridK is the StrategyHybrid short-list size: K partners by proxy
+// score, K nearest and K random.
+const hybridK = 8
+
 // Config tunes a MinE run. The zero value runs the exact strategy until
-// pairwise stability with a 1000-iteration safety bound.
+// pairwise stability with a 1000-iteration safety bound. A pairwise
+// exchange whose estimated gain is at most 1e-9·max(1, initial cost) is
+// noise and is skipped.
 type Config struct {
 	// Strategy picks the partner-selection rule (default StrategyExact).
 	Strategy Strategy
-	// HybridK is the short-list size for StrategyHybrid (default 8).
-	HybridK int
 	// MaxIters bounds the number of iterations (default 1000). One
 	// iteration gives every server one Algorithm 2 step, in random
 	// order (§VI-B).
@@ -49,9 +53,6 @@ type Config struct {
 	// RemoveCyclesEvery, if positive, runs the Appendix A negative-cycle
 	// removal after every that many iterations (§VI-B compares 0 vs 2).
 	RemoveCyclesEvery int
-	// MinGain is the absolute improvement below which a pairwise
-	// exchange is considered noise (default: 1e-9·max(1, initial cost)).
-	MinGain float64
 	// Rng drives the per-iteration random server ordering. Defaults to
 	// a fixed-seed source for reproducibility.
 	Rng *rand.Rand
@@ -109,16 +110,11 @@ func RunState(st *State, cfg Config) *Trace {
 	if cfg.MaxIters <= 0 {
 		cfg.MaxIters = 1000
 	}
-	if cfg.HybridK <= 0 {
-		cfg.HybridK = 8
-	}
 	if cfg.Rng == nil {
 		cfg.Rng = rand.New(rand.NewSource(1))
 	}
 	cost := st.Cost()
-	if cfg.MinGain <= 0 {
-		cfg.MinGain = 1e-9 * math.Max(1, cost)
-	}
+	minGain := 1e-9 * math.Max(1, cost)
 	tr := &Trace{Costs: []float64{cost}, Reason: StopMaxIters}
 
 	sel := newSelector(st, cfg)
@@ -131,7 +127,7 @@ func RunState(st *State, cfg Config) *Trace {
 				return tr
 			}
 			partner, gain := sel.pick(id)
-			if partner < 0 || gain <= cfg.MinGain {
+			if partner < 0 || gain <= minGain {
 				continue
 			}
 			out := ApplyPair(st, id, partner, sel.buf)
@@ -251,26 +247,31 @@ func (s *selector) bestExact(id int) (int, float64) {
 	return bestJ, bestGain
 }
 
-// proxyGain estimates impr(id, j) in O(1): the improvement from moving
-// the Lemma 1 aggregate amount between the two servers, pricing every
-// moved request at the direct latency c_{id,j} (or c_{j,id} in the other
-// direction). It ignores third-party latency structure, which the exact
-// evaluation accounts for.
+// proxyGain is ProxyGain for servers i and j of the state.
 func (s *selector) proxyGain(i, j int) float64 {
 	in := s.st.In
-	si, sj := in.Speed[i], in.Speed[j]
-	li, lj := s.st.Loads[i], s.st.Loads[j]
+	return ProxyGain(in.Speed[i], in.Speed[j], s.st.Loads[i], s.st.Loads[j], in.LatAt(i, j), in.LatAt(j, i))
+}
+
+// ProxyGain estimates impr(i, j) in O(1) from the speeds and loads of
+// servers i and j: the improvement from moving the Lemma 1 aggregate
+// amount between them in the better direction, pricing every moved
+// request at the direct latency cij from i to j, or cji from j to i. An
+// infinite latency closes its direction. The estimate ignores
+// third-party latency structure, which the exact evaluation accounts
+// for.
+func ProxyGain(si, sj, li, lj, cij, cji float64) float64 {
 	gain := 0.0
-	if c := in.LatAt(i, j); !math.IsInf(c, 1) {
-		if d := ((sj*li - si*lj) - si*sj*c) / (si + sj); d > 0 {
+	if !math.IsInf(cij, 1) {
+		if d := ((sj*li - si*lj) - si*sj*cij) / (si + sj); d > 0 {
 			dd := math.Min(d, li)
-			gain = quadGain(si, sj, li, lj, c, dd)
+			gain = quadGain(si, sj, li, lj, cij, dd)
 		}
 	}
-	if c := in.LatAt(j, i); !math.IsInf(c, 1) {
-		if d := ((si*lj - sj*li) - si*sj*c) / (si + sj); d > 0 {
+	if !math.IsInf(cji, 1) {
+		if d := ((si*lj - sj*li) - si*sj*cji) / (si + sj); d > 0 {
 			dd := math.Min(d, lj)
-			if g := quadGain(sj, si, lj, li, c, dd); g > gain {
+			if g := quadGain(sj, si, lj, li, cji, dd); g > gain {
 				gain = g
 			}
 		}
@@ -304,7 +305,7 @@ func (s *selector) bestProxy(id int) (int, float64) {
 // rerouting gains concentrate on nearby servers, which the load-only
 // proxy cannot see) and K random partners for coverage.
 func (s *selector) bestHybrid(id int) (int, float64) {
-	k := s.cfg.HybridK
+	k := hybridK
 	m := s.st.In.M()
 	s.cand = s.cand[:0]
 	if s.metro != nil {

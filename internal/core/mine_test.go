@@ -31,7 +31,7 @@ func TestRunReachesConvexOptimum(t *testing.T) {
 		in := randInstance(rng, 4+rng.Intn(10))
 		alloc, _ := Run(in, Config{Rng: rand.New(rand.NewSource(int64(trial)))})
 		mine := model.TotalCost(in, alloc)
-		fw := qp.SolveFrankWolfe(in, qp.Options{Tol: 1e-9, MaxIters: 200000})
+		fw := qp.SolveFrankWolfeSparse(in, qp.Options{Tol: 1e-9, MaxIters: 200000}).Dense()
 		lower := fw.Cost - fw.Gap
 		if mine > fw.Cost+1e-4*fw.Cost {
 			t.Fatalf("MinE cost %v worse than FW %v", mine, fw.Cost)

@@ -7,21 +7,6 @@ import (
 	"delaylb/internal/model"
 )
 
-// DeltaTransfer implements Lemma 1: the number of organization k's
-// requests that should move from server i to server j — given speeds
-// s_i, s_j, current loads l_i, l_j, latencies c_ki, c_kj and the amount
-// r_ki currently at i — to minimize ΣC_i along that single direction:
-//
-//	Δr' = ((s_j l_i − s_i l_j) − s_i s_j (c_kj − c_ki)) / (s_i + s_j)
-//	Δr  = max(0, min(r_ki, Δr'))
-func DeltaTransfer(si, sj, li, lj, cki, ckj, rki float64) float64 {
-	raw := ((sj*li - si*lj) - si*sj*(ckj-cki)) / (si + sj)
-	if raw <= 0 {
-		return 0
-	}
-	return math.Min(raw, rki)
-}
-
 // pairBuffer holds the scratch state for balancing one server pair. It is
 // reused across calls to avoid allocation in the hot loop.
 type pairBuffer struct {

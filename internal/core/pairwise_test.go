@@ -46,7 +46,22 @@ func randState(rng *rand.Rand, in *model.Instance) *State {
 	return NewState(in, rowsOf(a.R))
 }
 
-// Lemma 1: DeltaTransfer minimizes f(Δ) = (l_i−Δ)²/2s_i + (l_j+Δ)²/2s_j +
+// deltaTransfer implements Lemma 1: the number of organization k's
+// requests that should move from server i to server j — given speeds
+// s_i, s_j, current loads l_i, l_j, latencies c_ki, c_kj and the amount
+// r_ki currently at i — to minimize ΣC_i along that single direction:
+//
+//	Δr' = ((s_j l_i − s_i l_j) − s_i s_j (c_kj − c_ki)) / (s_i + s_j)
+//	Δr  = max(0, min(r_ki, Δr'))
+func deltaTransfer(si, sj, li, lj, cki, ckj, rki float64) float64 {
+	raw := ((sj*li - si*lj) - si*sj*(ckj-cki)) / (si + sj)
+	if raw <= 0 {
+		return 0
+	}
+	return math.Min(raw, rki)
+}
+
+// Lemma 1: deltaTransfer minimizes f(Δ) = (l_i−Δ)²/2s_i + (l_j+Δ)²/2s_j +
 // Δ(c_kj − c_ki) over Δ ∈ [0, r_ki]. Verify against a fine grid search.
 func TestDeltaTransferIsOptimal(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
@@ -58,7 +73,7 @@ func TestDeltaTransferIsOptimal(t *testing.T) {
 		li, lj := 200*rng.Float64(), 200*rng.Float64()
 		cki, ckj := 30*rng.Float64(), 30*rng.Float64()
 		rki := li * rng.Float64()
-		d := DeltaTransfer(si, sj, li, lj, cki, ckj, rki)
+		d := deltaTransfer(si, sj, li, lj, cki, ckj, rki)
 		if d < 0 || d > rki+1e-12 {
 			t.Fatalf("Δ = %v outside [0, %v]", d, rki)
 		}
@@ -74,16 +89,16 @@ func TestDeltaTransferIsOptimal(t *testing.T) {
 
 func TestDeltaTransferClamping(t *testing.T) {
 	// Strong imbalance but tiny available volume: clamp to r_ki.
-	if d := DeltaTransfer(1, 1, 100, 0, 0, 0, 3); d != 3 {
+	if d := deltaTransfer(1, 1, 100, 0, 0, 0, 3); d != 3 {
 		t.Errorf("Δ = %v, want 3 (clamped)", d)
 	}
 	// Balanced servers with positive latency: no transfer.
-	if d := DeltaTransfer(1, 1, 50, 50, 0, 10, 40); d != 0 {
+	if d := deltaTransfer(1, 1, 50, 50, 0, 10, 40); d != 0 {
 		t.Errorf("Δ = %v, want 0", d)
 	}
 	// Exact Lemma 1 value: (s_j l_i − s_i l_j − s_i s_j (c_kj−c_ki))/(s_i+s_j).
 	want := ((1*100.0 - 1*20.0) - 1*1*10.0) / 2
-	if d := DeltaTransfer(1, 1, 100, 20, 0, 10, 1000); math.Abs(d-want) > 1e-12 {
+	if d := deltaTransfer(1, 1, 100, 20, 0, 10, 1000); math.Abs(d-want) > 1e-12 {
 		t.Errorf("Δ = %v, want %v", d, want)
 	}
 }

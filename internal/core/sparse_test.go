@@ -13,7 +13,7 @@ import (
 func sparseTestInstance(t testing.TB, m int, seed int64) *model.Instance {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
-	lat := netmodel.PlanetLab(m, netmodel.DefaultPlanetLabConfig(), rng)
+	lat := netmodel.PlanetLab(m, rng)
 	in, err := model.NewInstance(
 		workload.UniformSpeeds(m, 1, 5, rng),
 		workload.ExponentialLoads(m, 100, rng),
@@ -118,7 +118,7 @@ func TestSparseStateCostMatchesDenseCost(t *testing.T) {
 func TestCloneCopiesColumnIndex(t *testing.T) {
 	in := sparseTestInstance(t, 10, 6)
 	st := NewIdentityState(in)
-	cp := st.Clone()
+	cp := st.clone()
 	ApplyPair(cp, 0, 1, nil)
 	checkColumnIndex(t, st)
 	checkColumnIndex(t, cp)

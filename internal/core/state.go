@@ -91,20 +91,6 @@ func (st *State) Cost() float64 {
 	return cost
 }
 
-// Clone deep-copies the state (the instance is shared, it is read-only).
-func (st *State) Clone() *State {
-	cp := &State{
-		In:        st.In,
-		Rows:      st.Rows.Clone(),
-		Loads:     append([]float64(nil), st.Loads...),
-		colOwners: make([][]int32, len(st.colOwners)),
-	}
-	for j, owners := range st.colOwners {
-		cp.colOwners[j] = append([]int32(nil), owners...)
-	}
-	return cp
-}
-
 // rebuildColumnIndex recomputes the owner lists from Rows. O(nnz + m).
 func (st *State) rebuildColumnIndex() {
 	for j := range st.colOwners {

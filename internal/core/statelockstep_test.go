@@ -293,7 +293,7 @@ func TestSparseStateLockstepDense(t *testing.T) {
 						continue
 					}
 					c.pair(i, j)
-					(&stepChecker{t: t, st: c.st.Clone()}).removeCycles()
+					(&stepChecker{t: t, st: c.st.clone()}).removeCycles()
 					if step%29 == 0 {
 						c.removeCycles()
 					}
@@ -435,7 +435,7 @@ func TestSparseStateErrorBound(t *testing.T) {
 	if b, ref := DistanceBound(st), (4*m+1)*DeltaR(st, want)*in.TotalSpeed(); b != ref {
 		t.Fatalf("DistanceBound %v, reference %v", b, ref)
 	}
-	if g, ref := CycleGain(st), removeCyclesDense(in, st.Rows.Dense()); g != ref {
-		t.Fatalf("CycleGain %v, reference %v", g, ref)
+	if g, ref := cycleGain(st), removeCyclesDense(in, st.Rows.Dense()); g != ref {
+		t.Fatalf("cycleGain %v, reference %v", g, ref)
 	}
 }

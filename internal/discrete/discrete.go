@@ -104,30 +104,6 @@ func Volumes(in *model.Instance, tasks []Task, asg Assignment) *model.Allocation
 	return a
 }
 
-// RoundingError returns Σ_ij |assigned_ij − n_i ρ_ij|, the total
-// discretization error err(S_i(j)) of §VII summed over organizations.
-func RoundingError(in *model.Instance, rho [][]float64, tasks []Task, asg Assignment) float64 {
-	vol := Volumes(in, tasks, asg)
-	var total float64
-	for i := 0; i < in.M(); i++ {
-		for j := 0; j < in.M(); j++ {
-			total += math.Abs(vol.R[i][j] - in.Load[i]*rho[i][j])
-		}
-	}
-	return total
-}
-
-// MaxTaskSize returns the largest task size of each organization.
-func MaxTaskSize(in *model.Instance, tasks []Task) []float64 {
-	out := make([]float64, in.M())
-	for _, t := range tasks {
-		if t.Size > out[t.Org] {
-			out[t.Org] = t.Size
-		}
-	}
-	return out
-}
-
 // ProjectCappedSimplex overwrites x with its Euclidean projection onto
 // {y : 0 ≤ y_i ≤ cap, Σ y_i = 1}, the feasible set of the replication
 // variant (cap = 1/R). It requires len(x)·cap ≥ 1 and uses bisection on

@@ -30,6 +30,17 @@ func randInstance(rng *rand.Rand, m int) *model.Instance {
 	return in
 }
 
+// maxTaskSize returns the largest task size of each organization.
+func maxTaskSize(in *model.Instance, tasks []Task) []float64 {
+	out := make([]float64, in.M())
+	for _, t := range tasks {
+		if t.Size > out[t.Org] {
+			out[t.Org] = t.Size
+		}
+	}
+	return out
+}
+
 func TestGenerateTasksSumToLoads(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	in := randInstance(rng, 5)
@@ -52,7 +63,7 @@ func TestRoundPreservesMassAndBoundsError(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	for trial := 0; trial < 10; trial++ {
 		in := randInstance(rng, 4+rng.Intn(5))
-		res := qp.SolveFrankWolfe(in, qp.Options{Tol: 1e-6})
+		res := qp.SolveFrankWolfeSparse(in, qp.Options{Tol: 1e-6}).Dense()
 		tasks := GenerateTasks(in, 5, rng)
 		asg := Round(in, res.Rho, tasks)
 		vol := Volumes(in, tasks, asg)
@@ -61,7 +72,7 @@ func TestRoundPreservesMassAndBoundsError(t *testing.T) {
 		}
 		// Over-assignment per (org, server) is bounded by the org's
 		// largest task (greedy largest-gap property).
-		maxSz := MaxTaskSize(in, tasks)
+		maxSz := maxTaskSize(in, tasks)
 		for i := 0; i < in.M(); i++ {
 			for j := 0; j < in.M(); j++ {
 				target := in.Load[i] * res.Rho[i][j]
@@ -77,7 +88,7 @@ func TestRoundPreservesMassAndBoundsError(t *testing.T) {
 func TestRoundedCostNearFractional(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	in := randInstance(rng, 6)
-	res := qp.SolveFrankWolfe(in, qp.Options{Tol: 1e-8})
+	res := qp.SolveFrankWolfeSparse(in, qp.Options{Tol: 1e-8}).Dense()
 	tasks := GenerateTasks(in, 2, rng) // many small tasks → tight rounding
 	asg := Round(in, res.Rho, tasks)
 	vol := Volumes(in, tasks, asg)
@@ -92,7 +103,7 @@ func TestRoundRespectsForbiddenServers(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	in := randInstance(rng, 4)
 	in.Latency.(model.DenseLatency)[0][3] = math.Inf(1)
-	res := qp.SolveFrankWolfe(in, qp.Options{Tol: 1e-6})
+	res := qp.SolveFrankWolfeSparse(in, qp.Options{Tol: 1e-6}).Dense()
 	tasks := GenerateTasks(in, 5, rng)
 	asg := Round(in, res.Rho, tasks)
 	for idx, task := range tasks {
@@ -160,7 +171,7 @@ func TestSolveReplicatedRespectsCap(t *testing.T) {
 		}
 	}
 	// The replication constraint can only increase the optimal cost.
-	unconstrained := qp.SolveFrankWolfe(in, qp.Options{Tol: 1e-8})
+	unconstrained := qp.SolveFrankWolfeSparse(in, qp.Options{Tol: 1e-8}).Dense()
 	if replCost := qp.Objective(in, rho); replCost < unconstrained.Cost-1e-6*unconstrained.Cost {
 		t.Errorf("replicated cost %v below unconstrained optimum %v", replCost, unconstrained.Cost)
 	}
@@ -171,7 +182,7 @@ func TestSolveReplicatedR1MatchesUnconstrained(t *testing.T) {
 	in := randInstance(rng, 5)
 	rho := SolveReplicated(in, 1, 20000, 1e-12)
 	got := qp.Objective(in, rho)
-	want := qp.SolveFrankWolfe(in, qp.Options{Tol: 1e-9, MaxIters: 100000}).Cost
+	want := qp.SolveFrankWolfeSparse(in, qp.Options{Tol: 1e-9, MaxIters: 100000}).Cost
 	if math.Abs(got-want) > 1e-3*want {
 		t.Errorf("R=1 cost %v, unconstrained %v", got, want)
 	}
@@ -224,7 +235,7 @@ func TestPlaceReplicasEmptyRow(t *testing.T) {
 func BenchmarkRound(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	in := randInstance(rng, 20)
-	res := qp.SolveFrankWolfe(in, qp.Options{Tol: 1e-6})
+	res := qp.SolveFrankWolfeSparse(in, qp.Options{Tol: 1e-6}).Dense()
 	tasks := GenerateTasks(in, 2, rng)
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -16,7 +16,7 @@ func testInstance(seed int64, m int) *model.Instance {
 	return &model.Instance{
 		Speed:   workload.UniformSpeeds(m, 1, 5, rng),
 		Load:    workload.ExponentialLoads(m, 100, rng),
-		Latency: model.NewDense(netmodel.PlanetLab(m, netmodel.DefaultPlanetLabConfig(), rng)),
+		Latency: model.NewDense(netmodel.PlanetLab(m, rng)),
 	}
 }
 

@@ -99,7 +99,12 @@ func BestResponse(in *model.Instance, loads []float64, a *model.Allocation, i in
 	return dst
 }
 
-// Config tunes best-response dynamics.
+// stableSweeps is how many consecutive low-change sweeps terminate
+// best-response dynamics (paper §VI-C: two).
+const stableSweeps = 2
+
+// Config tunes best-response dynamics. Sweeps visit organizations in
+// index order.
 type Config struct {
 	// MaxSweeps bounds the number of full best-response sweeps
 	// (default 500).
@@ -107,12 +112,6 @@ type Config struct {
 	// ChangeTol is the per-organization relative L1 change below which a
 	// sweep counts as "no change" (paper §VI-C uses 1%; default 0.01).
 	ChangeTol float64
-	// StableSweeps is how many consecutive low-change sweeps terminate
-	// the dynamics (paper: two; default 2).
-	StableSweeps int
-	// Rng randomizes the sweep order each round; nil keeps index order
-	// (the paper does not specify; index order is deterministic).
-	Rng *rand.Rand
 	// OnSweep, if non-nil, is called after each sweep with the 1-based
 	// sweep number and current ΣC_i; returning false stops the dynamics
 	// early with Converged == true (a deliberate stop).
@@ -129,9 +128,6 @@ func (c Config) withDefaults() Config {
 	if c.ChangeTol <= 0 {
 		c.ChangeTol = 0.01
 	}
-	if c.StableSweeps <= 0 {
-		c.StableSweeps = 2
-	}
 	return c
 }
 
@@ -145,7 +141,7 @@ type Trace struct {
 // BestResponseDynamics runs sequential (Gauss–Seidel) best-response play
 // from the identity allocation until the paper's termination rule fires:
 // every organization changed its distribution by less than ChangeTol in
-// each of StableSweeps consecutive sweeps. Returns the (approximate) Nash
+// each of two consecutive sweeps. Returns the (approximate) Nash
 // allocation and the trace.
 func BestResponseDynamics(in *model.Instance, cfg Config) (*model.Allocation, *Trace) {
 	cfg = cfg.withDefaults()
@@ -156,19 +152,12 @@ func BestResponseDynamics(in *model.Instance, cfg Config) (*model.Allocation, *T
 	tr := &Trace{}
 
 	stable := 0
-	order := make([]int, m)
-	for i := range order {
-		order[i] = i
-	}
 	for sweep := 1; sweep <= cfg.MaxSweeps; sweep++ {
 		if model.Canceled(cfg.Ctx) {
 			return a, tr
 		}
-		if cfg.Rng != nil {
-			cfg.Rng.Shuffle(m, func(x, y int) { order[x], order[y] = order[y], order[x] })
-		}
 		maxChange := 0.0
-		for _, i := range order {
+		for i := 0; i < m; i++ {
 			if in.Load[i] == 0 {
 				continue
 			}
@@ -192,7 +181,7 @@ func BestResponseDynamics(in *model.Instance, cfg Config) (*model.Allocation, *T
 		}
 		if maxChange < cfg.ChangeTol {
 			stable++
-			if stable >= cfg.StableSweeps {
+			if stable >= stableSweeps {
 				tr.Converged = true
 				break
 			}
@@ -282,22 +271,4 @@ func MeasurePoA(in *model.Instance, cfg Config, rng *rand.Rand) PoAResult {
 func TheoremOneBounds(c, s, lav float64) (lower, upper float64) {
 	x := c * s / lav
 	return 1 + 2*x - 4*x*x, 1 + 2*x + x*x
-}
-
-// LemmaThreeHolds checks Lemma 3 on an allocation over a homogeneous
-// instance: in a Nash equilibrium every pair of server loads differs by
-// at most c·s (plus tolerance for the approximate equilibrium).
-func LemmaThreeHolds(in *model.Instance, a *model.Allocation, slack float64) bool {
-	c := in.AverageLatency()
-	s := in.Speed[0]
-	loads := a.Loads()
-	bound := c*s + slack
-	for i := range loads {
-		for j := range loads {
-			if math.Abs(loads[i]-loads[j]) > bound {
-				return false
-			}
-		}
-	}
-	return true
 }

@@ -29,6 +29,24 @@ func randInstance(rng *rand.Rand, m int) *model.Instance {
 	return in
 }
 
+// lemmaThreeHolds checks Lemma 3 on an allocation over a homogeneous
+// instance: in a Nash equilibrium every pair of server loads differs by
+// at most c·s (plus tolerance for the approximate equilibrium).
+func lemmaThreeHolds(in *model.Instance, a *model.Allocation, slack float64) bool {
+	c := in.AverageLatency()
+	s := in.Speed[0]
+	loads := a.Loads()
+	bound := c*s + slack
+	for i := range loads {
+		for j := range loads {
+			if math.Abs(loads[i]-loads[j]) > bound {
+				return false
+			}
+		}
+	}
+	return true
+}
+
 // KKT verification of the water-filling best response: on the support,
 // marginal costs are equal; off the support they are no smaller.
 func TestBestResponseKKT(t *testing.T) {
@@ -211,7 +229,7 @@ func TestLemmaThree(t *testing.T) {
 		}
 		nash, _ := BestResponseDynamics(in, Config{ChangeTol: 1e-4})
 		// Allow slack for the approximate (1%-rule) equilibrium.
-		if !LemmaThreeHolds(in, nash, 0.05*in.AverageLoad()+1) {
+		if !lemmaThreeHolds(in, nash, 0.05*in.AverageLoad()+1) {
 			loads := nash.Loads()
 			t.Errorf("Lemma 3 violated: loads %v with c·s = %v", loads, 10.0)
 		}

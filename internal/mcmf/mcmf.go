@@ -7,10 +7,7 @@
 //
 // The solver uses successive shortest paths with Johnson potentials
 // (Dijkstra on reduced costs), which requires the initial edge costs to be
-// non-negative — true for latency costs. A Bellman–Ford negative-cycle
-// detector is provided separately for optimality checks and for detecting
-// negative cycles in arbitrary cost graphs (the paper's error-graph
-// analysis).
+// non-negative — true for latency costs.
 package mcmf
 
 import (
@@ -42,13 +39,9 @@ func NewGraph(n int) *Graph {
 	return &Graph{n: n, adj: make([][]int32, n)}
 }
 
-// N returns the number of nodes.
-func (g *Graph) N() int { return g.n }
-
 // AddEdge inserts a directed edge from→to with the given capacity and
 // per-unit cost and returns its id for later Flow queries. Cost must be
-// non-negative for MinCostMaxFlow (Bellman–Ford based helpers accept any
-// cost).
+// non-negative for MinCostMaxFlow.
 func (g *Graph) AddEdge(from, to int, capacity, cost float64) int {
 	id := len(g.edges)
 	g.edges = append(g.edges, edge{to: to, cap: capacity, cost: cost})
@@ -161,91 +154,4 @@ func (g *Graph) MinCostMaxFlow(s, t int) (flow, cost float64) {
 		}
 		flow += bottleneck
 	}
-}
-
-// NegativeCycle searches the residual graph (arcs with residual capacity
-// > eps) for a cycle of negative total cost using Bellman–Ford and returns
-// the edge ids along one such cycle, or nil if none exists. A min-cost
-// flow is optimal iff the residual graph has no negative cycle, so this
-// doubles as an optimality check in tests.
-func (g *Graph) NegativeCycle() []int {
-	dist := make([]float64, g.n)
-	prevEdge := make([]int32, g.n)
-	for i := range prevEdge {
-		prevEdge[i] = -1
-	}
-	var witness int32 = -1
-	for iter := 0; iter < g.n; iter++ {
-		witness = -1
-		for u := 0; u < g.n; u++ {
-			for _, id := range g.adj[u] {
-				e := &g.edges[id]
-				if e.cap <= eps {
-					continue
-				}
-				if nd := dist[u] + e.cost; nd < dist[e.to]-1e-12 {
-					dist[e.to] = nd
-					prevEdge[e.to] = id
-					witness = id
-				}
-			}
-		}
-		if witness == -1 {
-			return nil
-		}
-	}
-	// A relaxation happened on the n-th pass: walk back n steps to land
-	// inside the cycle, then collect it.
-	v := g.edges[witness].to
-	for i := 0; i < g.n; i++ {
-		v = g.edges[prevEdge[v]^1].to
-	}
-	var cyc []int
-	u := v
-	for {
-		id := prevEdge[u]
-		cyc = append(cyc, int(id))
-		u = g.edges[id^1].to
-		if u == v {
-			break
-		}
-	}
-	// Reverse so edges follow the cycle direction.
-	for i, j := 0, len(cyc)-1; i < j; i, j = i+1, j-1 {
-		cyc[i], cyc[j] = cyc[j], cyc[i]
-	}
-	return cyc
-}
-
-// CancelNegativeCycles repeatedly finds a negative residual cycle and
-// saturates it, lowering the cost of the current flow without changing
-// node balances. It returns the total cost reduction. This is the
-// classical cycle-canceling method; with float capacities we bound the
-// number of rounds by maxRounds to guarantee termination.
-func (g *Graph) CancelNegativeCycles(maxRounds int) float64 {
-	var saved float64
-	for round := 0; round < maxRounds; round++ {
-		cyc := g.NegativeCycle()
-		if cyc == nil {
-			return saved
-		}
-		bottleneck := math.Inf(1)
-		var cycleCost float64
-		for _, id := range cyc {
-			e := g.edges[id]
-			if e.cap < bottleneck {
-				bottleneck = e.cap
-			}
-			cycleCost += e.cost
-		}
-		if bottleneck <= eps || cycleCost >= 0 {
-			return saved
-		}
-		for _, id := range cyc {
-			g.edges[id].cap -= bottleneck
-			g.edges[id^1].cap += bottleneck
-		}
-		saved += -cycleCost * bottleneck
-	}
-	return saved
 }

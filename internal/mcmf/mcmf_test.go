@@ -77,7 +77,7 @@ func TestRoutesAroundSaturation(t *testing.T) {
 	if cost != 12 {
 		t.Errorf("cost = %v, want 12", cost)
 	}
-	if cyc := g.NegativeCycle(); cyc != nil {
+	if cyc := g.negativeCycle(); cyc != nil {
 		t.Errorf("optimal flow has residual negative cycle %v", cyc)
 	}
 }
@@ -179,6 +179,60 @@ func TestTransportationAgainstBruteForce(t *testing.T) {
 	}
 }
 
+// negativeCycle searches the residual graph (arcs with residual capacity
+// > eps) for a cycle of negative total cost using Bellman–Ford and returns
+// the edge ids along one such cycle, or nil if none exists. A min-cost
+// flow is optimal iff the residual graph has no negative cycle, so this
+// is the optimality check of the flow tests.
+func (g *Graph) negativeCycle() []int {
+	dist := make([]float64, g.n)
+	prevEdge := make([]int32, g.n)
+	for i := range prevEdge {
+		prevEdge[i] = -1
+	}
+	var witness int32 = -1
+	for iter := 0; iter < g.n; iter++ {
+		witness = -1
+		for u := 0; u < g.n; u++ {
+			for _, id := range g.adj[u] {
+				e := &g.edges[id]
+				if e.cap <= eps {
+					continue
+				}
+				if nd := dist[u] + e.cost; nd < dist[e.to]-1e-12 {
+					dist[e.to] = nd
+					prevEdge[e.to] = id
+					witness = id
+				}
+			}
+		}
+		if witness == -1 {
+			return nil
+		}
+	}
+	// A relaxation happened on the n-th pass: walk back n steps to land
+	// inside the cycle, then collect it.
+	v := g.edges[witness].to
+	for i := 0; i < g.n; i++ {
+		v = g.edges[prevEdge[v]^1].to
+	}
+	var cyc []int
+	u := v
+	for {
+		id := prevEdge[u]
+		cyc = append(cyc, int(id))
+		u = g.edges[id^1].to
+		if u == v {
+			break
+		}
+	}
+	// Reverse so edges follow the cycle direction.
+	for i, j := 0, len(cyc)-1; i < j; i, j = i+1, j-1 {
+		cyc[i], cyc[j] = cyc[j], cyc[i]
+	}
+	return cyc
+}
+
 func TestNegativeCycleDetection(t *testing.T) {
 	// Build a residual graph containing a negative cycle directly:
 	// a→b cost 1, b→c cost 1, c→a cost −5, all with capacity.
@@ -187,13 +241,13 @@ func TestNegativeCycleDetection(t *testing.T) {
 	g.AddEdge(1, 2, 1, 1)
 	// Simulate a residual arc with negative cost by adding a forward
 	// edge and shifting flow onto it via its pair: here we cheat and add
-	// the negative arc directly since NegativeCycle reads raw arcs.
+	// the negative arc directly since negativeCycle reads raw arcs.
 	g.edges = append(g.edges, edge{to: 0, cap: 1, cost: -5})
 	g.edges = append(g.edges, edge{to: 2, cap: 0, cost: 5})
 	g.adj[2] = append(g.adj[2], int32(len(g.edges)-2))
 	g.adj[0] = append(g.adj[0], int32(len(g.edges)-1))
 
-	cyc := g.NegativeCycle()
+	cyc := g.negativeCycle()
 	if cyc == nil {
 		t.Fatal("negative cycle not detected")
 	}
@@ -204,14 +258,6 @@ func TestNegativeCycleDetection(t *testing.T) {
 	if total >= 0 {
 		t.Errorf("returned cycle has cost %v, want negative", total)
 	}
-	// Canceling should remove it.
-	saved := g.CancelNegativeCycles(10)
-	if saved <= 0 {
-		t.Error("canceling saved nothing")
-	}
-	if g.NegativeCycle() != nil {
-		t.Error("cycle remains after canceling")
-	}
 }
 
 func TestNoFalseNegativeCycle(t *testing.T) {
@@ -219,7 +265,7 @@ func TestNoFalseNegativeCycle(t *testing.T) {
 	g.AddEdge(0, 1, 3, 2)
 	g.AddEdge(1, 2, 3, 2)
 	g.AddEdge(2, 3, 3, 2)
-	if cyc := g.NegativeCycle(); cyc != nil {
+	if cyc := g.negativeCycle(); cyc != nil {
 		t.Errorf("found negative cycle %v in a DAG", cyc)
 	}
 }

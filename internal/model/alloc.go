@@ -51,20 +51,6 @@ func (a *Allocation) Clone() *Allocation {
 	return out
 }
 
-// NNZ returns the number of nonzero entries — the scale tier's measure
-// of how concentrated the routing is (nnz ≪ m² in realistic plans).
-func (a *Allocation) NNZ() int {
-	n := 0
-	for _, row := range a.R {
-		for _, v := range row {
-			if v != 0 {
-				n++
-			}
-		}
-	}
-	return n
-}
-
 // Loads returns the load vector l where l[j] = Σ_i r_ij — the total number
 // of requests each server must execute.
 func (a *Allocation) Loads() []float64 {
@@ -161,28 +147,4 @@ func (a *Allocation) L1Distance(b *Allocation) float64 {
 		}
 	}
 	return d
-}
-
-// RelayedOut returns out(ρ,i) = Σ_{j≠i} r_ij: the number of requests that
-// organization i relays to other servers (paper Appendix A).
-func (a *Allocation) RelayedOut(i int) float64 {
-	var t float64
-	for j, v := range a.R[i] {
-		if j != i {
-			t += v
-		}
-	}
-	return t
-}
-
-// RelayedIn returns in(ρ,i) = Σ_{j≠i} r_ji: the number of foreign requests
-// relayed to server i (paper Appendix A).
-func (a *Allocation) RelayedIn(i int) float64 {
-	var t float64
-	for j := range a.R {
-		if j != i {
-			t += a.R[j][i]
-		}
-	}
-	return t
 }

@@ -64,25 +64,3 @@ func CommCost(in *Instance, a *Allocation) float64 {
 	}
 	return t
 }
-
-// CongestionCost returns the pure congestion component Σ_j l_j²/(2 s_j).
-func CongestionCost(in *Instance, a *Allocation) float64 {
-	var t float64
-	for j, l := range a.Loads() {
-		t += l * l / (2 * in.Speed[j])
-	}
-	return t
-}
-
-// LowerBoundCost returns a simple lower bound on the optimal ΣC_i: the
-// congestion cost of the ideal speed-proportional load split with zero
-// communication. For homogeneous systems this is the paper's bound
-// m·l_av²/(2s) used in the proof of Theorem 1.
-//
-// The bound follows from minimizing Σ l_j²/(2 s_j) subject to Σ l_j = N,
-// whose optimum (by Cauchy–Schwarz / KKT) is l_j ∝ s_j, giving
-// N²/(2 Σ_j s_j).
-func LowerBoundCost(in *Instance) float64 {
-	n := in.TotalLoad()
-	return n * n / (2 * in.TotalSpeed())
-}

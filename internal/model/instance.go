@@ -273,32 +273,3 @@ func (in *Instance) AverageLatency() float64 {
 	}
 	return sum / float64(cnt)
 }
-
-// IsHomogeneous reports whether all speeds are equal and all off-diagonal
-// latencies are equal (the setting of paper §V-A) within tolerance eps.
-func (in *Instance) IsHomogeneous(eps float64) bool {
-	m := in.M()
-	for i := 1; i < m; i++ {
-		if math.Abs(in.Speed[i]-in.Speed[0]) > eps {
-			return false
-		}
-	}
-	var c float64
-	set := false
-	buf := make([]float64, m)
-	for i := 0; i < m; i++ {
-		row := RowView(in.Latency, i, buf)
-		for j := 0; j < m; j++ {
-			if i == j {
-				continue
-			}
-			if !set {
-				c = row[j]
-				set = true
-			} else if math.Abs(row[j]-c) > eps {
-				return false
-			}
-		}
-	}
-	return true
-}

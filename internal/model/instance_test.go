@@ -64,8 +64,15 @@ func TestUniformInstance(t *testing.T) {
 	if got := in.AverageLatency(); got != 20 {
 		t.Errorf("AverageLatency() = %v, want 20", got)
 	}
-	if !in.IsHomogeneous(1e-12) {
-		t.Error("uniform instance should be homogeneous")
+	for i := 0; i < in.M(); i++ {
+		if in.Speed[i] != 2 {
+			t.Errorf("speed[%d] = %v, want 2", i, in.Speed[i])
+		}
+		for j := 0; j < in.M(); j++ {
+			if c := in.LatAt(i, j); i != j && c != 20 {
+				t.Errorf("c[%d][%d] = %v, want 20", i, j, c)
+			}
+		}
 	}
 }
 
@@ -149,19 +156,6 @@ func TestCloneBlockKeepsLabelAliasing(t *testing.T) {
 	cp.Cluster[0] = 1
 	if in.Cluster[0] != 0 {
 		t.Error("clone shares cluster labels with the original")
-	}
-}
-
-func TestIsHomogeneousDetectsHeterogeneity(t *testing.T) {
-	in := Uniform(3, 1, 10, 20)
-	in.Speed[1] = 2
-	if in.IsHomogeneous(1e-9) {
-		t.Error("different speeds should not be homogeneous")
-	}
-	in = Uniform(3, 1, 10, 20)
-	in.Latency.(DenseLatency)[0][1] = 30
-	if in.IsHomogeneous(1e-9) {
-		t.Error("different latencies should not be homogeneous")
 	}
 }
 

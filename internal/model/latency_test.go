@@ -1,7 +1,6 @@
 package model
 
 import (
-	"bytes"
 	"math"
 	"math/rand"
 	"testing"
@@ -218,31 +217,4 @@ func TestBlockJoinWithForeignRowsDensifies(t *testing.T) {
 	if err := out.Validate(); err != nil {
 		t.Fatal(err)
 	}
-}
-
-// TestBlockInstanceJSONRoundTrip pins the O(m + k²) on-disk form.
-// (Finite delays only: encoding/json cannot represent +Inf, matching the
-// dense form's long-standing limitation.)
-func TestBlockInstanceJSONRoundTrip(t *testing.T) {
-	block, err := NewBlockInstance(
-		[]float64{1, 2, 3, 1.5}, []float64{10, 0, 7, 30},
-		[][]float64{{1.5, 40}, {42, 2}}, []int{0, 1, 1, 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	buf := &bytes.Buffer{}
-	if err := block.WriteJSON(buf); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadInstanceJSON(buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, isBlock := back.Latency.(*BlockLatency); !isBlock {
-		t.Fatal("round trip lost the block representation")
-	}
-	assertViewsAgree(t, back, &Instance{
-		Speed: block.Speed, Load: block.Load,
-		Latency: NewDense(block.Latency.Dense()), Cluster: block.Cluster,
-	})
 }

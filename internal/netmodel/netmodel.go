@@ -114,64 +114,30 @@ func ClusteredBlock(m, k int, intra, side float64, rng *rand.Rand) ([][]float64,
 	return delay, cluster
 }
 
-// Ring arranges m nodes on a cycle with perHop latency between neighbors
-// and shortest-path distances elsewhere. Used by topology ablations.
-func Ring(m int, perHop float64) [][]float64 {
-	lat := newMatrix(m)
-	for i := 0; i < m; i++ {
-		for j := 0; j < m; j++ {
-			if i == j {
-				continue
-			}
-			hops := math.Abs(float64(i - j))
-			if w := float64(m) - hops; w < hops {
-				hops = w
-			}
-			lat[i][j] = perHop * hops
-		}
-	}
-	return lat
-}
-
-// PlanetLabConfig tunes the synthetic PlanetLab generator. The zero value
-// is not useful; use DefaultPlanetLabConfig.
-type PlanetLabConfig struct {
-	// Clusters is the number of geographic clusters ("continents").
-	Clusters int
-	// IntraMean is the mean intra-cluster base latency in ms.
-	IntraMean float64
-	// InterMean is the mean inter-cluster base latency per unit of
+// Parameters of the synthetic PlanetLab generator, calibrated so that
+// the latency distribution resembles published PlanetLab RTT statistics:
+// median around 70–120 ms, intra-cluster links of 5–40 ms, heavy right
+// tail up to a few hundred ms.
+const (
+	// plClusters is the number of geographic clusters ("continents").
+	plClusters = 5
+	// plIntraMean is the mean intra-cluster base latency in ms.
+	plIntraMean = 15
+	// plInterMean is the mean inter-cluster base latency per unit of
 	// cluster-center distance, in ms.
-	InterMean float64
-	// JitterSigma is the σ of the lognormal multiplicative jitter applied
-	// to each directed link.
-	JitterSigma float64
-	// DropFraction of direct measurements is removed before the metric
+	plInterMean = 80
+	// plJitterSigma is the σ of the lognormal multiplicative jitter
+	// applied to each link.
+	plJitterSigma = 0.35
+	// plDropFraction of direct measurements is removed before the metric
 	// closure, mimicking the incomplete iPlane dataset.
-	DropFraction float64
-}
-
-// DefaultPlanetLabConfig returns parameters calibrated so that the latency
-// distribution resembles published PlanetLab RTT statistics: median around
-// 70–120 ms, intra-cluster links of 5–40 ms, heavy right tail up to a few
-// hundred ms.
-func DefaultPlanetLabConfig() PlanetLabConfig {
-	return PlanetLabConfig{
-		Clusters:     5,
-		IntraMean:    15,
-		InterMean:    80,
-		JitterSigma:  0.35,
-		DropFraction: 0.2,
-	}
-}
+	plDropFraction = 0.2
+)
 
 // PlanetLab generates a heterogeneous latency matrix as described in the
-// package comment, using cfg and the provided RNG.
-func PlanetLab(m int, cfg PlanetLabConfig, rng *rand.Rand) [][]float64 {
-	if cfg.Clusters <= 0 {
-		cfg = DefaultPlanetLabConfig()
-	}
-	k := cfg.Clusters
+// package comment, using the provided RNG.
+func PlanetLab(m int, rng *rand.Rand) [][]float64 {
+	k := plClusters
 	// Cluster centers on a circle so that inter-center distances vary.
 	cx := make([]float64, k)
 	cy := make([]float64, k)
@@ -189,22 +155,20 @@ func PlanetLab(m int, cfg PlanetLabConfig, rng *rand.Rand) [][]float64 {
 		for j := i + 1; j < m; j++ {
 			var base float64
 			if cluster[i] == cluster[j] {
-				base = cfg.IntraMean * (0.3 + 1.4*rng.Float64())
+				base = plIntraMean * (0.3 + 1.4*rng.Float64())
 			} else {
 				d := math.Hypot(cx[cluster[i]]-cx[cluster[j]], cy[cluster[i]]-cy[cluster[j]])
-				base = cfg.IntraMean + cfg.InterMean*d*(0.7+0.6*rng.Float64())
+				base = plIntraMean + plInterMean*d*(0.7+0.6*rng.Float64())
 			}
 			// Lognormal multiplicative jitter, shared by both directions
 			// (RTT-derived latencies are symmetric).
-			jit := math.Exp(cfg.JitterSigma * rng.NormFloat64())
+			jit := math.Exp(plJitterSigma * rng.NormFloat64())
 			v := base * jit
 			lat[i][j] = v
 			lat[j][i] = v
 		}
 	}
-	if cfg.DropFraction > 0 {
-		dropAndClose(lat, cfg.DropFraction, rng)
-	}
+	dropAndClose(lat, plDropFraction, rng)
 	return lat
 }
 
@@ -249,44 +213,6 @@ func FloydWarshall(lat [][]float64) {
 			}
 		}
 	}
-}
-
-// Symmetrize replaces each pair (c_ij, c_ji) by their average, producing a
-// symmetric matrix.
-func Symmetrize(lat [][]float64) {
-	m := len(lat)
-	for i := 0; i < m; i++ {
-		for j := i + 1; j < m; j++ {
-			v := (lat[i][j] + lat[j][i]) / 2
-			lat[i][j] = v
-			lat[j][i] = v
-		}
-	}
-}
-
-// TriangleViolations counts ordered triples (i,k,j) with
-// c_ik + c_kj < c_ij − eps, i.e. violations of the triangle inequality.
-// After FloydWarshall the count is zero; the paper relies on this to rule
-// out relaying through intermediate servers (§II).
-func TriangleViolations(lat [][]float64, eps float64) int {
-	m := len(lat)
-	count := 0
-	for i := 0; i < m; i++ {
-		for k := 0; k < m; k++ {
-			if i == k {
-				continue
-			}
-			for j := 0; j < m; j++ {
-				if j == i || j == k {
-					continue
-				}
-				if lat[i][k]+lat[k][j] < lat[i][j]-eps {
-					count++
-				}
-			}
-		}
-	}
-	return count
 }
 
 // newMatrix allocates an m×m zero matrix backed by one contiguous slice.

@@ -6,6 +6,31 @@ import (
 	"testing"
 )
 
+// triangleViolations counts ordered triples (i,k,j) with
+// c_ik + c_kj < c_ij − eps, i.e. violations of the triangle inequality.
+// After FloydWarshall the count is zero; the paper relies on this to rule
+// out relaying through intermediate servers (§II).
+func triangleViolations(lat [][]float64, eps float64) int {
+	m := len(lat)
+	count := 0
+	for i := 0; i < m; i++ {
+		for k := 0; k < m; k++ {
+			if i == k {
+				continue
+			}
+			for j := 0; j < m; j++ {
+				if j == i || j == k {
+					continue
+				}
+				if lat[i][k]+lat[k][j] < lat[i][j]-eps {
+					count++
+				}
+			}
+		}
+	}
+	return count
+}
+
 func TestHomogeneous(t *testing.T) {
 	lat := Homogeneous(5, 20)
 	for i := 0; i < 5; i++ {
@@ -34,23 +59,8 @@ func TestEuclideanIsSymmetricMetric(t *testing.T) {
 			}
 		}
 	}
-	if v := TriangleViolations(lat, 1e-9); v != 0 {
+	if v := triangleViolations(lat, 1e-9); v != 0 {
 		t.Errorf("Euclidean matrix has %d triangle violations, want 0", v)
-	}
-}
-
-func TestRingDistances(t *testing.T) {
-	lat := Ring(6, 10)
-	// Node 0 to node 3 is 3 hops either way.
-	if lat[0][3] != 30 {
-		t.Errorf("lat[0][3] = %v, want 30", lat[0][3])
-	}
-	// Node 0 to node 5 is 1 hop backwards.
-	if lat[0][5] != 10 {
-		t.Errorf("lat[0][5] = %v, want 10", lat[0][5])
-	}
-	if v := TriangleViolations(lat, 1e-9); v != 0 {
-		t.Errorf("ring has %d triangle violations, want 0", v)
 	}
 }
 
@@ -65,7 +75,7 @@ func TestFloydWarshallClosesMatrix(t *testing.T) {
 	if lat[0][2] != 3 {
 		t.Errorf("lat[0][2] = %v, want 3 (via node 1)", lat[0][2])
 	}
-	if v := TriangleViolations(lat, 1e-9); v != 0 {
+	if v := triangleViolations(lat, 1e-9); v != 0 {
 		t.Errorf("closure left %d triangle violations", v)
 	}
 }
@@ -88,7 +98,7 @@ func TestFloydWarshallShortcut(t *testing.T) {
 func TestPlanetLabProperties(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	m := 60
-	lat := PlanetLab(m, DefaultPlanetLabConfig(), rng)
+	lat := PlanetLab(m, rng)
 	if len(lat) != m {
 		t.Fatalf("matrix has %d rows, want %d", len(lat), m)
 	}
@@ -118,14 +128,14 @@ func TestPlanetLabProperties(t *testing.T) {
 		t.Errorf("latency spread %.1f–%.1f too narrow for a PlanetLab-like net", minOff, maxOff)
 	}
 	// Metricity after closure.
-	if v := TriangleViolations(lat, 1e-9); v != 0 {
+	if v := triangleViolations(lat, 1e-9); v != 0 {
 		t.Errorf("PlanetLab matrix has %d triangle violations after closure", v)
 	}
 }
 
 func TestPlanetLabDeterministicUnderSeed(t *testing.T) {
-	a := PlanetLab(20, DefaultPlanetLabConfig(), rand.New(rand.NewSource(5)))
-	b := PlanetLab(20, DefaultPlanetLabConfig(), rand.New(rand.NewSource(5)))
+	a := PlanetLab(20, rand.New(rand.NewSource(5)))
+	b := PlanetLab(20, rand.New(rand.NewSource(5)))
 	for i := range a {
 		for j := range a {
 			if a[i][j] != b[i][j] {
@@ -135,45 +145,22 @@ func TestPlanetLabDeterministicUnderSeed(t *testing.T) {
 	}
 }
 
-func TestPlanetLabZeroConfigFallsBack(t *testing.T) {
-	lat := PlanetLab(10, PlanetLabConfig{}, rand.New(rand.NewSource(2)))
-	if len(lat) != 10 {
-		t.Fatal("zero config should fall back to defaults")
-	}
-}
-
-func TestSymmetrize(t *testing.T) {
-	lat := [][]float64{
-		{0, 2, 4},
-		{6, 0, 8},
-		{2, 0, 0},
-	}
-	Symmetrize(lat)
-	if lat[0][1] != 4 || lat[1][0] != 4 {
-		t.Errorf("symmetrize (0,1): got %v/%v, want 4/4", lat[0][1], lat[1][0])
-	}
-	if lat[0][2] != 3 || lat[2][0] != 3 {
-		t.Errorf("symmetrize (0,2): got %v/%v, want 3/3", lat[0][2], lat[2][0])
-	}
-}
-
 func TestTriangleViolationsDetects(t *testing.T) {
 	lat := [][]float64{
 		{0, 1, 10},
 		{1, 0, 1},
 		{10, 1, 0},
 	}
-	if v := TriangleViolations(lat, 1e-9); v == 0 {
+	if v := triangleViolations(lat, 1e-9); v == 0 {
 		t.Error("expected violations in a non-metric matrix")
 	}
 }
 
 func BenchmarkPlanetLab200(b *testing.B) {
-	cfg := DefaultPlanetLabConfig()
 	rng := rand.New(rand.NewSource(1))
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		PlanetLab(200, cfg, rng)
+		PlanetLab(200, rng)
 	}
 }
 
@@ -210,7 +197,7 @@ func TestClusteredBlockStructure(t *testing.T) {
 			}
 		}
 	}
-	if v := TriangleViolations(lat, 1e-9); v != 0 {
+	if v := triangleViolations(lat, 1e-9); v != 0 {
 		t.Errorf("clustered matrix has %d triangle violations, want 0", v)
 	}
 }

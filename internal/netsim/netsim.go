@@ -120,9 +120,6 @@ func New(cfg Config, lat [][]float64, rng *rand.Rand) *Sim {
 	return s
 }
 
-// Neighbors returns node i's background-flow destinations.
-func (s *Sim) Neighbors(i int) []int { return s.neighbors[i] }
-
 // Pairs lists every measured (source, neighbor) pair, as in the paper's
 // experiment.
 func (s *Sim) Pairs() [][2]int {

@@ -13,7 +13,7 @@ func newSim(t *testing.T, seed int64) *Sim {
 	t.Helper()
 	cfg := DefaultConfig()
 	rng := rand.New(rand.NewSource(seed))
-	lat := netmodel.PlanetLab(cfg.Servers, netmodel.DefaultPlanetLabConfig(), rng)
+	lat := netmodel.PlanetLab(cfg.Servers, rng)
 	// Base matrix holds RTTs; the sim wants one-way delays. The paper's
 	// servers were distinct PlanetLab sites scattered around Europe, so
 	// floor the one-way delay at 10 ms (RTT ≥ 20 ms).
@@ -75,7 +75,7 @@ func TestNewRejectsUndersizedLatency(t *testing.T) {
 func TestTopology(t *testing.T) {
 	s := newSim(t, 1)
 	for i := 0; i < 60; i++ {
-		ns := s.Neighbors(i)
+		ns := s.neighbors[i]
 		if len(ns) != 5 {
 			t.Fatalf("node %d has %d neighbors, want 5", i, len(ns))
 		}
@@ -221,7 +221,7 @@ func TestProbeDeterministicUnderSeed(t *testing.T) {
 func BenchmarkProbeRTT(b *testing.B) {
 	cfg := DefaultConfig()
 	rng := rand.New(rand.NewSource(1))
-	lat := netmodel.PlanetLab(cfg.Servers, netmodel.DefaultPlanetLabConfig(), rng)
+	lat := netmodel.PlanetLab(cfg.Servers, rng)
 	s := New(cfg, lat, rng)
 	s.SetBackgroundThroughput(200)
 	b.ReportAllocs()

@@ -94,21 +94,6 @@ func QuadraticForm(q [][]float64, b, v []float64) float64 {
 	return total
 }
 
-// DiagonalEigenvalues returns the diagonal of Q, which — Q being upper
-// triangular — is exactly its spectrum: n_i²/(2 s_j) for all (i,j)
-// (paper §III). All entries are positive when every n_i > 0, certifying
-// positive definiteness.
-func DiagonalEigenvalues(in *model.Instance) []float64 {
-	m := in.M()
-	out := make([]float64, 0, m*m)
-	for i := 0; i < m; i++ {
-		for j := 0; j < m; j++ {
-			out = append(out, in.Load[i]*in.Load[i]/(2*in.Speed[j]))
-		}
-	}
-	return out
-}
-
 // FprintStructure writes the sparsity pattern of Q for a small instance,
 // reproducing paper Figure 1: X marks a non-zero entry, rows/columns are
 // grouped in m blocks of m.

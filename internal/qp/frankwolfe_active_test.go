@@ -98,16 +98,15 @@ func TestActiveDropStepsShrinkSupport(t *testing.T) {
 	}
 }
 
-// TestActiveDenseFacadeMatchesSparse pins that SolveFrankWolfe on a
-// non-classic variant is the sparse engine behind a dense façade —
-// bit-identical scalars and iterate.
+// TestActiveDenseFacadeMatchesSparse pins that densifying a non-classic
+// variant's sparse result keeps its scalars and iterate bit for bit.
 func TestActiveDenseFacadeMatchesSparse(t *testing.T) {
 	for _, v := range activeVariants {
 		in := randomInstance(t, 20, 3)
 		opt := Options{Variant: v, Tol: 1e-9, MaxIters: 200}
-		dense := SolveFrankWolfe(in, opt)
+		dense := SolveFrankWolfeSparse(in, opt).Dense()
 		sp := SolveFrankWolfeSparse(in, opt)
-		assertSameRun(t, "facade/"+v.String(), dense, sp)
+		assertSameRun(t, "densified/"+v.String(), dense, sp)
 	}
 }
 

@@ -46,8 +46,8 @@ type SparseResult struct {
 	ClusteredLMO bool
 }
 
-// Dense converts the result into the dense Result form used by the
-// public API bridge. O(m²) memory — intended for m where that is fine.
+// Dense converts the result into the dense Result form that the dense
+// solvers share. O(m²) memory — intended for m where that is fine.
 func (r *SparseResult) Dense() *Result {
 	return &Result{
 		Rho:       r.Rho.Dense(),
@@ -139,11 +139,21 @@ func (c *clusterLMO) best(i int) (int, float64) {
 	return bestJ, bestScore
 }
 
-// SolveFrankWolfeSparse is SolveFrankWolfe on the sparse representation:
-// identical iterates (bit for bit — see frankwolfe_sparse_test.go), but
-// O(nnz + m) memory and, per iteration, O(nnz + m·k) work on verified
-// clustered networks or O(nnz + m²) with the generic oracle (still
-// skipping the dense iterate updates and objective scans).
+// SolveFrankWolfeSparse minimizes ΣC_i over the product of
+// per-organization simplices with the Frank–Wolfe (conditional gradient)
+// method and exact line search. Each iteration produces a duality gap
+//
+//	gap = ⟨∇F(ρ), ρ − v⟩ ≥ F(ρ) − F*,
+//
+// so the returned Gap certifies how far the final cost can be from the
+// optimum. The run stops when gap ≤ Tol·max(1, cost).
+// Options.Variant selects the step rule; VariantAway and VariantPairwise
+// use the active-vertex-set engine (see frankwolfe_active.go).
+//
+// The iterate is sparse rows: O(nnz + m) memory and, per iteration,
+// O(nnz + m·k) work on verified clustered networks or O(nnz + m²) with
+// the generic oracle. Classic iterates match the dense reference in
+// frankwolfe_sparse_test.go bit for bit.
 func SolveFrankWolfeSparse(in *model.Instance, opt Options) *SparseResult {
 	if opt.Variant != VariantClassic {
 		return solveFrankWolfeActive(in, opt)

@@ -14,7 +14,7 @@ import (
 func randomInstance(t *testing.T, m int, seed int64) *model.Instance {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
-	lat := netmodel.PlanetLab(m, netmodel.DefaultPlanetLabConfig(), rng)
+	lat := netmodel.PlanetLab(m, rng)
 	speeds := workload.UniformSpeeds(m, 1, 5, rng)
 	loads := workload.ExponentialLoads(m, 100, rng)
 	in, err := model.NewInstance(speeds, loads, lat)
@@ -174,8 +174,8 @@ func TestSparseMatchesDense(t *testing.T) {
 			t.Fatalf("m=%d: clustered LMO engaged without a hint", m)
 		}
 		assertSameRun(t, "planetlab", dense, sp)
-		if f := SolveFrankWolfe(in, opt); f.Cost != dense.Cost || f.Gap != dense.Gap || f.Iters != dense.Iters {
-			t.Fatalf("m=%d: dense façade (%v, %v, %d) != reference (%v, %v, %d)",
+		if f := sp.Dense(); f.Cost != dense.Cost || f.Gap != dense.Gap || f.Iters != dense.Iters {
+			t.Fatalf("m=%d: densified (%v, %v, %d) != reference (%v, %v, %d)",
 				m, f.Cost, f.Gap, f.Iters, dense.Cost, dense.Gap, dense.Iters)
 		}
 	}

@@ -5,81 +5,9 @@ import (
 	"delaylb/internal/sparse"
 )
 
-// This file is the operator-form view of the §III quadratic program:
-// every quantity the dense Q/b formulation can produce is computed
-// straight from the instance, without ever materializing the m²×m²
-// matrix. BuildQ is exponential in memory for large m — the very reason
-// the paper develops a distributed algorithm — so the dense path is kept
-// only for verification (the opform tests check bit-level agreement on
-// small instances) while all large-m work goes through these operators.
-
-// QuadraticFormOp evaluates ρᵀQρ + bᵀρ for the flattened vector v
-// (ordering of Flatten: index (i,j) ↦ i·m+j) in O(m²) time and O(m)
-// scratch, against the dense form's O(m⁴). The identity it exploits is
-// the one BuildQ encodes: the quadratic term collapses to
-// Σ_j l_j²/(2 s_j) with l_j = Σ_i n_i v_(i,j), and bᵀρ = Σ_ij c_ij n_i
-// v_(i,j).
-func QuadraticFormOp(in *model.Instance, v []float64) float64 {
-	m := in.M()
-	loads := make([]float64, m)
-	for i := 0; i < m; i++ {
-		ni := in.Load[i]
-		if ni == 0 {
-			continue
-		}
-		row := v[i*m : (i+1)*m]
-		for j, f := range row {
-			loads[j] += ni * f
-		}
-	}
-	var total float64
-	for j, l := range loads {
-		total += l * l / (2 * in.Speed[j])
-	}
-	rowBuf := latRowBuf(in)
-	for i := 0; i < m; i++ {
-		ni := in.Load[i]
-		if ni == 0 {
-			continue
-		}
-		lat := model.RowView(in.Latency, i, rowBuf)
-		row := v[i*m : (i+1)*m]
-		for j, f := range row {
-			if f != 0 && lat[j] != 0 {
-				total += ni * f * lat[j]
-			}
-		}
-	}
-	return total
-}
-
-// QuadraticGradOp writes ∇(ρᵀQρ + bᵀρ) = (Q+Qᵀ)v + b into dst (length
-// m²) without materializing Q: entry (i,j) is n_i (l_j/s_j + c_ij).
-// This is the flattened twin of Gradient and agrees with the dense
-// matrix-vector product exactly (see opform_test.go).
-func QuadraticGradOp(in *model.Instance, v, dst []float64) {
-	m := in.M()
-	loads := make([]float64, m)
-	for i := 0; i < m; i++ {
-		ni := in.Load[i]
-		if ni == 0 {
-			continue
-		}
-		row := v[i*m : (i+1)*m]
-		for j, f := range row {
-			loads[j] += ni * f
-		}
-	}
-	rowBuf := latRowBuf(in)
-	for i := 0; i < m; i++ {
-		ni := in.Load[i]
-		lat := model.RowView(in.Latency, i, rowBuf)
-		out := dst[i*m : (i+1)*m]
-		for j := 0; j < m; j++ {
-			out[j] = ni * (loads[j]/in.Speed[j] + lat[j])
-		}
-	}
-}
+// This file evaluates the §III objective on a sparse iterate straight
+// from the instance, in O(nnz + m), without materializing the m²×m²
+// matrix that BuildQ builds for verification on small instances.
 
 // LoadsSparse computes l_j = Σ_k n_k ρ_kj into dst (length m) from a
 // sparse iterate in O(nnz). It mirrors Loads term for term — rows in

@@ -1,7 +1,6 @@
 package qp
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 
@@ -31,83 +30,6 @@ func randomSimplexRho(m int, rng *rand.Rand) []float64 {
 		}
 	}
 	return v
-}
-
-func relDiff(a, b float64) float64 {
-	return math.Abs(a-b) / math.Max(1, math.Max(math.Abs(a), math.Abs(b)))
-}
-
-// TestQuadraticFormOpMatchesDense is the satellite equivalence test:
-// the operator form must agree with the materialized Q/b evaluation on
-// random instances — the only role the dense path retains.
-func TestQuadraticFormOpMatchesDense(t *testing.T) {
-	for _, m := range []int{2, 3, 5, 7} {
-		for seed := int64(0); seed < 5; seed++ {
-			in := randomInstance(t, m, 100*int64(m)+seed)
-			rng := rand.New(rand.NewSource(seed))
-			q := BuildQ(in)
-			b := BuildB(in)
-			v := randomSimplexRho(m, rng)
-			dense := QuadraticForm(q, b, v)
-			op := QuadraticFormOp(in, v)
-			if relDiff(dense, op) > 1e-12 {
-				t.Fatalf("m=%d seed=%d: QuadraticForm=%v, QuadraticFormOp=%v", m, seed, dense, op)
-			}
-			// And both must equal the model objective the solvers minimize.
-			rho := make([][]float64, m)
-			for i := range rho {
-				rho[i] = v[i*m : (i+1)*m]
-			}
-			if obj := Objective(in, rho); relDiff(dense, obj) > 1e-12 {
-				t.Fatalf("m=%d seed=%d: dense QP %v vs Objective %v", m, seed, dense, obj)
-			}
-		}
-	}
-}
-
-// TestQuadraticGradOpMatchesDense checks ∇(ρᵀQρ+bᵀρ) = (Q+Qᵀ)v + b
-// entry by entry against the materialized matrices.
-func TestQuadraticGradOpMatchesDense(t *testing.T) {
-	for _, m := range []int{2, 4, 6} {
-		in := randomInstance(t, m, int64(m)+900)
-		rng := rand.New(rand.NewSource(int64(m)))
-		q := BuildQ(in)
-		b := BuildB(in)
-		v := randomSimplexRho(m, rng)
-		n := m * m
-		want := make([]float64, n)
-		for r := 0; r < n; r++ {
-			s := b[r]
-			for c := 0; c < n; c++ {
-				s += (q[r][c] + q[c][r]) * v[c]
-			}
-			want[r] = s
-		}
-		got := make([]float64, n)
-		QuadraticGradOp(in, v, got)
-		for r := 0; r < n; r++ {
-			if relDiff(want[r], got[r]) > 1e-12 {
-				t.Fatalf("m=%d: grad[%d] = %v, want %v", m, r, got[r], want[r])
-			}
-		}
-		// Consistency with the matrix-shaped Gradient used by the solvers.
-		loads := make([]float64, m)
-		rho := make([][]float64, m)
-		grad := make([][]float64, m)
-		for i := range rho {
-			rho[i] = v[i*m : (i+1)*m]
-			grad[i] = make([]float64, m)
-		}
-		Loads(in, rho, loads)
-		Gradient(in, loads, grad)
-		for i := 0; i < m; i++ {
-			for j := 0; j < m; j++ {
-				if grad[i][j] != got[i*m+j] {
-					t.Fatalf("m=%d: Gradient[%d][%d]=%v, QuadraticGradOp=%v", m, i, j, grad[i][j], got[i*m+j])
-				}
-			}
-		}
-	}
 }
 
 // TestObjectiveSparseMatchesObjective pins the bit-level agreement the

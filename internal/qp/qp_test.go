@@ -103,10 +103,25 @@ func TestBuildQStructure(t *testing.T) {
 	}
 }
 
+// diagonalEigenvalues returns the diagonal of Q, which — Q being upper
+// triangular — is exactly its spectrum: n_i²/(2 s_j) for all (i,j)
+// (paper §III). All entries are positive when every n_i > 0, certifying
+// positive definiteness.
+func diagonalEigenvalues(in *model.Instance) []float64 {
+	m := in.M()
+	out := make([]float64, 0, m*m)
+	for i := 0; i < m; i++ {
+		for j := 0; j < m; j++ {
+			out = append(out, in.Load[i]*in.Load[i]/(2*in.Speed[j]))
+		}
+	}
+	return out
+}
+
 func TestDiagonalEigenvaluesPositive(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	in := randInstance(rng, 4)
-	for _, ev := range DiagonalEigenvalues(in) {
+	for _, ev := range diagonalEigenvalues(in) {
 		if ev <= 0 {
 			t.Fatalf("eigenvalue %v not positive — Q should be positive definite", ev)
 		}
@@ -180,7 +195,7 @@ func TestSolversMatchClosedFormTwoServers(t *testing.T) {
 		return model.TotalCost(in, a)
 	}()
 	for name, solve := range map[string]func(*model.Instance, Options) *Result{
-		"frank-wolfe":        SolveFrankWolfe,
+		"frank-wolfe":        solveFrankWolfe,
 		"projected-gradient": SolveProjectedGradient,
 	} {
 		res := solve(in, Options{Tol: 1e-10, MaxIters: 100000})
@@ -193,13 +208,19 @@ func TestSolversMatchClosedFormTwoServers(t *testing.T) {
 	}
 }
 
+// solveFrankWolfe is classic Frank–Wolfe with its result densified, in
+// the signature of the solver tables in this file.
+func solveFrankWolfe(in *model.Instance, opt Options) *Result {
+	return SolveFrankWolfeSparse(in, opt).Dense()
+}
+
 // Frank–Wolfe's gap is a certificate: cost − gap ≤ F* ≤ cost must hold
 // with F* approximated by a long projected-gradient run.
 func TestFrankWolfeGapCertificate(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	for trial := 0; trial < 5; trial++ {
 		in := randInstance(rng, 6)
-		fw := SolveFrankWolfe(in, Options{Tol: 1e-8, MaxIters: 50000})
+		fw := SolveFrankWolfeSparse(in, Options{Tol: 1e-8, MaxIters: 50000}).Dense()
 		pg := SolveProjectedGradient(in, Options{Tol: 1e-12, MaxIters: 50000})
 		opt := math.Min(fw.Cost, pg.Cost)
 		if fw.Cost-fw.Gap > opt+1e-6*opt {
@@ -216,7 +237,7 @@ func TestSolversNeverIncreaseCostVsIdentity(t *testing.T) {
 	for trial := 0; trial < 10; trial++ {
 		in := randInstance(rng, 8)
 		idCost := model.TotalCost(in, model.Identity(in))
-		fw := SolveFrankWolfe(in, Options{Tol: 1e-6})
+		fw := SolveFrankWolfeSparse(in, Options{Tol: 1e-6}).Dense()
 		if fw.Cost > idCost+1e-9*idCost {
 			t.Errorf("FW cost %v worse than identity %v", fw.Cost, idCost)
 		}
@@ -230,7 +251,7 @@ func TestSolverRespectsForbiddenLinks(t *testing.T) {
 	in.Load[1], in.Load[2] = 0, 0 // all load on server 0
 
 	for name, solve := range map[string]func(*model.Instance, Options) *Result{
-		"frank-wolfe":        SolveFrankWolfe,
+		"frank-wolfe":        solveFrankWolfe,
 		"projected-gradient": SolveProjectedGradient,
 	} {
 		res := solve(in, Options{Tol: 1e-9})
@@ -246,7 +267,7 @@ func TestSolverRespectsForbiddenLinks(t *testing.T) {
 func TestSolverHandlesZeroLoadRows(t *testing.T) {
 	in := model.Uniform(4, 1, 0, 10)
 	in.Load[0] = 50
-	res := SolveFrankWolfe(in, Options{Tol: 1e-9})
+	res := SolveFrankWolfeSparse(in, Options{Tol: 1e-9}).Dense()
 	if !res.Converged {
 		t.Error("did not converge with zero-load rows")
 	}
@@ -267,7 +288,7 @@ func TestSolveWithInitial(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	in := randInstance(rng, 5)
 	init := randRho(rng, 5)
-	res := SolveFrankWolfe(in, Options{Tol: 1e-8, Initial: init})
+	res := SolveFrankWolfeSparse(in, Options{Tol: 1e-8, Initial: init}).Dense()
 	// The initial matrix must not have been mutated.
 	var sum float64
 	for _, row := range init {
@@ -289,7 +310,7 @@ func BenchmarkFrankWolfe50(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		SolveFrankWolfe(in, Options{Tol: 1e-6, MaxIters: 5000})
+		SolveFrankWolfeSparse(in, Options{Tol: 1e-6, MaxIters: 5000}).Dense()
 	}
 }
 

@@ -29,12 +29,6 @@ type Cluster struct {
 	inflight atomic.Int64
 }
 
-// NewCluster builds the goroutine cluster from an instance (identity
-// start), with the given proposal gain threshold and seed.
-func NewCluster(in *model.Instance, minGain float64, seed int64) *Cluster {
-	return NewClusterFromAllocation(in, model.Identity(in), minGain, seed)
-}
-
 // NewClusterFromAllocation builds the goroutine cluster starting from an
 // arbitrary feasible allocation (see NewSimBusFromAllocation).
 func NewClusterFromAllocation(in *model.Instance, a *model.Allocation, minGain float64, seed int64) *Cluster {

@@ -95,11 +95,8 @@ func (c SparseCol) Clone() SparseCol {
 	}
 }
 
-// NNZ is the number of stored coordinates.
-func (c SparseCol) NNZ() int { return len(c.Idx) }
-
-// Message is the single wire format of the protocol; unused fields stay
-// zero. Keeping one concrete struct makes gob encoding trivial.
+// Message is the single wire format of the protocol, shared by both
+// buses; unused fields stay zero.
 type Message struct {
 	Kind MsgKind
 	From int

@@ -3,6 +3,7 @@ package runtime
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"time"
 
@@ -17,7 +18,7 @@ func testInstance(seed int64, m int) *model.Instance {
 	in := &model.Instance{
 		Speed:   workload.UniformSpeeds(m, 1, 5, rng),
 		Load:    workload.ExponentialLoads(m, 80, rng),
-		Latency: model.NewDense(netmodel.PlanetLab(m, netmodel.DefaultPlanetLabConfig(), rng)),
+		Latency: model.NewDense(netmodel.PlanetLab(m, rng)),
 	}
 	return in
 }
@@ -126,7 +127,7 @@ func TestGossipSpreadsThroughTicks(t *testing.T) {
 func TestClusterConverges(t *testing.T) {
 	in := testInstance(15, 12)
 	ref := core.ReferenceOptimum(in, rand.New(rand.NewSource(16)))
-	c := NewCluster(in, 1e-6*ref, 17)
+	c := NewClusterFromAllocation(in, model.Identity(in), 1e-6*ref, 17)
 	defer c.Stop()
 	deadline := time.Now().Add(10 * time.Second)
 	for time.Now().Before(deadline) {
@@ -160,14 +161,12 @@ func TestServerIgnoresStaleAccept(t *testing.T) {
 	in := testInstance(23, 4)
 	bus := NewSimBus(in, 1e-9, 24)
 	s := bus.Servers[0]
-	col := s.Column()
+	col := s.col.Clone()
 	s.busy = true
 	s.pending = 2
 	// Accept from the wrong partner must not overwrite the column.
 	s.Handle(Message{Kind: MsgAccept, From: 1, To: 0, NewCol: PackCol(make([]float64, 4))})
-	for k, v := range s.Column() {
-		if v != col[k] {
-			t.Fatal("stale accept overwrote the column")
-		}
+	if !reflect.DeepEqual(s.col, col) {
+		t.Fatal("stale accept overwrote the column")
 	}
 }

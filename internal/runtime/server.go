@@ -59,18 +59,6 @@ func NewServer(id, m int, speed float64, latRow, col []float64, minGain float64,
 	return s
 }
 
-// Column returns the server's current column, densified.
-func (s *Server) Column() []float64 {
-	col := make([]float64, len(s.table))
-	s.col.UnpackInto(col)
-	return col
-}
-
-// SparseColumn returns a copy of the column in coordinate form.
-func (s *Server) SparseColumn() SparseCol {
-	return s.col.Clone()
-}
-
 // load is the server's true current load: the sum of its column.
 func (s *Server) load() float64 {
 	return s.col.Sum()
@@ -166,40 +154,22 @@ func (s *Server) onTick() []Message {
 	return out
 }
 
-// bestPartner scores all peers with the O(1) aggregate-transfer proxy
-// over gossiped loads and speeds (see core.StrategyProxy) and returns
-// the best, or −1 when no transfer looks profitable.
+// bestPartner scores all peers with core.ProxyGain over gossiped loads
+// and speeds (see core.StrategyProxy) and returns the best, or −1 when
+// no transfer looks profitable. The latency row is symmetric, so c_{ID,j}
+// prices both directions.
 func (s *Server) bestPartner() int {
 	li := s.load()
-	si := s.speed
 	bestJ, bestGain := -1, s.minGain
 	for j, e := range s.table {
 		if j == s.ID || !e.Known || math.IsInf(s.latRow[j], 1) {
 			continue
 		}
-		lj, sj, c := e.Load, e.Speed, s.latRow[j]
-		gain := 0.0
-		if d := ((sj*li - si*lj) - si*sj*c) / (si + sj); d > 0 {
-			dd := math.Min(d, li)
-			gain = quadGain(si, sj, li, lj, c, dd)
-		}
-		if d := ((si*lj - sj*li) - si*sj*c) / (si + sj); d > 0 {
-			dd := math.Min(d, lj)
-			if g := quadGain(sj, si, lj, li, c, dd); g > gain {
-				gain = g
-			}
-		}
-		if gain > bestGain {
+		if gain := core.ProxyGain(s.speed, e.Speed, li, e.Load, s.latRow[j], s.latRow[j]); gain > bestGain {
 			bestGain, bestJ = gain, j
 		}
 	}
 	return bestJ
-}
-
-func quadGain(si, sj, li, lj, c, d float64) float64 {
-	before := li*li/(2*si) + lj*lj/(2*sj)
-	after := (li-d)*(li-d)/(2*si) + (lj+d)*(lj+d)/(2*sj) + c*d
-	return before - after
 }
 
 func (s *Server) onGossip(msg Message) []Message {

@@ -9,7 +9,7 @@ import (
 // SimBus drives a set of Servers deterministically in a single thread:
 // messages are delivered FIFO, ticks are injected round by round in a
 // random order derived from the seed. It is the reference execution of
-// the protocol — the goroutine and TCP buses run the same Server logic.
+// the protocol — the goroutine Cluster runs the same Server logic.
 type SimBus struct {
 	Servers []*Server
 	queue   []Message

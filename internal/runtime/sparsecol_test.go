@@ -1,8 +1,6 @@
 package runtime
 
 import (
-	"bytes"
-	"encoding/gob"
 	"math"
 	"testing"
 )
@@ -10,8 +8,8 @@ import (
 func TestSparseColRoundTrip(t *testing.T) {
 	dense := []float64{0, 1.5, 0, 0, 3.25, 0.0, 7}
 	c := PackCol(dense)
-	if c.NNZ() != 3 {
-		t.Fatalf("packed %d coordinates, want 3", c.NNZ())
+	if len(c.Idx) != 3 {
+		t.Fatalf("packed %d coordinates, want 3", len(c.Idx))
 	}
 	back := make([]float64, len(dense))
 	c.UnpackInto(back)
@@ -74,7 +72,7 @@ func TestProposalsStaySparse(t *testing.T) {
 	bus.Run(in, 40, 1e-9)
 	maxNNZ, total := 0, 0
 	for _, s := range bus.Servers {
-		n := s.SparseColumn().NNZ()
+		n := len(s.col.Idx)
 		total += n
 		if n > maxNNZ {
 			maxNNZ = n
@@ -86,33 +84,5 @@ func TestProposalsStaySparse(t *testing.T) {
 	}
 	if maxNNZ >= m {
 		t.Errorf("a column holds %d coordinates at m=%d", maxNNZ, m)
-	}
-}
-
-// TestMessageGobRoundTrip guards the TCP bus: the sparse wire format
-// must survive gob encoding.
-func TestMessageGobRoundTrip(t *testing.T) {
-	msg := Message{
-		Kind:  MsgPropose,
-		From:  3,
-		To:    5,
-		Col:   SparseCol{Idx: []int32{1, 4}, Val: []float64{2.5, 7}},
-		Lat:   []float64{0, 1, 2},
-		Speed: 1.5,
-		Load:  9.5,
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(msg); err != nil {
-		t.Fatal(err)
-	}
-	var got Message
-	if err := gob.NewDecoder(&buf).Decode(&got); err != nil {
-		t.Fatal(err)
-	}
-	if got.Col.NNZ() != 2 || got.Col.Idx[1] != 4 || got.Col.Val[1] != 7 {
-		t.Fatalf("sparse column did not survive gob: %+v", got.Col)
-	}
-	if got.Kind != MsgPropose || got.Speed != 1.5 || got.Load != 9.5 {
-		t.Fatalf("message fields did not survive gob: %+v", got)
 	}
 }

@@ -219,15 +219,6 @@ func (mx *Matrix) RemoveAt(i, t int) {
 	mx.Val[i] = append(mx.Val[i][:t], mx.Val[i][t+1:]...)
 }
 
-// ScaleRow multiplies every stored entry of row i by scale — e.g. the
-// renormalization after a drop step. O(nnz_i).
-func (mx *Matrix) ScaleRow(i int, scale float64) {
-	vals := mx.Val[i]
-	for t := range vals {
-		vals[t] *= scale
-	}
-}
-
 // RowSum returns the sum of row i's stored entries, in ascending column
 // order.
 func (mx *Matrix) RowSum(i int) float64 {

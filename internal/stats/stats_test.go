@@ -32,19 +32,6 @@ func TestMeanEmpty(t *testing.T) {
 	}
 }
 
-func TestQuantile(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5}
-	approx(t, Quantile(xs, 0), 1, 0, "q0")
-	approx(t, Quantile(xs, 1), 5, 0, "q1")
-	approx(t, Quantile(xs, 0.5), 3, 1e-12, "median")
-	approx(t, Quantile(xs, 0.25), 2, 1e-12, "q25")
-	// Interpolation between order statistics.
-	approx(t, Quantile([]float64{1, 2}, 0.5), 1.5, 1e-12, "interp median")
-	if !math.IsNaN(Quantile(nil, 0.5)) {
-		t.Error("Quantile(nil) should be NaN")
-	}
-}
-
 func TestSummarize(t *testing.T) {
 	s := Summarize([]float64{1, 2, 3})
 	if s.N != 3 || s.Avg != 2 || s.Max != 3 || s.Min != 1 {

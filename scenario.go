@@ -286,7 +286,7 @@ func (sc Scenario) instance() (*model.Instance, error) {
 			blockDelay, labels = netmodel.ClusteredBlock(sc.Servers, sc.clusters(), 0.05*sc.Latency, sc.Latency, rng)
 		}
 	default:
-		lat = netmodel.PlanetLab(sc.Servers, netmodel.DefaultPlanetLabConfig(), rng)
+		lat = netmodel.PlanetLab(sc.Servers, rng)
 	}
 	var speeds []float64
 	switch sc.Speeds {

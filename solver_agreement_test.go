@@ -35,7 +35,7 @@ func TestCrossSolverAgreement(t *testing.T) {
 		// (zigzagging makes tighter targets take unbounded iterations) —
 		// which still leaves two orders of magnitude between the
 		// certificate and the 2e-3 agreement band.
-		ref := qp.SolveFrankWolfe(in, qp.Options{Tol: 1e-5, MaxIters: 200000})
+		ref := qp.SolveFrankWolfeSparse(in, qp.Options{Tol: 1e-5, MaxIters: 200000}).Dense()
 		if !ref.Converged {
 			t.Fatalf("%v: reference Frank–Wolfe did not converge (gap %g)", sc, ref.Gap)
 		}

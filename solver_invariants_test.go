@@ -2,14 +2,18 @@ package delaylb
 
 import (
 	"math"
+	"slices"
 	"testing"
+
+	"delaylb/internal/model"
 )
 
 // TestSolverInvariants is the registry-wide property test: every
 // registered solver, on randomized small scenarios, must return a
 // feasible plan — each organization's relay-fraction row non-negative
-// and summing to 1 (a simplex point) — with a finite cost and a
-// truthful NNZ, and so must NewResult on the same plan. Table-driven
+// and summing to 1 (a simplex point) — with a finite cost, a truthful
+// NNZ, and loads and costs equal to the dense model folds, and so must
+// NewResult on the same plan. Table-driven
 // over SolverNames, so solvers registered later are covered
 // automatically.
 func TestSolverInvariants(t *testing.T) {
@@ -104,5 +108,16 @@ func assertFeasibleResult(t *testing.T, sys *System, sc Scenario, res *Result) {
 	})
 	if visited != res.NNZ {
 		t.Fatalf("%v: Each visited %d entries, NNZ says %d", sc, visited, res.NNZ)
+	}
+	// Loads, Cost and OrgCosts are model's dense folds, bit for bit.
+	alloc := &model.Allocation{R: dense}
+	if want := alloc.Loads(); !slices.Equal(res.Loads, want) {
+		t.Fatalf("%v: Loads %v, dense fold %v", sc, res.Loads, want)
+	}
+	if want := model.TotalCost(sys.in, alloc); res.Cost != want {
+		t.Fatalf("%v: Cost %v, dense fold %v", sc, res.Cost, want)
+	}
+	if want := model.OrgCosts(sys.in, alloc); !slices.Equal(res.OrgCosts, want) {
+		t.Fatalf("%v: OrgCosts %v, dense fold %v", sc, res.OrgCosts, want)
 	}
 }

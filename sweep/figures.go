@@ -149,7 +149,7 @@ type Table4Result struct {
 func Table4(cfg Table4Config) Table4Result {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	simCfg := netsim.DefaultConfig()
-	lat := netmodel.PlanetLab(simCfg.Servers, netmodel.DefaultPlanetLabConfig(), rng)
+	lat := netmodel.PlanetLab(simCfg.Servers, rng)
 	// One-way delays with a 10 ms floor (distinct sites; RTT ≥ 20 ms).
 	for i := range lat {
 		for j := range lat {
