@@ -3,6 +3,7 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"math"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -354,6 +355,10 @@ func TestRunDescendRejectsBadConfig(t *testing.T) {
 	if err := run(context.Background(), config{Descend: filepath.Join("testdata", "descend.trace"),
 		Faults: "warp=0.1"}, &sb); err == nil {
 		t.Error("unknown fault key accepted")
+	}
+	if err := run(context.Background(), config{Descend: filepath.Join("testdata", "descend.trace"),
+		Part: math.NaN()}, &sb); err == nil {
+		t.Error("-part NaN accepted")
 	}
 }
 

@@ -12,9 +12,15 @@ package descent
 //     because delta messages carry absolute values; the column doubles
 //     as the subscription list for price publication;
 //   - load: each owned server's total load, maintained incrementally by
-//     folding deltas in canonical (row, col) order;
+//     folding each column's deltas in ascending row order;
 //   - price: last-received (load, speed) for every remote server the
 //     actor's rows currently use.
+//
+// rows, cols and load are plane-wide slices indexed by global server
+// (= org) index, allocated once per rebuild and shared by every actor.
+// An actor reads and writes only the entries of the servers it owns,
+// so concurrent phases touch disjoint indices; price is a private map
+// sized by the actor's subscriptions, not by m.
 //
 // Rounds are bulk-synchronous with three phases, barriered by the
 // plane (publish → step → apply). Every row step reads only state
@@ -24,7 +30,8 @@ package descent
 // the partition of work and messages, never the numbers.
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"sync"
 )
 
@@ -37,8 +44,7 @@ type vec struct {
 }
 
 func (v *vec) find(j int32) (int, bool) {
-	t := sort.Search(len(v.idx), func(t int) bool { return v.idx[t] >= j })
-	return t, t < len(v.idx) && v.idx[t] == j
+	return slices.BinarySearch(v.idx, j)
 }
 
 func (v *vec) get(j int32) float64 {
@@ -82,9 +88,9 @@ type actor struct {
 	id  int
 	own []int32 // owned server indices, ascending
 
-	rows  map[int32]*vec      // org row per owned org
-	cols  map[int32]*vec      // per-row contributions per owned server
-	load  map[int32]float64   // total load per owned server
+	rows  []*vec              // org row per org (plane-wide, shared)
+	cols  []*vec              // per-row contributions per server (shared)
+	load  []float64           // total load per server (shared)
 	price map[int32]loadSpeed // cache of remote server prices
 
 	byMetro [][]int32 // owned servers grouped by metro (block mode)
@@ -120,11 +126,14 @@ type actor struct {
 	wsStamp   []int32
 	stamp     int32
 	scratch   stepScratch
-	newIdx    []int32
-	newVal    []float64
+	newRow    []rowEntry
 	frozenIdx []int32
 	frozenVal []float64
 	batch     []deltaEntry
+	byCol     []deltaEntry // batch bucketed by owned column (apply)
+	colEnd    []int32      // bucket bounds per own slot (apply)
+	colIdx    []int32      // column merge output (apply)
+	colVal    []float64
 
 	// Hardened-transport state (harden.go), allocated by hardInit only
 	// when the plane runs over a lossy transport.
@@ -500,13 +509,14 @@ func (a *actor) stepRow(i int32, round int, eta float64) {
 
 	// Rebuild the row (frozen coordinates kept as-is) and route the
 	// changed coordinates to their owners.
-	a.newIdx = append(a.newIdx[:0], a.frozenIdx...)
-	a.newVal = append(a.newVal[:0], a.frozenVal...)
+	a.newRow = a.newRow[:0]
+	for t, j := range a.frozenIdx {
+		a.newRow = append(a.newRow, rowEntry{j: j, v: a.frozenVal[t]})
+	}
 	changed := false
 	for t, e := range a.ws {
 		if x[t] != 0 {
-			a.newIdx = append(a.newIdx, e.j)
-			a.newVal = append(a.newVal, x[t])
+			a.newRow = append(a.newRow, rowEntry{j: e.j, v: x[t]})
 		}
 		if x[t] != e.r {
 			changed = true
@@ -524,14 +534,17 @@ func (a *actor) stepRow(i int32, round int, eta float64) {
 		return
 	}
 	// Sort the rebuilt row back into index order (support was sorted,
-	// candidates were appended at the end).
-	sortPairs(a.newIdx, a.newVal)
-	row.idx = append(row.idx[:0], a.newIdx...)
-	row.val = append(row.val[:0], a.newVal...)
+	// candidates were appended at the end). Indices are unique.
+	slices.SortFunc(a.newRow, func(x, y rowEntry) int { return cmp.Compare(x.j, y.j) })
+	row.idx, row.val = row.idx[:0], row.val[:0]
+	for _, e := range a.newRow {
+		row.idx = append(row.idx, e.j)
+		row.val = append(row.val, e.v)
+	}
 }
 
 // apply is phase 3: fold every delta destined to this actor's servers —
-// remote and local alike — in canonical (row, col) order.
+// remote and local alike — one owned column at a time.
 func (a *actor) apply(round int) {
 	p := a.pl
 	if p.harden {
@@ -555,20 +568,86 @@ func (a *actor) apply(round int) {
 			a.batch = append(a.batch, m.deltas...)
 		}
 	}
-	sortDeltas(a.batch)
+	a.foldBatch()
+}
+
+// foldBatch applies a.batch, which holds at most one delta per
+// (row, col) and only deltas for owned columns. A counting sort on each
+// column's slot buckets the batch; each bucket is put in row order and
+// merged into its column in one pass. Each column thus folds its deltas
+// into its load in ascending row order — the only order a server's
+// load depends on — whatever order the messages arrived in. Most
+// buckets hold a handful of deltas, but under full participation rows
+// herd onto the same few servers and one bucket can hold a delta from
+// nearly every row, so buckets get an O(b log b) sort.
+func (a *actor) foldBatch() {
+	slot := a.pl.slot
+	end := slices.Grow(a.colEnd[:0], len(a.own))[:len(a.own)]
+	clear(end)
 	for _, d := range a.batch {
-		col := a.cols[d.col]
-		old := col.get(d.row)
-		col.set(d.row, d.val)
-		a.load[d.col] += d.val - old
+		end[slot[d.col]]++
 	}
+	var at int32
+	for s, n := range end {
+		end[s] = at // bucket start; advanced to the bucket end below
+		at += n
+	}
+	by := slices.Grow(a.byCol[:0], len(a.batch))[:len(a.batch)]
+	for _, d := range a.batch {
+		s := slot[d.col]
+		by[end[s]] = d
+		end[s]++
+	}
+	var lo int32
+	for s, hi := range end {
+		if hi > lo {
+			ups := by[lo:hi]
+			slices.SortFunc(ups, func(x, y deltaEntry) int { return cmp.Compare(x.row, y.row) })
+			a.foldColumn(a.own[s], ups)
+		}
+		lo = hi
+	}
+	a.colEnd, a.byCol = end, by
+}
+
+// foldColumn merges ups — deltas for column j in ascending row order —
+// into the column in one pass over the entries from the first updated
+// row to the last, and folds load += val − old per delta in that
+// order. A zero value removes the entry.
+func (a *actor) foldColumn(j int32, ups []deltaEntry) {
+	col := a.cols[j]
+	t, _ := col.find(ups[0].row)
+	head := t
+	idx, val := a.colIdx[:0], a.colVal[:0]
+	l := a.load[j]
+	for _, d := range ups {
+		for t < len(col.idx) && col.idx[t] < d.row {
+			idx = append(idx, col.idx[t])
+			val = append(val, col.val[t])
+			t++
+		}
+		var old float64
+		if t < len(col.idx) && col.idx[t] == d.row {
+			old = col.val[t]
+			t++
+		}
+		if d.val != 0 {
+			idx = append(idx, d.row)
+			val = append(val, d.val)
+		}
+		l += d.val - old
+	}
+	col.idx = slices.Replace(col.idx, head, t, idx...)
+	col.val = slices.Replace(col.val, head, t, val...)
+	a.load[j] = l
+	a.colIdx, a.colVal = idx, val
 }
 
 // nnz reports the entry count across the actor's rows.
 func (a *actor) nnz() int {
 	n := 0
-	for _, row := range a.rows {
-		n += len(row.idx)
+	for _, i := range a.own {
+		n += len(a.rows[i].idx)
 	}
 	return n
 }
@@ -580,20 +659,8 @@ func abs(x float64) float64 {
 	return x
 }
 
-// sortPairs sorts parallel (idx, val) by idx ascending. Indices are
-// unique by construction.
-func sortPairs(idx []int32, val []float64) {
-	sort.Sort(&pairSort{idx, val})
-}
-
-type pairSort struct {
-	idx []int32
-	val []float64
-}
-
-func (p *pairSort) Len() int           { return len(p.idx) }
-func (p *pairSort) Less(a, b int) bool { return p.idx[a] < p.idx[b] }
-func (p *pairSort) Swap(a, b int) {
-	p.idx[a], p.idx[b] = p.idx[b], p.idx[a]
-	p.val[a], p.val[b] = p.val[b], p.val[a]
+// rowEntry is one (index, value) coordinate of a row being rebuilt.
+type rowEntry struct {
+	j int32
+	v float64
 }

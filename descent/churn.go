@@ -110,7 +110,7 @@ func (p *Plane) Crash(victim int) (CrashEvent, error) {
 		if vic[i] {
 			continue
 		}
-		row := p.actors[p.owner[i]].rows[int32(i)]
+		row := p.rows[i]
 		for t, j := range row.idx {
 			if vic[j] {
 				ev.RecoveredMass += row.val[t]

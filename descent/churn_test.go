@@ -132,7 +132,7 @@ func TestMidRoundLeaveDropsInFlightDelta(t *testing.T) {
 	// in-flight deltas reference it.
 	leave := -1
 	for i := 0; i < p.M() && leave < 0; i++ {
-		row := p.actors[p.owner[i]].rows[int32(i)]
+		row := p.rows[i]
 		for _, j := range row.idx {
 			if int(j) != i {
 				leave = int(j)

@@ -19,8 +19,8 @@
 //
 // Rounds are bulk-synchronous (publish → step → apply). The phases run
 // concurrently across actors, but each row step is a pure function of
-// state published at the start of the round and all cross-actor folds
-// are sorted into canonical orders, so a run's numeric trajectory —
+// state published at the start of the round and each server's column
+// folds its deltas in ascending row order, so a run's numeric trajectory —
 // costs and allocations, bit for bit — depends only on (instance,
 // Config.Seed, mode, step schedule) and not on the shard count or the
 // goroutine schedule. The Messages/Bytes counters measure traffic that
@@ -196,6 +196,8 @@ type Plane struct {
 	k      int     // metro count (block mode)
 	labels []int   // metro per server (block mode)
 	owner  []int32 // owning actor per server/org
+	slot   []int32 // position of each server in its owner's own list
+	rows   []*vec  // allocation row per org, shared with every actor
 	actors []*actor
 	tr     Transport
 
@@ -233,25 +235,31 @@ func NewPlane(in *model.Instance, cfg Config) (*Plane, error) {
 	if cfg.Step == 0 {
 		cfg.Step = 0.5
 	}
-	if cfg.Step < 0 || cfg.Step > 1 {
+	if !(cfg.Step > 0 && cfg.Step <= 1) {
 		return nil, fmt.Errorf("descent: Step=%v, must be in (0, 1]", cfg.Step)
 	}
 	if cfg.Participation == 0 {
 		cfg.Participation = 1
 	}
-	if cfg.Participation < 0 || cfg.Participation > 1 {
+	if !(cfg.Participation > 0 && cfg.Participation <= 1) {
 		return nil, fmt.Errorf("descent: Participation=%v, must be in (0, 1]", cfg.Participation)
 	}
 	if cfg.Band == 0 {
 		cfg.Band = 0.02
+	}
+	if !finiteF(cfg.Band) {
+		return nil, fmt.Errorf("descent: Band=%v, must be finite", cfg.Band)
+	}
+	if !finiteF(cfg.Target) {
+		return nil, fmt.Errorf("descent: Target=%v, must be finite", cfg.Target)
 	}
 	if cfg.Faults != nil {
 		if err := cfg.Faults.Validate(); err != nil {
 			return nil, err
 		}
 	}
-	if cfg.RoundMs < 0 {
-		return nil, fmt.Errorf("descent: RoundMs=%v, must be >= 0", cfg.RoundMs)
+	if cfg.RoundMs < 0 || !finiteF(cfg.RoundMs) {
+		return nil, fmt.Errorf("descent: RoundMs=%v, must be finite and >= 0", cfg.RoundMs)
 	}
 	if cfg.Transport == nil {
 		if cfg.Faults != nil {
@@ -334,14 +342,18 @@ func (p *Plane) rebuild(in *model.Instance, alloc *sparse.Matrix) error {
 		p.harden = true
 	}
 
+	p.rows = make([]*vec, m)
+	p.slot = make([]int32, m)
+	cols := make([]*vec, m)
+	load := make([]float64, m)
 	p.actors = make([]*actor, shards)
 	for id := range p.actors {
 		a := &actor{
 			pl:    p,
 			id:    id,
-			rows:  make(map[int32]*vec),
-			cols:  make(map[int32]*vec),
-			load:  make(map[int32]float64),
+			rows:  p.rows,
+			cols:  cols,
+			load:  load,
 			price: make(map[int32]loadSpeed),
 		}
 		if p.block {
@@ -354,9 +366,9 @@ func (p *Plane) rebuild(in *model.Instance, alloc *sparse.Matrix) error {
 	}
 	for j := 0; j < m; j++ {
 		a := p.actors[p.owner[j]]
+		p.slot[j] = int32(len(a.own))
 		a.own = append(a.own, int32(j))
-		a.cols[int32(j)] = &vec{}
-		a.load[int32(j)] = 0
+		cols[j] = &vec{}
 		if p.block {
 			g := p.labels[j]
 			a.byMetro[g] = append(a.byMetro[g], int32(j))
@@ -364,7 +376,8 @@ func (p *Plane) rebuild(in *model.Instance, alloc *sparse.Matrix) error {
 	}
 
 	// Distribute rows and derive columns/loads in global index order —
-	// the canonical fold the incremental delta application continues.
+	// each column in ascending row order, the fold the incremental delta
+	// application continues.
 	p.totalLoad = 0
 	for i := 0; i < m; i++ {
 		p.totalLoad += in.Load[i]
@@ -378,23 +391,22 @@ func (p *Plane) rebuild(in *model.Instance, alloc *sparse.Matrix) error {
 				row.val = append(row.val, v)
 			}
 		}
-		p.actors[p.owner[i]].rows[int32(i)] = row
+		p.rows[i] = row
 		for t, j := range row.idx {
-			oa := p.actors[p.owner[j]]
-			col := oa.cols[j]
+			col := cols[j]
 			col.idx = append(col.idx, int32(i))
 			col.val = append(col.val, row.val[t])
-			oa.load[j] += row.val[t]
+			load[j] += row.val[t]
 		}
 	}
 	// Seed the price caches from the global loads so the first round
 	// after a rebuild steps against consistent state even before the
 	// first publish lands.
 	for _, a := range p.actors {
-		for _, row := range a.rows {
-			for _, j := range row.idx {
+		for _, i := range a.own {
+			for _, j := range p.rows[i].idx {
 				if p.owner[j] != int32(a.id) {
-					a.price[j] = loadSpeed{load: p.actors[p.owner[j]].load[j], speed: in.Speed[j]}
+					a.price[j] = loadSpeed{load: load[j], speed: in.Speed[j]}
 				}
 			}
 		}
@@ -680,7 +692,7 @@ func (p *Plane) observeCost() float64 {
 		loads[j] = 0
 	}
 	for i := 0; i < m; i++ {
-		row := p.actors[p.owner[i]].rows[int32(i)]
+		row := p.rows[i]
 		for t, j := range row.idx {
 			loads[j] += row.val[t]
 		}
@@ -690,7 +702,7 @@ func (p *Plane) observeCost() float64 {
 		cost += l * l / (2 * p.in.Speed[j])
 	}
 	for i := 0; i < m; i++ {
-		row := p.actors[p.owner[i]].rows[int32(i)]
+		row := p.rows[i]
 		for t, j := range row.idx {
 			if v := row.val[t]; v != 0 && int(j) != i {
 				cost += v * p.lat.At(i, int(j))
@@ -764,7 +776,7 @@ func (p *Plane) Allocation() *sparse.Matrix {
 	m := p.in.M()
 	out := sparse.New(m, m)
 	for i := 0; i < m; i++ {
-		row := p.actors[p.owner[i]].rows[int32(i)]
+		row := p.rows[i]
 		out.Idx[i] = append([]int32(nil), row.idx...)
 		out.Val[i] = append([]float64(nil), row.val...)
 	}

@@ -3,7 +3,9 @@ package descent
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"delaylb"
@@ -134,6 +136,50 @@ func TestProxStepFeasibleAndImproving(t *testing.T) {
 	}
 	if x[1] <= 0 {
 		t.Fatalf("x[1]=%g, want positive share on the fast cheap server", x[1])
+	}
+}
+
+// TestNewPlaneRejectsBadConfig pins that every numeric Config field is
+// range- and finiteness-checked, with an error naming the field. NaN
+// fails every ordered comparison, so a plain range check lets it
+// through.
+func TestNewPlaneRejectsBadConfig(t *testing.T) {
+	in := clusteredInstance(t, 12, 3, 1)
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, tc := range []struct {
+		name  string
+		cfg   Config
+		field string
+	}{
+		{"NaN step", Config{Step: nan}, "Step"},
+		{"infinite step", Config{Step: inf}, "Step"},
+		{"negative step", Config{Step: -0.5}, "Step"},
+		{"step above 1", Config{Step: 1.5}, "Step"},
+		{"NaN participation", Config{Participation: nan}, "Participation"},
+		{"negative participation", Config{Participation: -0.1}, "Participation"},
+		{"participation above 1", Config{Participation: 2}, "Participation"},
+		{"NaN band", Config{Band: nan}, "Band"},
+		{"infinite band", Config{Band: inf}, "Band"},
+		{"NaN round duration", Config{RoundMs: nan}, "RoundMs"},
+		{"infinite round duration", Config{RoundMs: inf}, "RoundMs"},
+		{"negative round duration", Config{RoundMs: -1}, "RoundMs"},
+		{"NaN target", Config{Target: nan}, "Target"},
+		{"infinite target", Config{Target: -inf}, "Target"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := NewPlane(in, tc.cfg)
+			if err == nil {
+				t.Fatalf("NewPlane accepted %s", tc.name)
+			}
+			if !strings.Contains(err.Error(), tc.field+"=") {
+				t.Fatalf("error %q does not name %s", err, tc.field)
+			}
+		})
+	}
+	for _, cfg := range []Config{{}, {Step: 1, Participation: 1, Band: 0.1, RoundMs: 5, Target: 1}} {
+		if _, err := NewPlane(in, cfg); err != nil {
+			t.Fatalf("NewPlane(%+v): %v", cfg, err)
+		}
 	}
 }
 
@@ -313,16 +359,31 @@ func TestConvergedFixedPointStops(t *testing.T) {
 	}
 }
 
+// BenchmarkDescentRound times one steady-state round. The first two
+// cases run full participation after a short warm-up; the last has the
+// shape of the descent-flash benchmark workload (m=1500, 16 metros,
+// participation 0.2, 100 warm-up rounds).
 func BenchmarkDescentRound(b *testing.B) {
-	for _, m := range []int{500, 2000} {
-		b.Run(delaylb.NewScenario(m).WithClusters(8).String(), func(b *testing.B) {
-			in := clusteredInstance(b, m, 8, 1)
-			p, err := NewPlane(in, Config{Seed: 1})
+	for _, c := range []struct {
+		m, k, warm int
+		part       float64
+	}{
+		{m: 500, k: 8, warm: 5, part: 1},
+		{m: 2000, k: 8, warm: 5, part: 1},
+		{m: 1500, k: 16, warm: 100, part: 0.2},
+	} {
+		name := delaylb.NewScenario(c.m).WithClusters(c.k).String()
+		if c.part < 1 {
+			name += fmt.Sprintf(" part=%g", c.part)
+		}
+		b.Run(name, func(b *testing.B) {
+			in := clusteredInstance(b, c.m, c.k, 1)
+			p, err := NewPlane(in, Config{Seed: 1, Participation: c.part})
 			if err != nil {
 				b.Fatal(err)
 			}
 			// Warm the support structure before timing rounds.
-			if _, err := p.Run(5); err != nil {
+			if _, err := p.Run(c.warm); err != nil {
 				b.Fatal(err)
 			}
 			b.ReportAllocs()

@@ -29,10 +29,11 @@ package descent
 // not depend on goroutine scheduling.
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -337,21 +338,20 @@ func (s *SimTransport) Flush() {
 		}
 	}
 	s.pending = keep
-	sort.Slice(ready, func(a, b int) bool {
-		pa, pb := ready[a], ready[b]
-		if pa.dst != pb.dst {
-			return pa.dst < pb.dst
+	slices.SortFunc(ready, func(a, b simPayload) int {
+		if a.dst != b.dst {
+			return cmp.Compare(a.dst, b.dst)
 		}
-		if pa.prio != pb.prio {
-			return pa.prio < pb.prio
+		if a.prio != b.prio {
+			return cmp.Compare(a.prio, b.prio)
 		}
-		if pa.src != pb.src {
-			return pa.src < pb.src
+		if a.src != b.src {
+			return cmp.Compare(a.src, b.src)
 		}
-		if pa.seq != pb.seq {
-			return pa.seq < pb.seq
+		if a.seq != b.seq {
+			return cmp.Compare(a.seq, b.seq)
 		}
-		return pa.dup < pb.dup
+		return cmp.Compare(a.dup, b.dup)
 	})
 	for _, pl := range ready {
 		s.deliver(pl.dst, pl.data)

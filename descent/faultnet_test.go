@@ -164,11 +164,11 @@ func TestRetransmitHealsColumns(t *testing.T) {
 	}
 	// Columns must mirror rows exactly after the drain.
 	for _, a := range p.actors {
-		for j, col := range a.cols {
+		for _, j := range a.own {
+			col := a.cols[j]
 			load := 0.0
 			for tt, i := range col.idx {
-				owner := p.actors[p.owner[i]]
-				if got := owner.rows[i].get(j); got != col.val[tt] {
+				if got := p.rows[i].get(j); got != col.val[tt] {
 					t.Fatalf("col %d row %d holds %g, row holds %g", j, i, col.val[tt], got)
 				}
 				load += col.val[tt]

@@ -30,9 +30,10 @@ package descent
 // retransmit lands or churn rebuilds columns from rows.
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 )
 
 // sentRec is one retransmittable envelope in the sender's buffer.
@@ -294,7 +295,10 @@ func (a *actor) mergeSummariesHard() {
 // applyHard is the hardened phase 3: ingest late arrivals, fold the
 // round-tagged deltas in canonical (row, col, round) order with
 // per-coordinate staleness rejection, then scan the streams for gaps.
+// The fold is per delta, not per column: staleness is judged per
+// coordinate, and one coordinate may carry several rounds' values.
 func (a *actor) applyHard(round int) {
+	p := a.pl
 	a.ingest(int32(round))
 	for _, d := range a.pendingLocal {
 		a.deltaPend = append(a.deltaPend, taggedDelta{d: d, round: int32(round)})
@@ -302,11 +306,11 @@ func (a *actor) applyHard(round int) {
 	a.pendingLocal = a.pendingLocal[:0]
 	sortTagged(a.deltaPend)
 	for _, td := range a.deltaPend {
-		col, ok := a.cols[td.d.col]
-		if !ok {
+		if c := td.d.col; c < 0 || int(c) >= len(a.cols) || p.owner[c] != int32(a.id) {
 			a.invalidDropped++
 			continue
 		}
+		col := a.cols[td.d.col]
 		key := coordKey(td.d.col, td.d.row)
 		if prev, ok := a.colRnd[key]; ok && td.round < prev {
 			a.staleDropped++
@@ -486,19 +490,19 @@ func finiteF(v float64) bool {
 	return !math.IsNaN(v) && !math.IsInf(v, 0)
 }
 
-// sortTagged orders tagged deltas by (row, col, round): the canonical
-// coordinate fold, with multiple rounds of the same coordinate applied
-// oldest first so the newest value wins under the >= staleness rule.
+// sortTagged orders tagged deltas by (row, col, round): each column
+// folds in ascending row order, with multiple rounds of the same
+// coordinate applied oldest first so the newest value wins under the >=
+// staleness rule.
 func sortTagged(entries []taggedDelta) {
-	sort.Slice(entries, func(a, b int) bool {
-		da, db := entries[a], entries[b]
-		if da.d.row != db.d.row {
-			return da.d.row < db.d.row
+	slices.SortFunc(entries, func(x, y taggedDelta) int {
+		if x.d.row != y.d.row {
+			return cmp.Compare(x.d.row, y.d.row)
 		}
-		if da.d.col != db.d.col {
-			return da.d.col < db.d.col
+		if x.d.col != y.d.col {
+			return cmp.Compare(x.d.col, y.d.col)
 		}
-		return da.round < db.round
+		return cmp.Compare(x.round, y.round)
 	})
 }
 

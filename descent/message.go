@@ -20,7 +20,9 @@ package descent
 //     row (r + (x−r) ≠ x in floats; plain x is exact), which is what
 //     makes "value == 0 ⇒ remove" sound. This retires the dense-column
 //     exchange of internal/runtime for good: message volume is O(nnz),
-//     independent of m².
+//     independent of m². Payloads carry no ordering promise: the owner
+//     folds each column's deltas in ascending row order, whatever order
+//     and grouping they arrived in.
 //
 // Encoding is deliberately not gob: fixed-width little-endian fields make
 // payload bytes a pure function of the values, so byte counts are
@@ -30,7 +32,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"sort"
 )
 
 type msgKind byte
@@ -250,17 +251,4 @@ func decodeMessage(payload []byte) (message, error) {
 		return m, fmt.Errorf("descent: unknown message kind %d", m.kind)
 	}
 	return m, nil
-}
-
-// sortDeltas puts delta entries into the canonical (row, col) order.
-// Owners apply every round's deltas in this order, which makes the
-// floating-point fold over l_j independent of message arrival order —
-// the property the cross-shard determinism contract rests on.
-func sortDeltas(entries []deltaEntry) {
-	sort.Slice(entries, func(a, b int) bool {
-		if entries[a].row != entries[b].row {
-			return entries[a].row < entries[b].row
-		}
-		return entries[a].col < entries[b].col
-	})
 }

@@ -28,7 +28,10 @@ package descent
 // of the (convex) system objective; selfish fixed points are Nash
 // equilibria, which is what makes the plane's PoA stream meaningful.
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+)
 
 // Mode selects which gradient the actors descend.
 type Mode int
@@ -63,14 +66,22 @@ type wsEntry struct {
 // rounds allocate nothing.
 type stepScratch struct {
 	c   []float64
-	ord []int
+	ord []proxKey
 	x   []float64
+}
+
+// proxKey is one working-set coordinate's sort key for the breakpoint
+// scan: its value c, its server j, and its position t in the set.
+type proxKey struct {
+	c float64
+	j int32
+	t int32
 }
 
 func (s *stepScratch) grow(n int) {
 	if cap(s.c) < n {
 		s.c = make([]float64, n)
-		s.ord = make([]int, n)
+		s.ord = make([]proxKey, n)
 		s.x = make([]float64, n)
 	}
 	s.c = s.c[:n]
@@ -102,25 +113,28 @@ func proxStep(mode Mode, eta, budget float64, ws []wsEntry, scratch *stepScratch
 	c, ord, x := scratch.c, scratch.ord, scratch.x
 	for t, e := range ws {
 		c[t] = e.r/(eta*e.speed) - gradient(mode, e)
-		ord[t] = t
+		ord[t] = proxKey{c: c[t], j: e.j, t: int32(t)}
 	}
-	sort.Slice(ord, func(a, b int) bool {
-		if c[ord[a]] != c[ord[b]] {
-			return c[ord[a]] > c[ord[b]]
+	slices.SortFunc(ord, func(a, b proxKey) int {
+		switch {
+		case a.c > b.c:
+			return -1
+		case a.c < b.c:
+			return 1
 		}
-		return ws[ord[a]].j < ws[ord[b]].j
+		return cmp.Compare(a.j, b.j)
 	})
 	// Breakpoint scan: λ_t = (Σ_{u≤t} w_u·c_u − budget)/Σ_{u≤t} w_u with
 	// w = η·s. The active prefix is the largest t whose λ_t stays below
 	// the next coordinate's c.
 	var wSum, wcSum, lam float64
 	for t := 0; t < n; t++ {
-		u := ord[t]
-		w := eta * ws[u].speed
+		k := ord[t]
+		w := eta * ws[k.t].speed
 		wSum += w
-		wcSum += w * c[u]
+		wcSum += w * k.c
 		lam = (wcSum - budget) / wSum
-		if t+1 < n && lam >= c[ord[t+1]] {
+		if t+1 < n && lam >= ord[t+1].c {
 			break
 		}
 	}

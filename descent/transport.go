@@ -10,9 +10,10 @@ package descent
 
 // Transport moves opaque payloads between actors 0..n-1. Send may be
 // called concurrently by different senders; delivery order within a
-// round is explicitly *not* part of the contract — receivers sort what
-// they decode (see sortDeltas), which is what makes the plane's results
-// independent of scheduling and of the transport itself.
+// round is explicitly *not* part of the contract — each column folds its
+// deltas in ascending row order whatever order they arrived in (see
+// foldBatch), which is what makes the plane's results independent of
+// scheduling and of the transport itself.
 type Transport interface {
 	// Attach registers the receive path. deliver(dst, payload) enqueues
 	// payload for actor dst and is safe for concurrent calls — the
