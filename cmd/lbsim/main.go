@@ -345,7 +345,7 @@ func runMode(ctx context.Context, cfg config, scope *obs.Scope, w io.Writer) err
 		if err != nil {
 			return err
 		}
-		fmt.Fprintf(w, "final ΣC_i = %.6g after %d concurrent rounds (%s)\n",
+		fmt.Fprintf(w, "final ΣC_i = %.6g after %d rounds (%s)\n",
 			res.Cost, res.Iterations, time.Since(start).Round(time.Millisecond))
 	default:
 		return fmt.Errorf("unknown -algo %q (solvers: %v, plus \"runtime\")", cfg.Algo, delaylb.SolverNames())

@@ -26,7 +26,8 @@
 //     distribution × speed model × size × seed).
 //   - Sessions: a stateful Session holds a current allocation and
 //     re-optimizes incrementally (warm starts) as loads and latencies
-//     change, or runs the concurrent message-passing cluster.
+//     change, or runs the paper's message-passing protocol round by
+//     round.
 //
 // Quick start:
 //
@@ -529,16 +530,30 @@ func (s *System) RoundTasks(res *Result, tasks []Task) ([]int, *Result) {
 }
 
 // SimulateDistributed runs the message-passing runtime (gossip +
-// pairwise balance proposals) for the given number of rounds on a
-// deterministic in-memory bus and returns the reached allocation along
-// with the number of delivered messages.
+// pairwise balance proposals) from the identity allocation on a
+// deterministic in-memory bus, for at most the given number of rounds,
+// and returns the reached allocation along with the number of delivered
+// messages. The run stops early once a round improves ΣC_i by at most
+// 1e-9 relative; Iterations is the number of rounds run, Converged is
+// true only when that rule stopped the run (Reason "tolerance"), and
+// Reason is "max-iters" otherwise. With rounds < 1 nothing runs and the
+// result is the identity allocation.
 func (s *System) SimulateDistributed(rounds int, opts ...Option) (*Result, int) {
 	o := buildOptions(opts)
-	minGain := 1e-6 * (1 + s.Identity().Cost)
-	bus := runtime.NewSimBus(s.in, minGain, o.Seed)
-	bus.Run(s.in, rounds, 1e-9)
+	bus := runtime.NewSimBus(s.in, runtimeMinGain(s.in), o.Seed)
+	done, converged := bus.Run(s.in, rounds, 1e-9)
 	res := resultFromAllocation(s.in, bus.Allocation())
-	res.Converged = true
-	res.Iterations = rounds
+	res.Iterations = done
+	res.Converged = converged
+	res.Reason = "max-iters"
+	if converged {
+		res.Reason = "tolerance"
+	}
 	return res, bus.Delivered
+}
+
+// runtimeMinGain is the proposal threshold of SimulateDistributed and
+// RunCluster.
+func runtimeMinGain(in *model.Instance) float64 {
+	return 1e-6 * (1 + (&System{in: in}).Identity().Cost)
 }

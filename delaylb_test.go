@@ -241,6 +241,27 @@ func TestSimulateDistributed(t *testing.T) {
 	if got := math.Float64bits(res.Cost); got != 0x40cea45f8c0164a2 || delivered != 649 {
 		t.Errorf("runtime: cost bits %#x after %d messages, want 0x40cea45f8c0164a2 after 649", got, delivered)
 	}
+	// The improvement rule stops this run after 9 of its 40 rounds; a
+	// run it does not stop reports its cap, and no rounds leave the
+	// identity.
+	for _, c := range []struct {
+		rounds, iters int
+		converged     bool
+		reason        string
+	}{
+		{40, 9, true, "tolerance"},
+		{2, 2, false, "max-iters"},
+		{-3, 0, false, "max-iters"},
+	} {
+		got, _ := sys.SimulateDistributed(c.rounds)
+		if got.Iterations != c.iters || got.Converged != c.converged || got.Reason != c.reason {
+			t.Errorf("SimulateDistributed(%d): %d iterations, converged %v, reason %q; want %d, %v, %q",
+				c.rounds, got.Iterations, got.Converged, got.Reason, c.iters, c.converged, c.reason)
+		}
+		if c.rounds < 1 && got.Cost != sys.Identity().Cost {
+			t.Errorf("SimulateDistributed(%d) cost %v, want the identity's %v", c.rounds, got.Cost, sys.Identity().Cost)
+		}
+	}
 
 	hybrid, err := sys.Optimize(WithSolver("hybrid"))
 	if err != nil {

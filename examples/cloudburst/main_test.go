@@ -5,8 +5,8 @@ import (
 	"testing"
 )
 
-// Smoke test: the cloud-burst scenario (goroutine cluster + the
-// deterministic replay) runs end to end and prints finite, non-empty
+// Smoke test: the cloud-burst scenario (a session's runtime run + the
+// SimulateDistributed run) goes end to end and prints finite, non-empty
 // results.
 func TestCloudburstRuns(t *testing.T) {
 	var sb strings.Builder

@@ -7,11 +7,9 @@
 // each step communicates with the locally optimal partner server").
 //
 // The node logic (Server.Handle) is a pure message-in/messages-out state
-// machine, so it runs identically under two buses:
-//
-//   - SimBus: deterministic, single-threaded delivery for tests and
-//     experiments;
-//   - Cluster: one goroutine per server over in-memory channels.
+// machine. SimBus delivers its messages deterministically on one
+// goroutine, in FIFO order, one exchange at a time: the sequential
+// schedule of §VI-B.
 //
 // The runtime assumes symmetric latencies (c_ij = c_ji), which lets a
 // server use its own latency row as the c_ki column Algorithm 1 needs.
@@ -22,7 +20,7 @@ type MsgKind int
 
 const (
 	// MsgTick triggers one activity step at a server: a gossip exchange
-	// and, when idle, a balance proposal to the best-looking partner.
+	// and a balance proposal to the best-looking partner.
 	MsgTick MsgKind = iota
 	// MsgGossip carries a (load, speed, version) table; if Reply is set,
 	// the receiver answers with its own table (push–pull).
@@ -32,8 +30,6 @@ const (
 	MsgPropose
 	// MsgAccept answers a proposal with the sender's updated column.
 	MsgAccept
-	// MsgReject declines a proposal (receiver busy).
-	MsgReject
 )
 
 // GossipEntry is one row of the load/speed table spread by gossip.
@@ -95,8 +91,8 @@ func (c SparseCol) Clone() SparseCol {
 	}
 }
 
-// Message is the single wire format of the protocol, shared by both
-// buses; unused fields stay zero.
+// Message is the single wire format of the protocol; unused fields stay
+// zero.
 type Message struct {
 	Kind MsgKind
 	From int

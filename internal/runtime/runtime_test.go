@@ -3,9 +3,7 @@ package runtime
 import (
 	"math"
 	"math/rand"
-	"reflect"
 	"testing"
-	"time"
 
 	"delaylb/internal/core"
 	"delaylb/internal/model"
@@ -121,52 +119,5 @@ func TestGossipSpreadsThroughTicks(t *testing.T) {
 				t.Fatalf("server %d never learned about %d", i, o)
 			}
 		}
-	}
-}
-
-func TestClusterConverges(t *testing.T) {
-	in := testInstance(15, 12)
-	ref := core.ReferenceOptimum(in, rand.New(rand.NewSource(16)))
-	c := NewClusterFromAllocation(in, model.Identity(in), 1e-6*ref, 17)
-	defer c.Stop()
-	deadline := time.Now().Add(10 * time.Second)
-	for time.Now().Before(deadline) {
-		c.TickAll()
-		c.Quiesce()
-		if (c.Cost()-ref)/ref < 0.05 {
-			break
-		}
-	}
-	if rel := (c.Cost() - ref) / ref; rel > 0.05 {
-		t.Errorf("goroutine cluster stalled %.2f%% above optimum", 100*rel)
-	}
-	if err := c.Allocation().Validate(in, 1e-6); err != nil {
-		t.Errorf("invalid allocation: %v", err)
-	}
-}
-
-func TestServerRejectsWhenBusy(t *testing.T) {
-	in := testInstance(21, 4)
-	bus := NewSimBus(in, 1e-9, 22)
-	s := bus.Servers[0]
-	s.busy = true
-	out := s.Handle(Message{Kind: MsgPropose, From: 1, To: 0, Col: SparseCol{},
-		Lat: in.Latency.(model.DenseLatency)[1], Speed: in.Speed[1]})
-	if len(out) != 1 || out[0].Kind != MsgReject {
-		t.Fatalf("busy server answered %v, want reject", out)
-	}
-}
-
-func TestServerIgnoresStaleAccept(t *testing.T) {
-	in := testInstance(23, 4)
-	bus := NewSimBus(in, 1e-9, 24)
-	s := bus.Servers[0]
-	col := s.col.Clone()
-	s.busy = true
-	s.pending = 2
-	// Accept from the wrong partner must not overwrite the column.
-	s.Handle(Message{Kind: MsgAccept, From: 1, To: 0, NewCol: PackCol(make([]float64, 4))})
-	if !reflect.DeepEqual(s.col, col) {
-		t.Fatal("stale accept overwrote the column")
 	}
 }

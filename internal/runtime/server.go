@@ -21,10 +21,6 @@ type Server struct {
 	table   []GossipEntry // local view of everyone's (load, speed)
 	version uint64        // own announcement version
 
-	busy    bool // a proposal is in flight
-	pending int  // partner of the in-flight proposal
-	holdoff int  // ticks to skip proposing after a rejection
-
 	minGain float64
 	rng     *rand.Rand
 
@@ -87,18 +83,6 @@ func (s *Server) Handle(msg Message) []Message {
 		return s.onPropose(msg)
 	case MsgAccept:
 		return s.onAccept(msg)
-	case MsgReject:
-		s.busy = false
-		// Randomized backoff: when two servers are each other's best
-		// partner they propose to each other in the same concurrent round,
-		// both find the other busy, and both reject — deterministically,
-		// every round (a livelock the sequential SimBus can never reach,
-		// because there an exchange completes before the next server
-		// ticks). Skipping the next proposal with probability 1/2 breaks
-		// the symmetry: one side stays receptive and the other's proposal
-		// goes through.
-		s.holdoff = s.rng.Intn(2)
-		return nil
 	default:
 		return nil
 	}
@@ -118,13 +102,6 @@ func (s *Server) onTick() []Message {
 			Reply: true,
 		})
 	}
-	if s.busy {
-		return out
-	}
-	if s.holdoff > 0 {
-		s.holdoff--
-		return out
-	}
 	partner := s.bestPartner()
 	if partner < 0 {
 		// No partner looks profitable through the load-only proxy. Third-
@@ -139,8 +116,6 @@ func (s *Server) onTick() []Message {
 		}
 	}
 	if partner >= 0 {
-		s.busy = true
-		s.pending = partner
 		out = append(out, Message{
 			Kind:  MsgPropose,
 			From:  s.ID,
@@ -196,9 +171,6 @@ func (s *Server) onGossip(msg Message) []Message {
 // and this node ("server j"), adopts its own new column and ships the
 // proposer's new column back.
 func (s *Server) onPropose(msg Message) []Message {
-	if s.busy {
-		return []Message{{Kind: MsgReject, From: s.ID, To: msg.From}}
-	}
 	// Densify both sparse columns into scratch for Algorithm 1: it sees
 	// exactly the vectors the dense wire used to carry (packing drops
 	// exact zeros only), so the exchange is bit-identical to the old
@@ -221,13 +193,13 @@ func (s *Server) onPropose(msg Message) []Message {
 	return []Message{{Kind: MsgAccept, From: s.ID, To: msg.From, NewCol: newTheirs}}
 }
 
+// onAccept adopts the proposer's new column. The bus completes each
+// exchange before another server acts, so every accept answers the
+// server's own latest proposal.
 func (s *Server) onAccept(msg Message) []Message {
-	if msg.From == s.pending {
-		// The acceptor packed this column fresh and keeps no reference;
-		// adopt it without copying.
-		s.col = msg.NewCol
-		s.announce()
-	}
-	s.busy = false
+	// The acceptor packed this column fresh and keeps no reference;
+	// adopt it without copying.
+	s.col = msg.NewCol
+	s.announce()
 	return nil
 }

@@ -8,8 +8,9 @@ import (
 
 // SimBus drives a set of Servers deterministically in a single thread:
 // messages are delivered FIFO, ticks are injected round by round in a
-// random order derived from the seed. It is the reference execution of
-// the protocol — the goroutine Cluster runs the same Server logic.
+// random order derived from the seed. A run is therefore a pure
+// function of the instance, the start allocation, the threshold and the
+// seed.
 type SimBus struct {
 	Servers []*Server
 	queue   []Message
@@ -90,17 +91,22 @@ func (b *SimBus) Cost(in *model.Instance) float64 {
 	return model.TotalCost(in, b.Allocation())
 }
 
-// Run ticks until the cost improvement over a full round falls below
-// relTol (relative), or maxRounds is hit. Returns the number of rounds.
-func (b *SimBus) Run(in *model.Instance, maxRounds int, relTol float64) int {
+// Run ticks until a round improves ΣC_i by at most relTol relative, or
+// maxRounds rounds have run. It returns the rounds run and whether the
+// improvement rule stopped the run; with maxRounds < 1 it runs nothing
+// and returns (0, false).
+func (b *SimBus) Run(in *model.Instance, maxRounds int, relTol float64) (rounds int, converged bool) {
+	if maxRounds < 1 {
+		return 0, false
+	}
 	prev := b.Cost(in)
 	for r := 1; r <= maxRounds; r++ {
 		b.Tick()
 		cur := b.Cost(in)
 		if prev-cur <= relTol*prev {
-			return r
+			return r, true
 		}
 		prev = cur
 	}
-	return maxRounds
+	return maxRounds, false
 }

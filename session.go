@@ -395,21 +395,21 @@ func (s *Session) adoptLocked(in *model.Instance, res *Result) {
 	})
 }
 
-// RunCluster runs the concurrent message-passing runtime (one goroutine
-// per server, buffered channels, gossip + pairwise balance proposals) for
-// the given number of tick rounds, starting from the session's current
-// allocation. After each round the cluster is quiesced and onRound, if
-// non-nil, is invoked with the round number and current ΣC_i; returning
-// false stops early (Reason "callback"). The reached allocation is
-// adopted into the session unless an update landed mid-run.
+// RunCluster runs the message-passing runtime (gossip + pairwise balance
+// proposals, the protocol of SimulateDistributed) for the given number of
+// tick rounds on the same deterministic bus, starting from the session's
+// current allocation. After each round onRound, if non-nil, is invoked
+// with the round number and current ΣC_i; returning false stops early
+// (Reason "callback"). The reached allocation is adopted into the
+// session unless an update landed mid-run. Per-round costs are
+// reproducible for a fixed seed. From a fresh session, k rounds reach
+// the allocation SimulateDistributed(k) reaches with the same seed,
+// unless its improvement rule stops it before round k.
 //
-// The session lock is not held while the cluster runs; see Reoptimize.
-// The runtime itself is dense (one goroutine per server exchanging full
-// columns), so the session materializes its allocation for the run —
-// RunCluster targets the m≲hundreds regime.
-// Unlike SimulateDistributed this exercises true concurrency — message
-// interleavings vary across runs — so treat per-round costs as
-// monotone-ish, not bit-reproducible.
+// The session lock is not held while the runtime runs; see Reoptimize.
+// Every runtime server keeps an m-length latency row and gossip table,
+// and the session materializes its allocation for the run, so RunCluster
+// needs O(m²) memory and targets the m≲hundreds regime.
 func (s *Session) RunCluster(ctx context.Context, rounds int, onRound func(round int, cost float64) bool, opts ...Option) (*Result, error) {
 	if rounds < 1 {
 		return nil, fmt.Errorf("delaylb: RunCluster needs rounds >= 1, got %d", rounds)
@@ -418,27 +418,23 @@ func (s *Session) RunCluster(ctx context.Context, rounds int, onRound func(round
 	o := buildOptions(append(append([]Option(nil), s.base...), opts...))
 	in, start, epoch := s.in, &model.Allocation{R: s.alloc.Dense()}, s.epoch
 	s.mu.Unlock()
-	minGain := 1e-6 * (1 + (&System{in: in}).Identity().Cost)
-	cl := runtime.NewClusterFromAllocation(in, start, minGain, o.Seed)
-	defer cl.Stop()
+	bus := runtime.NewSimBusFromAllocation(in, start, runtimeMinGain(in), o.Seed)
 	done := 0
 	stopped := false
 	for r := 1; r <= rounds; r++ {
 		if ctx.Err() != nil {
 			break
 		}
-		cl.TickAll()
-		cl.Quiesce()
+		bus.Tick()
 		done = r
-		if onRound != nil && !onRound(r, cl.Cost()) {
+		if onRound != nil && !onRound(r, bus.Cost(in)) {
 			stopped = true
 			break
 		}
 	}
 	// The session adopts the result's sparse rows, which nothing mutates;
-	// the dense matrix the cluster reached is only the result's Requests
-	// view.
-	res := resultFromAllocation(in, cl.Allocation())
+	// the dense matrix the bus reached is only the result's Requests view.
+	res := resultFromAllocation(in, bus.Allocation())
 	s.mu.Lock()
 	if s.epoch == epoch {
 		s.alloc = res.req

@@ -185,3 +185,27 @@ func TestIdentityAllocationBound(t *testing.T) {
 		t.Errorf("identity cost %v, dense fold %v", got, want)
 	}
 }
+
+// TestRunClusterAllocationBound bounds one RunCluster round at m=300.
+// The runtime's servers hold O(m) state each, so a round needs O(m²)
+// bytes, about 20 MiB here; a bus that buffers O(m) messages per server
+// (16·m² inbox slots of 192 B, 264 MiB) fails the bound.
+func TestRunClusterAllocationBound(t *testing.T) {
+	sys, err := NewScenario(300).WithLoads(LoadExponential, 80).WithSeed(7).Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess := sys.NewSession()
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	if _, err := sess.RunCluster(context.Background(), 1, nil); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	bytes := after.TotalAlloc - before.TotalAlloc
+	t.Logf("one RunCluster round at m=300: %d bytes", bytes)
+	if bytes >= 64<<20 {
+		t.Errorf("one RunCluster round allocates %d bytes at m=300 (bound 64 MiB) — the runtime buffers O(m) messages per server again", bytes)
+	}
+}

@@ -183,6 +183,44 @@ func TestSessionRunClusterConvergesAndAdopts(t *testing.T) {
 	}
 }
 
+// RunCluster runs SimulateDistributed's protocol on the same bus. Below
+// the round at which the simulation's improvement rule stops (9 on this
+// system), k rounds from a fresh session reach its allocation bit for
+// bit, and two sessions with one seed report identical per-round costs.
+func TestRunClusterMatchesSimulateDistributed(t *testing.T) {
+	sys := testSystem(t, 15, 12)
+	ctx := context.Background()
+	for _, k := range []int{3, 5, 8} {
+		res, err := sys.NewSession().RunCluster(ctx, k, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sim, _ := sys.SimulateDistributed(k)
+		if d := AllocationDistance(res, sim); math.Float64bits(res.Cost) != math.Float64bits(sim.Cost) || d != 0 {
+			t.Errorf("k=%d: RunCluster cost %v at distance %v from SimulateDistributed's %v", k, res.Cost, d, sim.Cost)
+		}
+	}
+	trace := func() []float64 {
+		var costs []float64
+		if _, err := sys.NewSession().RunCluster(ctx, 12, func(_ int, cost float64) bool {
+			costs = append(costs, cost)
+			return true
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return costs
+	}
+	a, b := trace(), trace()
+	if len(a) != 12 || len(b) != 12 {
+		t.Fatalf("onRound ran %d and %d times, want 12", len(a), len(b))
+	}
+	for r := range a {
+		if math.Float64bits(a[r]) != math.Float64bits(b[r]) {
+			t.Errorf("round %d: costs %v and %v under one seed", r+1, a[r], b[r])
+		}
+	}
+}
+
 // Callbacks run without the session lock held, so they may use the
 // Session itself — this used to self-deadlock.
 func TestSessionCallbacksMayUseSession(t *testing.T) {
