@@ -483,10 +483,19 @@ func (s *System) TheoreticalPoABounds() (lower, upper float64) {
 // from a copy first, as the proposition requires. The bound is
 // deliberately conservative (factor (4m+1)·Σs_i); it is an operator's
 // stop-or-continue signal, not a tight estimate. Expensive: O(m³ log m).
-func (s *System) DistanceBound(res *Result) float64 {
-	st := core.NewState(s.in, sparse.FromDense(res.Requests(), 0))
+// The copy is built from the result's sparse entries, so the result's
+// dense views stay unmaterialized. A nil result, one without an
+// allocation, or one sized for another system is an error.
+func (s *System) DistanceBound(res *Result) (float64, error) {
+	if res == nil || !res.hasAllocation() {
+		return 0, errors.New("delaylb: DistanceBound needs a result with an allocation")
+	}
+	if m := s.M(); res.req.Rows() != m || res.req.Cols != m {
+		return 0, fmt.Errorf("delaylb: DistanceBound got a %d×%d allocation for a %d-server system", res.req.Rows(), res.req.Cols, m)
+	}
+	st := core.NewState(s.in, res.req)
 	core.RemoveCycles(st)
-	return core.DistanceBound(st)
+	return core.DistanceBound(st), nil
 }
 
 // OptimizeReplicated solves the §VII replication variant: every

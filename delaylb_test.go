@@ -145,6 +145,42 @@ func TestTheoreticalPoABoundsHomogeneous(t *testing.T) {
 	}
 }
 
+// TestDistanceBoundRejectsHostileResults pins DistanceBound's errors:
+// a nil result, a result without an allocation and another system's
+// result are rejected instead of panicking. A bound from a sparse
+// solver's result equals the bound from its dense copy and leaves the
+// result's dense views unbuilt.
+func TestDistanceBoundRejectsHostileResults(t *testing.T) {
+	sys := testSystem(t, 5, 3)
+	other, err := testSystem(t, 8, 3).Optimize(WithSolver("proxy"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, res := range map[string]*Result{"nil": nil, "no allocation": {Cost: 1}, "8-server result": other} {
+		if b, err := sys.DistanceBound(res); err == nil {
+			t.Errorf("%s: bound %v, want an error", name, b)
+		}
+	}
+	res, err := sys.Optimize(WithSolver("proxy"), WithMaxIterations(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := sys.DistanceBound(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.requests != nil || res.fractions != nil {
+		t.Fatal("DistanceBound materialized the result's dense views")
+	}
+	dense, err := NewResult(sys, res.Requests())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want, err := sys.DistanceBound(dense); err != nil || got != want {
+		t.Fatalf("bound %v from the sparse entries, %v (%v) from the dense copy", got, want, err)
+	}
+}
+
 func TestDistanceBoundShrinksAtOptimum(t *testing.T) {
 	sys := testSystem(t, 10, 7)
 	// Bound at the identity start (one peak-ish imbalanced state).
@@ -156,8 +192,14 @@ func TestDistanceBoundShrinksAtOptimum(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bStart := sys.DistanceBound(start)
-	bOpt := sys.DistanceBound(opt)
+	bStart, err := sys.DistanceBound(start)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bOpt, err := sys.DistanceBound(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
 	totalLoad := 0.0
 	for _, l := range opt.Loads {
 		totalLoad += l

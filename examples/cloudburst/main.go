@@ -73,7 +73,10 @@ func run(w io.Writer) error {
 
 	// The Proposition 1 error bound tells an operator when to stop
 	// without knowing the optimum.
-	bound := sys.DistanceBound(res)
+	bound, err := sys.DistanceBound(res)
+	if err != nil {
+		return err
+	}
 	fmt.Fprintf(w, "\nProposition 1 distance bound at the reached state: ≤ %.3g requests misplaced\n", bound)
 	fmt.Fprintf(w, "(conservative by design — a (4m+1)·Σs_i factor over the pending transfers;\n")
 	fmt.Fprintf(w, " compare with the %.0f requests in the system: continuing is not worth it)\n", float64(peak))

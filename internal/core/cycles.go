@@ -20,10 +20,12 @@ import (
 // diagonal entries of the allocation; diagonal entries are untouched.
 //
 // The supply/demand vectors and the cost of the current routing are
-// folded over the stored entries only, and the re-routed rows are
-// rebuilt from the flow arcs in O(flow support). The transportation
-// graph itself involves only servers that currently relay or receive,
-// so its size tracks the allocation's support, not m².
+// folded over the stored entries of the state's row form (built once,
+// O(nnz + m)), and the re-routed rows are rebuilt from the flow arcs in
+// O(flow support); the columns and loads are then rebuilt from the
+// rewritten rows. The transportation graph itself involves only
+// servers that currently relay or receive, so its size tracks the
+// allocation's support, not m².
 //
 // It returns the reduction of ΣC_i (≥ 0; loads are preserved so only the
 // communication term changes).
@@ -31,16 +33,17 @@ func RemoveCycles(st *State) float64 {
 	in := st.In
 	m := in.M()
 
+	rows := st.Rows()
 	out := make([]float64, m)
 	inc := make([]float64, m)
 	var totalRelayed float64
 	var before float64
 	for i := 0; i < m; i++ {
-		for t, j := range st.Rows.Idx[i] {
+		for t, j := range rows.Idx[i] {
 			if int(j) == i {
 				continue
 			}
-			v := st.Rows.Val[i][t]
+			v := rows.Val[i][t]
 			out[i] += v
 			inc[j] += v
 		}
@@ -50,9 +53,9 @@ func RemoveCycles(st *State) float64 {
 		return 0
 	}
 	for i := 0; i < m; i++ {
-		for t, j := range st.Rows.Idx[i] {
-			if int(j) != i && st.Rows.Val[i][t] != 0 {
-				before += st.Rows.Val[i][t] * in.LatAt(i, int(j))
+		for t, j := range rows.Idx[i] {
+			if int(j) != i && rows.Val[i][t] != 0 {
+				before += rows.Val[i][t] * in.LatAt(i, int(j))
 			}
 		}
 	}
@@ -104,7 +107,7 @@ func RemoveCycles(st *State) float64 {
 		if out[i] == 0 {
 			continue
 		}
-		diag := st.Rows.Get(i, i)
+		diag := rows.Get(i, i)
 		idxNew := make([]int32, 0, ai-start+1)
 		valNew := make([]float64, 0, ai-start+1)
 		placed := diag == 0
@@ -126,11 +129,11 @@ func RemoveCycles(st *State) float64 {
 			idxNew = append(idxNew, int32(i))
 			valNew = append(valNew, diag)
 		}
-		st.Rows.Idx[i], st.Rows.Val[i] = idxNew, valNew
+		rows.Idx[i], rows.Val[i] = idxNew, valNew
 	}
-	// Loads are preserved by construction; refresh to clear float drift.
-	st.loadsFromRows()
-	// The re-routing rewrote arbitrary off-diagonal entries.
-	st.rebuildColumnIndex()
+	// The re-routing rewrote arbitrary off-diagonal entries. Loads are
+	// preserved by construction; the rebuild refreshes them to clear
+	// float drift.
+	st.setColumns(rows)
 	return before - after
 }

@@ -75,7 +75,7 @@ func TestRemoveCyclesInvariants(t *testing.T) {
 		loadsBefore := append([]float64(nil), st.Loads...)
 		rows := make([]float64, m)
 		for i := 0; i < m; i++ {
-			rows[i] = st.Rows.RowSum(i)
+			rows[i] = st.Rows().RowSum(i)
 		}
 		costBefore := st.Cost()
 		saved := RemoveCycles(st)
@@ -89,7 +89,7 @@ func TestRemoveCyclesInvariants(t *testing.T) {
 			if math.Abs(st.Loads[j]-loadsBefore[j]) > 1e-6*math.Max(1, loadsBefore[j]) {
 				t.Fatalf("load[%d] changed: %v → %v", j, loadsBefore[j], st.Loads[j])
 			}
-			if sum := st.Rows.RowSum(j); math.Abs(sum-rows[j]) > 1e-6*math.Max(1, rows[j]) {
+			if sum := st.Rows().RowSum(j); math.Abs(sum-rows[j]) > 1e-6*math.Max(1, rows[j]) {
 				t.Fatalf("row %d sum changed: %v → %v", j, rows[j], sum)
 			}
 		}
@@ -121,13 +121,14 @@ func cycleGain(st *State) float64 {
 // clone deep-copies the state (the instance is shared, it is read-only).
 func (st *State) clone() *State {
 	cp := &State{
-		In:        st.In,
-		Rows:      st.Rows.Clone(),
-		Loads:     append([]float64(nil), st.Loads...),
-		colOwners: make([][]int32, len(st.colOwners)),
+		In:     st.In,
+		Loads:  append([]float64(nil), st.Loads...),
+		owners: make([][]int32, len(st.owners)),
+		vals:   make([][]float64, len(st.vals)),
 	}
-	for j, owners := range st.colOwners {
-		cp.colOwners[j] = append([]int32(nil), owners...)
+	for j := range st.owners {
+		cp.owners[j] = append([]int32(nil), st.owners[j]...)
+		cp.vals[j] = append([]float64(nil), st.vals[j]...)
 	}
 	return cp
 }

@@ -100,7 +100,7 @@ type Trace struct {
 func Run(in *model.Instance, cfg Config) (*model.Allocation, *Trace) {
 	st := NewIdentityState(in)
 	tr := RunState(st, cfg)
-	return &model.Allocation{R: st.Rows.Dense()}, tr
+	return &model.Allocation{R: st.Rows().Dense()}, tr
 }
 
 // RunState optimizes an existing state in place.
@@ -191,12 +191,18 @@ type selector struct {
 	cfg    Config
 	buf    *pairBuffer
 	cand   []int       // scratch for hybrid short-lists
+	top    []scored    // scratch for appendTopK
 	rowBuf []float64   // scratch for block-view latency rows
 	metro  *MetroIndex // nil: the plain O(m) scans
+	// seen[j] == stamp marks j as evaluated in the current hybrid pick;
+	// every pick takes a fresh stamp.
+	seen  []int32
+	stamp int32
 }
 
 func newSelector(st *State, cfg Config) *selector {
-	s := &selector{st: st, cfg: cfg, buf: newPairBuffer(st.In.M()), rowBuf: make([]float64, st.In.M())}
+	m := st.In.M()
+	s := &selector{st: st, cfg: cfg, buf: newPairBuffer(m), rowBuf: make([]float64, m)}
 	if cfg.Strategy == StrategyProxy || cfg.Strategy == StrategyHybrid {
 		if s.metro = NewMetroIndex(st.In); s.metro != nil { // nil: view not block-backed
 			s.metro.Rebuild(st.Loads)
@@ -312,11 +318,11 @@ func (s *selector) bestHybrid(id int) (int, float64) {
 		s.cand = s.metro.AppendTopProxy(s.cand, id, k, s.proxyGain)
 		s.cand = s.metro.AppendNearest(s.cand, id, k)
 	} else {
-		s.cand = appendTopK(s.cand, k, m, id, func(j int) float64 {
+		s.cand = s.appendTopK(s.cand, k, m, id, func(j int) float64 {
 			return s.proxyGain(id, j)
 		})
 		lat := model.RowView(s.st.In.Latency, id, s.rowBuf)
-		s.cand = appendTopK(s.cand, k, m, id, func(j int) float64 {
+		s.cand = s.appendTopK(s.cand, k, m, id, func(j int) float64 {
 			if math.IsInf(lat[j], 1) {
 				return math.Inf(-1)
 			}
@@ -328,13 +334,20 @@ func (s *selector) bestHybrid(id int) (int, float64) {
 			s.cand = append(s.cand, j)
 		}
 	}
+	if s.seen == nil {
+		s.seen = make([]int32, m)
+	}
+	if s.stamp == math.MaxInt32 {
+		clear(s.seen)
+		s.stamp = 0
+	}
+	s.stamp++
 	bestJ, bestGain := -1, 0.0
-	seen := map[int]bool{}
 	for _, j := range s.cand {
-		if seen[j] {
+		if s.seen[j] == s.stamp {
 			continue
 		}
-		seen[j] = true
+		s.seen[j] = s.stamp
 		out := EvaluatePair(s.st, id, j, s.buf)
 		if out.Gain > bestGain {
 			bestGain, bestJ = out.Gain, j
@@ -343,14 +356,16 @@ func (s *selector) bestHybrid(id int) (int, float64) {
 	return bestJ, bestGain
 }
 
+// scored is a candidate partner j with its score, an appendTopK entry.
+type scored struct {
+	j    int
+	gain float64
+}
+
 // appendTopK appends to dst the (up to) k indices j ≠ id with the largest
-// score(j), skipping −Inf scores.
-func appendTopK(dst []int, k, m, id int, score func(int) float64) []int {
-	type scored struct {
-		j    int
-		gain float64
-	}
-	top := make([]scored, 0, k+1)
+// score(j), skipping −Inf scores. Its ranking lives in s.top.
+func (s *selector) appendTopK(dst []int, k, m, id int, score func(int) float64) []int {
+	top := s.top[:0]
 	for j := 0; j < m; j++ {
 		if j == id {
 			continue
@@ -372,6 +387,7 @@ func appendTopK(dst []int, k, m, id int, score func(int) float64) []int {
 			}
 		}
 	}
+	s.top = top
 	for _, c := range top {
 		dst = append(dst, c.j)
 	}

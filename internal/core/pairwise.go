@@ -2,7 +2,7 @@ package core
 
 import (
 	"math"
-	"sort"
+	"slices"
 
 	"delaylb/internal/model"
 )
@@ -32,41 +32,42 @@ func newPairBuffer(m int) *pairBuffer {
 	}
 }
 
-// loadOwners extracts the union of the owner lists of columns i and j
-// into b.ks (ascending merge of two sorted lists) and gathers the
-// corresponding column and latency entries into the leading len(b.ks)
-// slots of the scratch slices. Only organizations with mass on one of
+// loadOwners merges the owner lists of columns i and j into b.ks (the
+// ascending union of two sorted lists), copies their values into the
+// leading len(b.ks) slots of b.ri and b.rj in the same pass, and gathers
+// the matching latency entries. Only organizations with mass on one of
 // the two columns can gain or lose requests in Algorithm 1, so the
 // compacted problem makes the transfers of the full-column one, up to
 // which of two organizations sharing a key c_kj − c_ki takes one.
 func (b *pairBuffer) loadOwners(st *State, i, j int) int {
 	b.ks = b.ks[:0]
-	oi, oj := st.colOwners[i], st.colOwners[j]
+	oi, oj := st.owners[i], st.owners[j]
+	vi, vj := st.vals[i], st.vals[j]
 	x, y := 0, 0
 	for x < len(oi) || y < len(oj) {
+		n := len(b.ks)
 		switch {
 		case y == len(oj) || (x < len(oi) && oi[x] < oj[y]):
 			b.ks = append(b.ks, oi[x])
+			b.ri[n], b.rj[n] = vi[x], 0
 			x++
 		case x == len(oi) || oj[y] < oi[x]:
 			b.ks = append(b.ks, oj[y])
+			b.ri[n], b.rj[n] = 0, vj[y]
 			y++
 		default: // equal
 			b.ks = append(b.ks, oi[x])
+			b.ri[n], b.rj[n] = vi[x], vj[y]
 			x++
 			y++
 		}
 	}
-	for t, k := range b.ks {
-		b.ri[t] = st.Rows.Get(int(k), i)
-		b.rj[t] = st.Rows.Get(int(k), j)
-		b.oi[t] = b.ri[t]
-		b.oj[t] = b.rj[t]
-	}
 	n := len(b.ks)
+	copy(b.oi[:n], b.ri[:n])
+	copy(b.oj[:n], b.rj[:n])
 	st.In.Latency.GatherCol(i, b.ks, b.cI[:n])
 	st.In.Latency.GatherCol(j, b.ks, b.cJ[:n])
-	return len(b.ks)
+	return n
 }
 
 // loadFull extracts full m-length columns i and j — the entry point of
@@ -78,11 +79,11 @@ func (b *pairBuffer) loadFull(st *State, i, j int) {
 		b.ri[k] = 0
 		b.rj[k] = 0
 	}
-	for _, k := range st.colOwners[i] {
-		b.ri[k] = st.Rows.Get(int(k), i)
+	for t, k := range st.owners[i] {
+		b.ri[k] = st.vals[i][t]
 	}
-	for _, k := range st.colOwners[j] {
-		b.rj[k] = st.Rows.Get(int(k), j)
+	for t, k := range st.owners[j] {
+		b.rj[k] = st.vals[j][t]
 	}
 	copy(b.oi[:m], b.ri[:m])
 	copy(b.oj[:m], b.rj[:m])
@@ -143,8 +144,16 @@ func BalanceColumns(si, sj float64, ri, rj, cI, cJ []float64, order []int, keys 
 			keys[k] = cJ[k] - cI[k]
 		}
 	}
-	sort.Slice(order, func(x, y int) bool {
-		return keys[order[x]] < keys[order[y]]
+	// The comparator is negative exactly when keys[x] < keys[y], the
+	// less of sort.Slice, so the shared pdqsort makes the same moves.
+	slices.SortFunc(order, func(x, y int) int {
+		switch {
+		case keys[x] < keys[y]:
+			return -1
+		case keys[x] > keys[y]:
+			return 1
+		}
+		return 0
 	})
 
 	for _, k := range order {
@@ -237,27 +246,27 @@ func balancePair(st *State, i, j int, buf *pairBuffer) (PairOutcome, float64, fl
 	return PairOutcome{Gain: before - after, Moved: moved / 2}, li, lj
 }
 
-// commitPair writes the balanced buffer back into the row store and
-// refreshes the owner lists of the two columns (subsets of the gathered
-// union, which is already in ascending order). Zero results remove their
-// entry, so stored and nonzero stay synonymous.
+// commitPair writes the balanced buffer back into columns i and j, in
+// place: each column keeps, in the ascending order of the gathered
+// union, the organizations whose result is nonzero, so stored and
+// nonzero stay synonymous. A column outgrowing its capacity reallocates
+// only itself.
 func commitPair(st *State, i, j int, buf *pairBuffer, li, lj float64) {
 	n := len(buf.ks)
-	ownersI := st.colOwners[i][:0]
-	ownersJ := st.colOwners[j][:0]
-	for t := 0; t < n; t++ {
-		k := buf.ks[t]
-		st.Rows.SetOrRemove(int(k), i, buf.ri[t])
-		st.Rows.SetOrRemove(int(k), j, buf.rj[t])
-		if buf.ri[t] != 0 {
-			ownersI = append(ownersI, k)
-		}
-		if buf.rj[t] != 0 {
-			ownersJ = append(ownersJ, k)
-		}
-	}
-	st.colOwners[i] = ownersI
-	st.colOwners[j] = ownersJ
+	st.owners[i], st.vals[i] = rewriteColumn(st.owners[i][:0], st.vals[i][:0], buf.ks, buf.ri[:n])
+	st.owners[j], st.vals[j] = rewriteColumn(st.owners[j][:0], st.vals[j][:0], buf.ks, buf.rj[:n])
 	st.Loads[i] = li
 	st.Loads[j] = lj
+}
+
+// rewriteColumn appends to owners and vals the entries (ks[t], r[t])
+// with r[t] != 0.
+func rewriteColumn(owners []int32, vals []float64, ks []int32, r []float64) ([]int32, []float64) {
+	for t, v := range r {
+		if v != 0 {
+			owners = append(owners, ks[t])
+			vals = append(vals, v)
+		}
+	}
+	return owners, vals
 }

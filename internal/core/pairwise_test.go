@@ -113,7 +113,7 @@ func TestApplyPairInvariants(t *testing.T) {
 		m := in.M()
 		rowSums := make([]float64, m)
 		for i := 0; i < m; i++ {
-			rowSums[i] = st.Rows.RowSum(i)
+			rowSums[i] = st.Rows().RowSum(i)
 		}
 		before := st.Cost()
 		i, j := rng.Intn(m), rng.Intn(m)
@@ -129,7 +129,7 @@ func TestApplyPairInvariants(t *testing.T) {
 			t.Fatalf("reported gain %v, actual %v", out.Gain, before-after)
 		}
 		for k := 0; k < m; k++ {
-			if sum := st.Rows.RowSum(k); math.Abs(sum-rowSums[k]) > 1e-6*math.Max(1, rowSums[k]) {
+			if sum := st.Rows().RowSum(k); math.Abs(sum-rowSums[k]) > 1e-6*math.Max(1, rowSums[k]) {
 				t.Fatalf("row %d sum changed: %v → %v", k, rowSums[k], sum)
 			}
 		}
@@ -206,7 +206,7 @@ func TestBalanceTwoServersClosedForm(t *testing.T) {
 	if math.Abs(st.Loads[0]-65) > 1e-9 || math.Abs(st.Loads[1]-55) > 1e-9 {
 		t.Errorf("loads = %v, want [65 55]", st.Loads)
 	}
-	if r01 := st.Rows.Get(0, 1); math.Abs(r01-35) > 1e-9 {
+	if r01 := st.Rows().Get(0, 1); math.Abs(r01-35) > 1e-9 {
 		t.Errorf("r01 = %v, want 35", r01)
 	}
 }
@@ -220,11 +220,11 @@ func TestBalanceRespectsForbiddenLinks(t *testing.T) {
 	in.Latency.(model.DenseLatency)[2][0] = math.Inf(1)
 	st := NewIdentityState(in)
 	ApplyPair(st, 0, 2, nil) // must move nothing: org 0 can't use server 2
-	if r02 := st.Rows.Get(0, 2); r02 != 0 {
+	if r02 := st.Rows().Get(0, 2); r02 != 0 {
 		t.Errorf("r02 = %v, want 0 (forbidden)", r02)
 	}
 	ApplyPair(st, 0, 1, nil) // allowed: balances between 0 and 1
-	if st.Rows.Get(0, 1) <= 0 {
+	if st.Rows().Get(0, 1) <= 0 {
 		t.Error("expected transfer to server 1")
 	}
 	if err := denseOf(st).Validate(in, 1e-9); err != nil {
@@ -256,7 +256,7 @@ func TestBalanceMovesThirdPartyRequests(t *testing.T) {
 	if out.Gain <= 0 {
 		t.Fatal("expected improvement from moving third-party requests")
 	}
-	if st.Rows.Get(2, 1) <= 0 {
+	if st.Rows().Get(2, 1) <= 0 {
 		t.Errorf("org 2's requests were not moved to server 1: %v", denseOf(st).R[2])
 	}
 	// c_21 == c_20, so optimal split is li = lj = 40.

@@ -20,38 +20,33 @@ import (
 // State couples an instance with a mutable allocation and maintains the
 // server load vector incrementally.
 //
-// The request matrix lives in Rows, a sparse row store (internal/sparse)
-// holding only the nonzero r_kj — O(nnz) memory, the m² matrix is never
-// allocated. Its column view, the per-server owner lists, is kept in
-// step with it, so a pairwise step costs O((w_i + w_j) log(w_i + w_j))
-// where w_j is the number of organizations with requests on server j.
-// Real allocations keep w_j ≪ m (each server hosts a handful of
-// organizations' requests), so partner evaluation never pays for the
-// m − w empty column slots. Algorithm 1 only changes the requests of
-// organizations with mass on one of the two servers it balances, so
-// this compacted step is the paper's step.
+// The request matrix is stored by column, the layout Algorithm 1 reads
+// and writes: for every server j, owners[j] lists in ascending order
+// the organizations k with r_kj != 0 and vals[j] holds those r_kj.
+// Memory is O(nnz + m), the m² matrix is never allocated, and a pairwise
+// step costs O((w_i + w_j) log(w_i + w_j)) where w_j is the number of
+// organizations with requests on server j. Real allocations keep
+// w_j ≪ m (each server hosts a handful of organizations' requests), so
+// partner evaluation never pays for the m − w empty column slots.
+// Algorithm 1 only changes the requests of organizations with mass on
+// one of the two servers it balances, so this compacted step is the
+// paper's step. Rows builds the row form for callers that need it.
+//
+// Invariant: no zero is stored, so stored and nonzero entries coincide.
+// NewState establishes it and ApplyPair/RemoveCycles preserve it.
 type State struct {
-	In *model.Instance
-	// Rows is the request matrix. Invariant: no explicit zeros are
-	// stored, so stored entries and nonzero entries coincide — NewState
-	// establishes it and ApplyPair/RemoveCycles preserve it. Mutate it
-	// only through those two, or the owner lists go stale.
-	Rows  *sparse.Matrix
-	Loads []float64
-	// colOwners[j] lists in ascending order the organizations k with
-	// r_kj != 0: the column view of Rows.
-	colOwners [][]int32
+	In     *model.Instance
+	Loads  []float64
+	owners [][]int32
+	vals   [][]float64
 }
 
-// NewState wraps an instance and a sparse request matrix (not copied)
-// into a State. Explicit zeros are pruned (a stored zero contributes
-// exactly +0.0 to every fold) and the owner lists are built. O(nnz + m).
+// NewState builds a State from an instance and a sparse request matrix,
+// which it only reads: the nonzero entries are copied into the column
+// store, and the caller keeps rows unchanged. O(nnz + m).
 func NewState(in *model.Instance, rows *sparse.Matrix) *State {
-	rows.Prune(0)
-	m := in.M()
-	st := &State{In: in, Rows: rows, Loads: make([]float64, m), colOwners: make([][]int32, m)}
-	st.loadsFromRows()
-	st.rebuildColumnIndex()
+	st := &State{In: in, Loads: make([]float64, in.M())}
+	st.setColumns(rows)
 	return st
 }
 
@@ -60,47 +55,94 @@ func NewIdentityState(in *model.Instance) *State {
 	return NewState(in, sparse.Diagonal(in.Load))
 }
 
-// loadsFromRows recomputes Loads from the row store, row by row in
-// ascending column order (the order of Allocation.LoadsInto, whose
-// zeros add exactly +0.0, so the two folds agree bit for bit).
-func (st *State) loadsFromRows() {
-	for j := range st.Loads {
-		st.Loads[j] = 0
-	}
-	for k := range st.Rows.Idx {
-		for t, j := range st.Rows.Idx[k] {
-			st.Loads[j] += st.Rows.Val[k][t]
+// setColumns replaces the column store with the nonzero entries of rows
+// and recomputes Loads. Each load folds its column in ascending k, the
+// order of Allocation.LoadsInto, whose zeros add exactly +0.0, so the
+// two folds agree bit for bit. O(nnz + m).
+func (st *State) setColumns(rows *sparse.Matrix) {
+	st.owners, st.vals = transpose(rows.Idx, rows.Val, len(st.Loads))
+	for j, vals := range st.vals {
+		var l float64
+		for _, v := range vals {
+			l += v
 		}
+		st.Loads[j] = l
 	}
 }
 
+// Rows builds the request matrix in row form: row k holds organization
+// k's nonzero r_kj in ascending j, the entries the column store holds.
+// The matrix is the caller's; the state does not keep it. O(nnz + m).
+func (st *State) Rows() *sparse.Matrix {
+	m := len(st.owners)
+	idx, val := transpose(st.owners, st.vals, m)
+	return &sparse.Matrix{Cols: m, Idx: idx, Val: val}
+}
+
+// transpose returns the nonzero entries of the sparse lines (idx, val)
+// regrouped by index: entry t of line a, with index b = idx[a][t],
+// becomes an entry of output line b with index a, and each output line
+// lists its indices in ascending order. The n output lines share one
+// backing per array, each capped at its own count, so appending to one
+// line never writes into the next and a line that grows reallocates
+// only itself. O(nnz + n).
+func transpose(idx [][]int32, val [][]float64, n int) ([][]int32, [][]float64) {
+	counts := make([]int, n)
+	nnz := 0
+	for a := range idx {
+		for t, b := range idx[a] {
+			if val[a][t] != 0 {
+				counts[b]++
+				nnz++
+			}
+		}
+	}
+	ibuf := make([]int32, nnz)
+	vbuf := make([]float64, nnz)
+	outIdx := make([][]int32, n)
+	outVal := make([][]float64, n)
+	off := 0
+	for b, c := range counts {
+		outIdx[b] = ibuf[off : off : off+c]
+		outVal[b] = vbuf[off : off : off+c]
+		off += c
+	}
+	for a := range idx {
+		for t, b := range idx[a] {
+			if v := val[a][t]; v != 0 {
+				outIdx[b] = append(outIdx[b], int32(a))
+				outVal[b] = append(outVal[b], v)
+			}
+		}
+	}
+	return outIdx, outVal
+}
+
+// NNZ returns the number of stored entries, which are the nonzero r_kj.
+func (st *State) NNZ() int {
+	n := 0
+	for _, owners := range st.owners {
+		n += len(owners)
+	}
+	return n
+}
+
 // Cost returns the current ΣC_i, with the communication term summed
-// over the owner lists in O(nnz).
+// over the columns in O(nnz).
 func (st *State) Cost() float64 {
 	var cost float64
 	for j, l := range st.Loads {
 		cost += l * l / (2 * st.In.Speed[j])
 	}
-	for j, owners := range st.colOwners {
-		for _, k := range owners {
+	for j, owners := range st.owners {
+		vals := st.vals[j]
+		for t, k := range owners {
 			if int(k) != j {
-				cost += st.Rows.Get(int(k), j) * st.In.LatAt(int(k), j)
+				cost += vals[t] * st.In.LatAt(int(k), j)
 			}
 		}
 	}
 	return cost
-}
-
-// rebuildColumnIndex recomputes the owner lists from Rows. O(nnz + m).
-func (st *State) rebuildColumnIndex() {
-	for j := range st.colOwners {
-		st.colOwners[j] = st.colOwners[j][:0]
-	}
-	for k := range st.Rows.Idx {
-		for _, j := range st.Rows.Idx[k] {
-			st.colOwners[j] = append(st.colOwners[j], int32(k))
-		}
-	}
 }
 
 // localCost returns the part of ΣC_i that depends only on columns i and j:
@@ -110,11 +152,11 @@ func (st *State) localCost(i, j int) float64 {
 	in := st.In
 	li, lj := st.Loads[i], st.Loads[j]
 	cost := li*li/(2*in.Speed[i]) + lj*lj/(2*in.Speed[j])
-	for _, k := range st.colOwners[i] {
-		cost += st.Rows.Get(int(k), i) * in.LatAt(int(k), i)
+	for t, k := range st.owners[i] {
+		cost += st.vals[i][t] * in.LatAt(int(k), i)
 	}
-	for _, k := range st.colOwners[j] {
-		cost += st.Rows.Get(int(k), j) * in.LatAt(int(k), j)
+	for t, k := range st.owners[j] {
+		cost += st.vals[j][t] * in.LatAt(int(k), j)
 	}
 	return cost
 }

@@ -12,7 +12,7 @@ import (
 	"delaylb/internal/workload"
 )
 
-// This file is the per-step contract of the row store against a dense
+// This file is the per-step contract of the column store against a dense
 // test-only reference. Before every step the state is densified, the
 // reference runs the same step on the m×m matrix — Algorithm 1 through
 // BalanceColumns on full m-length columns, Appendix A through the dense
@@ -48,7 +48,7 @@ func blockTestInstance(t testing.TB, m int, seed int64) *model.Instance {
 func rowsOf(r [][]float64) *sparse.Matrix { return sparse.FromDense(r, 0) }
 
 // denseOf densifies the state's request matrix.
-func denseOf(st *State) *model.Allocation { return &model.Allocation{R: st.Rows.Dense()} }
+func denseOf(st *State) *model.Allocation { return &model.Allocation{R: st.Rows().Dense()} }
 
 // refStep is the dense reference's result for one pair step.
 type refStep struct {
@@ -184,14 +184,15 @@ func closeRel(a, b, tol float64) bool {
 }
 
 // sameEntries fails unless the state's rows hold exactly the dense
-// matrix r, with owner lists and the no-explicit-zeros invariant intact.
+// matrix r, with the columns and the no-explicit-zeros invariant intact.
 func sameEntries(t *testing.T, step string, st *State, r [][]float64) {
 	t.Helper()
 	m := st.In.M()
+	rows := st.Rows()
 	nnz := 0
 	for k := 0; k < m; k++ {
 		for j := 0; j < m; j++ {
-			if got := st.Rows.Get(k, j); got != r[k][j] {
+			if got := rows.Get(k, j); got != r[k][j] {
 				t.Fatalf("%s: r[%d][%d] = %v, reference %v", step, k, j, got, r[k][j])
 			}
 			if r[k][j] != 0 {
@@ -199,11 +200,11 @@ func sameEntries(t *testing.T, step string, st *State, r [][]float64) {
 			}
 		}
 	}
-	if got := st.Rows.NNZ(); got != nnz {
+	if got := rows.NNZ(); got != nnz {
 		t.Fatalf("%s: %d stored entries, reference has %d nonzeros", step, got, nnz)
 	}
-	if err := st.Rows.Validate(); err != nil {
-		t.Fatalf("%s: row store invalid: %v", step, err)
+	if err := rows.Validate(); err != nil {
+		t.Fatalf("%s: row form invalid: %v", step, err)
 	}
 	checkColumnIndex(t, st)
 }
@@ -219,7 +220,7 @@ type stepChecker struct {
 
 func (c *stepChecker) pair(i, j int) {
 	t, st := c.t, c.st
-	r := st.Rows.Dense()
+	r := st.Rows().Dense()
 	ref := densePairStep(st.In, r, st.Loads, i, j)
 	costBefore := st.Cost()
 	ev := EvaluatePair(st, i, j, nil)
@@ -251,7 +252,7 @@ func (c *stepChecker) pair(i, j int) {
 
 func (c *stepChecker) removeCycles() {
 	t, st := c.t, c.st
-	r := st.Rows.Dense()
+	r := st.Rows().Dense()
 	loads := append([]float64(nil), st.Loads...)
 	want := removeCyclesDense(st.In, r)
 	if got := RemoveCycles(st); got != want {
@@ -378,7 +379,7 @@ func TestSparseStateRunStateLockstep(t *testing.T) {
 					t.Fatalf("strategy=%d m=%d iter %d: cost %v vs %v", strategy, m, k, trA.Costs[k], trB.Costs[k])
 				}
 			}
-			sameEntries(t, "final", b, a.Rows.Dense())
+			sameEntries(t, "final", b, a.Rows().Dense())
 			if want := model.TotalCost(in, denseOf(a)); !closeRel(a.Cost(), want, 1e-12) {
 				t.Fatalf("strategy=%d m=%d: Cost %v, dense objective %v", strategy, m, a.Cost(), want)
 			}
@@ -423,7 +424,7 @@ func TestSparseStateErrorBound(t *testing.T) {
 		}
 		ApplyPair(st, i, j, nil)
 	}
-	got, want := TransferMatrix(st), transferMatrixDense(in, st.Rows.Dense())
+	got, want := TransferMatrix(st), transferMatrixDense(in, st.Rows().Dense())
 	for i := range want {
 		for j := range want[i] {
 			if got[i][j] != want[i][j] {
@@ -435,7 +436,7 @@ func TestSparseStateErrorBound(t *testing.T) {
 	if b, ref := DistanceBound(st), (4*m+1)*DeltaR(st, want)*in.TotalSpeed(); b != ref {
 		t.Fatalf("DistanceBound %v, reference %v", b, ref)
 	}
-	if g, ref := cycleGain(st), removeCyclesDense(in, st.Rows.Dense()); g != ref {
+	if g, ref := cycleGain(st), removeCyclesDense(in, st.Rows().Dense()); g != ref {
 		t.Fatalf("cycleGain %v, reference %v", g, ref)
 	}
 }

@@ -93,7 +93,7 @@ func Track(in *model.Instance, cfg Config) []EpochStats {
 		Strategy: cfg.Strategy, MaxIters: cfg.MaxIters * 5,
 		Rng: rand.New(rand.NewSource(cfg.Seed)),
 	})
-	prev := initial.Rows
+	prev := initial.Rows()
 
 	var out []EpochStats
 	for epoch := 1; epoch <= cfg.Epochs; epoch++ {
@@ -127,7 +127,7 @@ func Track(in *model.Instance, cfg Config) []EpochStats {
 			ColdStartCost: coldCost,
 		})
 
-		prev = warm.Rows
+		prev = warm.Rows()
 		cur = next
 	}
 	return out

@@ -162,25 +162,6 @@ func (mx *Matrix) Set(i, j int, v float64) {
 	mx.insert(i, t, int32(j), v)
 }
 
-// SetOrRemove stores v at (i, j) when v != 0 and removes any stored
-// entry when v == 0 — the write primitive of the MinE sparse state,
-// whose owner-list discipline keeps "stored" and "nonzero" synonymous.
-// O(nnz_i) worst case (one memmove on insert or removal).
-func (mx *Matrix) SetOrRemove(i, j int, v float64) {
-	t, ok := mx.find(i, int32(j))
-	if v != 0 {
-		if ok {
-			mx.Val[i][t] = v
-			return
-		}
-		mx.insert(i, t, int32(j), v)
-		return
-	}
-	if ok {
-		mx.RemoveAt(i, t)
-	}
-}
-
 // Add adds v to the entry at (i, j), inserting it if absent.
 func (mx *Matrix) Add(i, j int, v float64) {
 	t, ok := mx.find(i, int32(j))

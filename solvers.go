@@ -121,9 +121,10 @@ func (ms mineSolver) Solve(ctx context.Context, sys *System, opts SolveOptions) 
 			strat = core.StrategyExact
 		}
 	}
-	// The request matrix lives in the sparse row store end to end. Only
-	// a dense WithWarmStart passes through the m×m form, once, on its way
-	// in; every other start is built sparse.
+	// The request matrix stays sparse end to end: rows on the way in,
+	// the state's columns during the solve, rows again for the result.
+	// Only a dense WithWarmStart passes through the m×m form, once, on
+	// its way in; every other start is built sparse.
 	var rows *sparse.Matrix
 	if opts.WarmStart != nil {
 		start, err := warmAllocation(sys.in, opts.WarmStart)
@@ -146,7 +147,7 @@ func (ms mineSolver) Solve(ctx context.Context, sys *System, opts SolveOptions) 
 		OnIteration:       opts.Progress,
 		Ctx:               ctx,
 	})
-	res := resultFromSparseRequests(sys.in, st.Rows)
+	res := resultFromSparseRequests(sys.in, st.Rows())
 	res.Iterations = tr.Iters
 	res.Converged = tr.Converged
 	res.CostTrace = tr.Costs

@@ -329,7 +329,7 @@ func (cfg BenchConfig) runCell(ctx context.Context, cell benchCell) (BenchEntry,
 			Ctx:      ctx,
 		})
 		entry.Cost, entry.Iters, entry.Converged = st.Cost(), tr.Iters, tr.Converged
-		entry.NNZ = st.Rows.NNZ()
+		entry.NNZ = st.NNZ()
 	case "latency-structured-update":
 		if err := cfg.runLatencyUpdateCell(&entry, sc); err != nil {
 			return BenchEntry{}, err
