@@ -124,13 +124,13 @@ func checkShortlists(t *testing.T, s *selector, id, k int) {
 	t.Helper()
 	in := s.st.In
 	m := in.M()
-	wantTop := s.appendTopK(nil, k, m, id, func(j int) float64 { return s.proxyGain(id, j) })
+	wantTop := appendTopK(nil, k, m, id, func(j int) float64 { return s.proxyGain(id, j) })
 	gotTop := s.metro.AppendTopProxy(nil, id, k, s.proxyGain)
 	if fmt.Sprint(wantTop) != fmt.Sprint(gotTop) {
 		t.Fatalf("m=%d id %d: proxy top-%d %v vs %v", m, id, k, wantTop, gotTop)
 	}
 	lat := model.RowView(in.Latency, id, make([]float64, m))
-	wantNear := s.appendTopK(nil, k, m, id, func(j int) float64 {
+	wantNear := appendTopK(nil, k, m, id, func(j int) float64 {
 		if math.IsInf(lat[j], 1) {
 			return math.Inf(-1)
 		}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"slices"
 
 	"delaylb/internal/model"
 )
@@ -191,18 +192,12 @@ type selector struct {
 	cfg    Config
 	buf    *pairBuffer
 	cand   []int       // scratch for hybrid short-lists
-	top    []scored    // scratch for appendTopK
 	rowBuf []float64   // scratch for block-view latency rows
 	metro  *MetroIndex // nil: the plain O(m) scans
-	// seen[j] == stamp marks j as evaluated in the current hybrid pick;
-	// every pick takes a fresh stamp.
-	seen  []int32
-	stamp int32
 }
 
 func newSelector(st *State, cfg Config) *selector {
-	m := st.In.M()
-	s := &selector{st: st, cfg: cfg, buf: newPairBuffer(m), rowBuf: make([]float64, m)}
+	s := &selector{st: st, cfg: cfg, buf: newPairBuffer(st.In.M()), rowBuf: make([]float64, st.In.M())}
 	if cfg.Strategy == StrategyProxy || cfg.Strategy == StrategyHybrid {
 		if s.metro = NewMetroIndex(st.In); s.metro != nil { // nil: view not block-backed
 			s.metro.Rebuild(st.Loads)
@@ -318,11 +313,11 @@ func (s *selector) bestHybrid(id int) (int, float64) {
 		s.cand = s.metro.AppendTopProxy(s.cand, id, k, s.proxyGain)
 		s.cand = s.metro.AppendNearest(s.cand, id, k)
 	} else {
-		s.cand = s.appendTopK(s.cand, k, m, id, func(j int) float64 {
+		s.cand = appendTopK(s.cand, k, m, id, func(j int) float64 {
 			return s.proxyGain(id, j)
 		})
 		lat := model.RowView(s.st.In.Latency, id, s.rowBuf)
-		s.cand = s.appendTopK(s.cand, k, m, id, func(j int) float64 {
+		s.cand = appendTopK(s.cand, k, m, id, func(j int) float64 {
 			if math.IsInf(lat[j], 1) {
 				return math.Inf(-1)
 			}
@@ -334,20 +329,13 @@ func (s *selector) bestHybrid(id int) (int, float64) {
 			s.cand = append(s.cand, j)
 		}
 	}
-	if s.seen == nil {
-		s.seen = make([]int32, m)
-	}
-	if s.stamp == math.MaxInt32 {
-		clear(s.seen)
-		s.stamp = 0
-	}
-	s.stamp++
+	// The short-list holds at most 3·hybridK entries, so a prefix scan
+	// skips repeats without a set.
 	bestJ, bestGain := -1, 0.0
-	for _, j := range s.cand {
-		if s.seen[j] == s.stamp {
+	for x, j := range s.cand {
+		if slices.Contains(s.cand[:x], j) {
 			continue
 		}
-		s.seen[j] = s.stamp
 		out := EvaluatePair(s.st, id, j, s.buf)
 		if out.Gain > bestGain {
 			bestGain, bestJ = out.Gain, j
@@ -356,16 +344,16 @@ func (s *selector) bestHybrid(id int) (int, float64) {
 	return bestJ, bestGain
 }
 
-// scored is a candidate partner j with its score, an appendTopK entry.
-type scored struct {
-	j    int
-	gain float64
-}
-
 // appendTopK appends to dst the (up to) k indices j ≠ id with the largest
-// score(j), skipping −Inf scores. Its ranking lives in s.top.
-func (s *selector) appendTopK(dst []int, k, m, id int, score func(int) float64) []int {
-	top := s.top[:0]
+// score(j), skipping −Inf scores. For k ≤ hybridK the ranking lives on
+// the stack.
+func appendTopK(dst []int, k, m, id int, score func(int) float64) []int {
+	type scored struct {
+		j    int
+		gain float64
+	}
+	var buf [hybridK + 1]scored
+	top := buf[:0]
 	for j := 0; j < m; j++ {
 		if j == id {
 			continue
@@ -387,7 +375,6 @@ func (s *selector) appendTopK(dst []int, k, m, id int, score func(int) float64) 
 			}
 		}
 	}
-	s.top = top
 	for _, c := range top {
 		dst = append(dst, c.j)
 	}

@@ -121,13 +121,44 @@ func TestSparseStateCostMatchesDenseCost(t *testing.T) {
 	}
 }
 
-// TestCloneCopiesColumnIndex ensures cloned states do not share owner
-// lists.
+// TestCloneCopiesColumnIndex ensures cloned states share no column or
+// load storage: pair steps on the clone leave the source's matrix and
+// loads bit for bit as they were, and do change the clone. The source
+// is dense, so the steps rewrite owner lists in place as well as grow
+// and shrink them.
 func TestCloneCopiesColumnIndex(t *testing.T) {
 	in := sparseTestInstance(t, 10, 6)
-	st := NewIdentityState(in)
+	rng := rand.New(rand.NewSource(6))
+	st := randState(rng, in)
+	snapR, snapL := st.Rows().Dense(), slices.Clone(st.Loads)
+	same := func(s *State) bool {
+		r := s.Rows().Dense()
+		for k := range r {
+			for j, v := range r[k] {
+				if math.Float64bits(v) != math.Float64bits(snapR[k][j]) {
+					return false
+				}
+			}
+		}
+		for j, v := range s.Loads {
+			if math.Float64bits(v) != math.Float64bits(snapL[j]) {
+				return false
+			}
+		}
+		return true
+	}
 	cp := st.clone()
-	ApplyPair(cp, 0, 1, nil)
+	for step := 0; step < 20; step++ {
+		if i, j := rng.Intn(in.M()), rng.Intn(in.M()); i != j {
+			ApplyPair(cp, i, j, nil)
+		}
+	}
+	if !same(st) {
+		t.Fatal("pair steps on the clone changed the source")
+	}
+	if same(cp) {
+		t.Fatal("the pair steps did not change the clone")
+	}
 	checkColumnIndex(t, st)
 	checkColumnIndex(t, cp)
 }
