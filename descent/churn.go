@@ -2,14 +2,18 @@ package descent
 
 // Membership and load churn. The plane treats every mutation the same
 // way: assemble the global rows, project them through the exact same
-// O(nnz + m) transforms the session tier uses (internal/dynamic), then
-// reshard. Rebuilding from rows is what makes mid-round churn safe —
-// columns, loads, subscriptions and price caches are derived state, and
-// any in-flight payload (including a delta addressed to a server that
-// just left) is dropped with the old inboxes rather than applied to a
-// stale index space. Rows stay row-stochastic by construction: a
-// leaving server's orphaned mass folds back onto each organization's
-// home server, exactly like the centralized failover.
+// O(nnz + m) transforms the session tier uses (internal/dynamic.Rescale
+// for loads, a dynamic.Resize batch for joins and leaves), then
+// reshard. Join and Leave project a one-edit batch; Crash records every
+// departure of the victim in one batch, so a metro's worth of servers
+// costs one projection and one rebuild. Rebuilding from rows is what
+// makes mid-round churn safe — columns, loads, subscriptions and price
+// caches are derived state, and any in-flight payload (including a
+// delta addressed to a server that just left) is dropped with the old
+// inboxes rather than applied to a stale index space. Rows stay
+// row-stochastic by construction: a leaving server's orphaned mass
+// folds back onto each organization's home server, exactly like the
+// centralized failover.
 //
 // Churn calls must come between rounds (or, in tests, between phases) —
 // never concurrently with one.
@@ -47,8 +51,9 @@ func (p *Plane) Join(speed, load float64, latTo, latFrom []float64, cluster int)
 	if err != nil {
 		return err
 	}
-	next := dynamic.Expand(p.Allocation(), load)
-	return p.rebuild(in, next)
+	r := dynamic.NewResize(p.in.M())
+	r.Join(load)
+	return p.rebuild(in, r.Apply(p.Allocation()))
 }
 
 // Leave removes server/organization i. Every index above i shifts down
@@ -63,8 +68,9 @@ func (p *Plane) Leave(i int) error {
 	if err != nil {
 		return err
 	}
-	next := dynamic.Collapse(p.Allocation(), i)
-	return p.rebuild(in, next)
+	r := dynamic.NewResize(p.in.M())
+	r.Leave(i)
+	return p.rebuild(in, r.Apply(p.Allocation()))
 }
 
 // CrashEvent describes one actor crash executed by the plane.
@@ -81,14 +87,15 @@ type CrashEvent struct {
 }
 
 // Crash kills actor victim: every server — and with it every
-// organization homed there — that the victim owns leaves the fleet
-// through the Leave churn path, highest index first, and the survivors
-// reshard. LostMass is the crashed organizations' own load, which
-// exits the system with them; RecoveredMass is the surviving
-// organizations' mass that was routed to the dying servers and is
-// folded back onto their home servers by the failover instead of being
-// lost. A victim owning the whole fleet cannot fail over and is an
-// error; a victim owning nothing is a no-op.
+// organization homed there — that the victim owns leaves the fleet,
+// highest index first, exactly as that many Leave calls would remove
+// them, but projected as one batch with one reshard of the survivors.
+// LostMass is the crashed organizations' own load, which exits the
+// system with them; RecoveredMass is the surviving organizations' mass
+// that was routed to the dying servers and is folded back onto their
+// home servers by the failover instead of being lost. A victim owning
+// the whole fleet cannot fail over and is an error; a victim owning
+// nothing is a no-op.
 func (p *Plane) Crash(victim int) (CrashEvent, error) {
 	if victim < 0 || victim >= p.shards {
 		return CrashEvent{}, fmt.Errorf("descent: Crash(%d) out of range, plane has %d actors", victim, p.shards)
@@ -118,11 +125,22 @@ func (p *Plane) Crash(victim int) (CrashEvent, error) {
 		}
 	}
 	// Highest index first, so the remaining owned indices stay valid
-	// across the shift every Leave applies.
+	// across the shift every departure applies. One rebuild suffices:
+	// it derives every field from the instance and the rows, and
+	// re-attaching resets the transport's in-flight state, so the
+	// rebuilds of one-at-a-time Leaves would leave nothing it does not
+	// redo.
+	in, r := p.in, dynamic.NewResize(p.in.M())
 	for t := len(own) - 1; t >= 0; t-- {
-		if err := p.Leave(int(own[t])); err != nil {
+		next, err := in.WithoutServer(int(own[t]))
+		if err != nil {
 			return ev, err
 		}
+		in = next
+		r.Leave(int(own[t]))
+	}
+	if err := p.rebuild(in, r.Apply(p.Allocation())); err != nil {
+		return ev, err
 	}
 	p.crashes++
 	p.roundCrash = &ev

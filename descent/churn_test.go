@@ -1,7 +1,9 @@
 package descent
 
 import (
+	"bytes"
 	"math"
+	"reflect"
 	"testing"
 
 	"delaylb/internal/model"
@@ -233,5 +235,90 @@ func TestChurnedPlaneStillDeterministic(t *testing.T) {
 		if got := script(shards); string(got) != string(base) {
 			t.Fatalf("churn script diverged at shards=%d", shards)
 		}
+	}
+}
+
+// TestCrashMatchesLeaves pins Crash's one-batch failover against the
+// one-at-a-time path: a crashed plane and a twin that removes the same
+// servers through Leave, highest index first, hold bit-identical
+// allocations and run identical rounds afterwards — on the lossless Bus
+// and on a lossy SimTransport. Only the first round after the crash
+// differs, by the crash accounting it reports.
+func TestCrashMatchesLeaves(t *testing.T) {
+	withoutCrash := func(f *FaultTotals) *FaultTotals {
+		if f == nil {
+			return nil
+		}
+		g := *f
+		g.Crashes, g.LostMass, g.RecoveredMass = 0, 0, 0
+		if g == (FaultTotals{}) {
+			return nil
+		}
+		return &g
+	}
+	for _, tc := range []struct {
+		name string
+		plan *FaultPlan
+	}{
+		{"bus", nil},
+		{"lossy", &FaultPlan{Seed: 5, Drop: 0.05, Duplicate: 0.05, Reorder: 0.1, Delay: 0.2}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var planes [2]*Plane
+			for k := range planes {
+				cfg := Config{Shards: 6, Seed: 17}
+				if tc.plan != nil {
+					plan := *tc.plan
+					cfg.Faults = &plan
+				}
+				p, err := NewPlane(clusteredInstance(t, 80, 6, 17), cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := p.Run(30); err != nil {
+					t.Fatal(err)
+				}
+				planes[k] = p
+			}
+			crashed, twin := planes[0], planes[1]
+			ev, err := crashed.Crash(1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(ev.Removed) < 2 || ev.RecoveredMass == 0 {
+				t.Fatalf("crash of actor 1 shows nothing: %+v", ev)
+			}
+			for k := len(ev.Removed) - 1; k >= 0; k-- {
+				if err := twin.Leave(int(ev.Removed[k])); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if !bytes.Equal(renderState(crashed, nil), renderState(twin, nil)) {
+				t.Fatal("crash and one-at-a-time leaves left different allocations")
+			}
+			if crashed.M() != twin.M() || crashed.Shards() != twin.Shards() || crashed.Cost() != twin.Cost() {
+				t.Fatalf("crash left m=%d shards=%d cost %v, leaves m=%d shards=%d cost %v",
+					crashed.M(), crashed.Shards(), crashed.Cost(), twin.M(), twin.Shards(), twin.Cost())
+			}
+			for r := 0; r < 8; r++ {
+				a, err := crashed.Round()
+				if err != nil {
+					t.Fatal(err)
+				}
+				b, err := twin.Round()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if r == 0 {
+					if a.Faults == nil || a.Faults.Crashes != 1 {
+						t.Fatalf("first round after the crash reports %+v, want one crash", a.Faults)
+					}
+					a.Faults = withoutCrash(a.Faults)
+				}
+				if !reflect.DeepEqual(a, b) {
+					t.Fatalf("round %d after the crash: %+v vs %+v", r, a, b)
+				}
+			}
+		})
 	}
 }

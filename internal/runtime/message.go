@@ -106,7 +106,6 @@ type Message struct {
 	Col   SparseCol // r_k,From in coordinate form
 	Lat   []float64 // proposer's latency row (== its latency column)
 	Speed float64
-	Load  float64 // proposer's current server load
 
 	// MsgAccept: the proposer's new column after Algorithm 1, again in
 	// coordinate form.

@@ -123,7 +123,6 @@ func (s *Server) onTick() []Message {
 			Col:   s.col.Clone(),
 			Lat:   append([]float64(nil), s.latRow...),
 			Speed: s.speed,
-			Load:  s.load(),
 		})
 	}
 	return out

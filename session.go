@@ -44,10 +44,14 @@ import (
 // dense path — the property session_alloc_test.go pins.
 //
 // The allocation itself is carried as sparse rows in request units, so
-// UpdateLoads and the churn projections are O(nnz + m) and results stay
-// sparse until a caller materializes them. For sessions over thousands
-// of servers, pass WithSolver("frankwolfe") or the "proxy" MinE variant
-// as a session default at NewSession.
+// UpdateLoads is O(nnz + m) and results stay sparse until a caller
+// materializes them. AddServer and RemoveServer only record the edit;
+// the next call that reads the allocation (Result, Cost, UpdateLoads,
+// Reoptimize, RunCluster) projects every edit recorded since in one
+// O(nnz + m) pass, so a burst of churn — a metro outage, a rolling
+// restart — pays that pass once rather than once per server. For
+// sessions over thousands of servers, pass WithSolver("frankwolfe") or
+// the "proxy" MinE variant as a session default at NewSession.
 //
 // A Session is safe for concurrent use. The lock is released while a
 // solve or cluster run is in flight, so observers — including the
@@ -55,11 +59,12 @@ import (
 // any time; a result computed against a state that was updated mid-run
 // is returned but not adopted.
 type Session struct {
-	mu    sync.Mutex
-	in    *model.Instance
-	alloc *sparse.Matrix // the current allocation, request units
-	base  []Option       // defaults captured at NewSession, prepended per call
-	epoch int            // counts load/latency updates
+	mu      sync.Mutex
+	in      *model.Instance
+	alloc   *sparse.Matrix  // settled allocation, request units; read it through allocLocked
+	pending *dynamic.Resize // joins and leaves recorded since alloc was settled
+	base    []Option        // defaults captured at NewSession, prepended per call
+	epoch   int             // counts load/latency updates
 }
 
 // NewSession starts a session from the system's instance and the identity
@@ -68,7 +73,17 @@ type Session struct {
 // Reoptimize/RunCluster call; per-call options override them.
 func (s *System) NewSession(opts ...Option) *Session {
 	in := s.in.Clone()
-	return &Session{in: in, alloc: sparse.Diagonal(in.Load), base: opts}
+	return &Session{in: in, alloc: sparse.Diagonal(in.Load), pending: dynamic.NewResize(in.M()), base: opts}
+}
+
+// allocLocked settles the pending joins and leaves onto the allocation
+// and returns it. A settled matrix is never mutated, so callers may hand
+// it to readers outside the lock. Callers hold s.mu.
+func (s *Session) allocLocked() *sparse.Matrix {
+	if s.pending.Len() > 0 {
+		s.alloc = s.pending.Apply(s.alloc)
+	}
+	return s.alloc
 }
 
 // System returns an immutable snapshot of the session's current instance,
@@ -163,7 +178,7 @@ func (s *Session) Clusters() []int {
 func (s *Session) Result() *Result {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return resultFromSparseRequests(s.in, s.alloc.Clone())
+	return resultFromSparseRequests(s.in, s.allocLocked().Clone())
 }
 
 // Cost returns ΣC_i of the current allocation under the current loads
@@ -171,7 +186,7 @@ func (s *Session) Result() *Result {
 func (s *Session) Cost() float64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return model.TotalCostSparse(s.in, s.alloc)
+	return model.TotalCostSparse(s.in, s.allocLocked())
 }
 
 // UpdateLoads replaces the per-organization loads. The current allocation
@@ -199,7 +214,7 @@ func (s *Session) UpdateLoads(loads []float64) error {
 		Latency: s.in.Latency,
 		Cluster: s.in.Cluster,
 	}
-	s.alloc = dynamic.Rescale(s.alloc, s.in.Load, next.Load)
+	s.alloc = dynamic.Rescale(s.allocLocked(), s.in.Load, next.Load)
 	s.in = next
 	s.epoch++
 	return nil
@@ -281,7 +296,9 @@ type ServerSpec struct {
 // The current allocation is carried over: existing organizations keep
 // their routing (nobody relays to a server it has not seen), and the
 // newcomer starts by serving its own load locally — feasible by
-// construction, and the warm start the next Reoptimize improves.
+// construction, and the warm start the next Reoptimize improves. The
+// instance is updated at once; the allocation projection waits for the
+// next read, shared with every join and leave recorded until then.
 func (s *Session) AddServer(spec ServerSpec) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -289,7 +306,10 @@ func (s *Session) AddServer(spec ServerSpec) error {
 	if err != nil {
 		return err
 	}
-	s.alloc = dynamic.Expand(s.alloc, spec.Load)
+	if s.pending.Len() >= s.in.M() {
+		s.allocLocked() // keeps the batch O(m) for callers that never read
+	}
+	s.pending.Join(spec.Load)
 	s.in = next
 	s.epoch++
 	return nil
@@ -300,7 +320,9 @@ func (s *Session) AddServer(spec ServerSpec) error {
 // leave with it; every remaining organization pulls the requests it was
 // relaying to the removed server back to its own server, so each
 // surviving row still sums to its load — the failover projection of
-// internal/dynamic.Collapse. Indices above i shift down by one.
+// internal/dynamic.Resize. Indices above i shift down by one. As with
+// AddServer, the instance is updated at once and the allocation
+// projection waits for the next read.
 func (s *Session) RemoveServer(i int) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -308,7 +330,10 @@ func (s *Session) RemoveServer(i int) error {
 	if err != nil {
 		return err
 	}
-	s.alloc = dynamic.Collapse(s.alloc, i)
+	if s.pending.Len() >= s.in.M() {
+		s.allocLocked() // keeps the batch O(m) for callers that never read
+	}
+	s.pending.Leave(i)
 	s.in = next
 	s.epoch++
 	return nil
@@ -340,7 +365,7 @@ func (s *Session) RemoveServer(i int) error {
 func (s *Session) Reoptimize(ctx context.Context, opts ...Option) (*Result, error) {
 	s.mu.Lock()
 	o := buildOptions(append(append([]Option(nil), s.base...), opts...))
-	in, alloc, epoch := s.in, s.alloc, s.epoch
+	in, alloc, epoch := s.in, s.allocLocked(), s.epoch
 	s.mu.Unlock()
 	solver, err := resolveSolver(o.solver)
 	if err != nil {
@@ -416,7 +441,7 @@ func (s *Session) RunCluster(ctx context.Context, rounds int, onRound func(round
 	}
 	s.mu.Lock()
 	o := buildOptions(append(append([]Option(nil), s.base...), opts...))
-	in, start, epoch := s.in, &model.Allocation{R: s.alloc.Dense()}, s.epoch
+	in, start, epoch := s.in, &model.Allocation{R: s.allocLocked().Dense()}, s.epoch
 	s.mu.Unlock()
 	bus := runtime.NewSimBusFromAllocation(in, start, runtimeMinGain(in), o.Seed)
 	done := 0

@@ -209,3 +209,44 @@ func TestRunClusterAllocationBound(t *testing.T) {
 		t.Errorf("one RunCluster round allocates %d bytes at m=300 (bound 64 MiB) — the runtime buffers O(m) messages per server again", bytes)
 	}
 }
+
+// TestChurnBurstAllocationBound pins what a metro outage allocates on a
+// warm session at m=2000: each RemoveServer copies the instance's O(m)
+// per-server vectors and records the edit, and the next read projects
+// the whole burst once. A session that projects the allocation on every
+// removal (O(nnz + m) bytes each, about 125·m here) fails the 48·m
+// bound; the settle is counted, amortized over the burst.
+func TestChurnBurstAllocationBound(t *testing.T) {
+	const m = 2000
+	sys, err := NewScenario(m).WithClusters(12).WithLoads(LoadZipf, 100).WithSeed(1).Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess := sys.NewSession(WithSolver("proxy"), WithMaxIterations(40))
+	if _, err := sess.Reoptimize(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	var down []int
+	for i, g := range sys.in.Cluster {
+		if g == 0 {
+			down = append(down, i)
+		}
+	}
+	var before, mid, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for k := len(down) - 1; k >= 0; k-- {
+		if err := sess.RemoveServer(down[k]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&mid)
+	sess.Cost()
+	runtime.ReadMemStats(&after)
+	perRemoval := float64(after.TotalAlloc-before.TotalAlloc) / float64(len(down))
+	t.Logf("%d removals at m=%d: %.1f·m bytes each, then a %d-byte settle; %.1f·m each with it",
+		len(down), m, float64(mid.TotalAlloc-before.TotalAlloc)/float64(len(down))/m, after.TotalAlloc-mid.TotalAlloc, perRemoval/m)
+	if perRemoval >= 48*m {
+		t.Errorf("a metro outage allocates %.0f bytes per removal at m=%d (bound 48·m = %d) — the allocation is projected per edit again", perRemoval, m, 48*m)
+	}
+}
