@@ -131,7 +131,8 @@ type Result struct {
 	NNZ int
 	// Reason says why the solve stopped: "stable", "tolerance",
 	// "max-iters", "callback", "target" or "canceled" for solver runs;
-	// "rounds" for a Session.RunCluster that completed its tick budget.
+	// "rounds" for a Session.RunCluster that completed its tick budget,
+	// which has no stopping criterion and so never reports Converged.
 	Reason string
 
 	// req is the allocation r_ij, set at construction and never

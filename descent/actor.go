@@ -17,7 +17,7 @@ package descent
 //     actor's rows currently use.
 //
 // rows, cols and load are plane-wide slices indexed by global server
-// (= org) index, allocated once per rebuild and shared by every actor.
+// (= org) index, allocated once per reshard and shared by every actor.
 // An actor reads and writes only the entries of the servers it owns,
 // so concurrent phases touch disjoint indices; price is a private map
 // sized by the actor's subscriptions, not by m.
@@ -118,15 +118,13 @@ type actor struct {
 	outDeltas [][]deltaEntry
 	marks     []int32 // last server published per dst, +1 (0 = none)
 	partial   []summaryEntry
-	sums      []summaryEntry
 	cand1     []candidate
 	cand2     []candidate
 	ws        []wsEntry
-	wsAt      []int32 // ws membership markers, round-stamped
-	wsStamp   []int32
+	wsStamp   []int32 // per server: the stamp of the last row step whose ws holds it
 	stamp     int32
 	scratch   stepScratch
-	newRow    []rowEntry
+	extra     []rowEntry // frozen and candidate coordinates of a rebuilt row
 	frozenIdx []int32
 	frozenVal []float64
 	batch     []deltaEntry
@@ -395,10 +393,6 @@ func (a *actor) step(round int) {
 	for d := range a.outDeltas {
 		a.outDeltas[d] = a.outDeltas[d][:0]
 	}
-	if a.wsStamp == nil {
-		a.wsStamp = make([]int32, p.in.M())
-		a.wsAt = nil
-	}
 	if len(a.wsStamp) < p.in.M() {
 		a.wsStamp = make([]int32, p.in.M())
 		a.stamp = 0
@@ -438,6 +432,7 @@ func (a *actor) stepRow(i int32, round int, eta float64) {
 	budget := n
 	mark := func(j int32) { a.wsStamp[j] = stamp }
 	inWS := func(j int32) bool { return a.wsStamp[j] == stamp }
+	drow := p.delayRow(i)
 
 	// Current support first.
 	for t, j := range row.idx {
@@ -462,9 +457,10 @@ func (a *actor) stepRow(i int32, round int, eta float64) {
 				continue
 			}
 		}
-		a.ws = append(a.ws, wsEntry{j: j, r: r, load: ls.load, speed: ls.speed, cij: p.lat.At(int(i), int(j))})
+		a.ws = append(a.ws, wsEntry{j: j, r: r, load: ls.load, speed: ls.speed, cij: p.cij(drow, i, j)})
 		mark(j)
 	}
+	support := len(a.ws) // ws[:support] is in index order; candidates follow
 	// The home server is always a candidate — mass must be able to
 	// return to it.
 	if !inWS(i) {
@@ -478,7 +474,7 @@ func (a *actor) stepRow(i int32, round int, eta float64) {
 				if c.id < 0 || c.id == i || inWS(c.id) {
 					continue
 				}
-				a.ws = append(a.ws, wsEntry{j: c.id, r: 0, load: c.load, speed: c.speed, cij: p.lat.At(int(i), int(c.id))})
+				a.ws = append(a.ws, wsEntry{j: c.id, r: 0, load: c.load, speed: c.speed, cij: p.cij(drow, i, c.id)})
 				mark(c.id)
 			}
 		}
@@ -498,7 +494,7 @@ func (a *actor) stepRow(i int32, round int, eta float64) {
 					continue
 				}
 			}
-			a.ws = append(a.ws, wsEntry{j: j, r: 0, load: ls.load, speed: ls.speed, cij: p.lat.At(int(i), int(j))})
+			a.ws = append(a.ws, wsEntry{j: j, r: 0, load: ls.load, speed: ls.speed, cij: p.cij(drow, i, j)})
 		}
 	}
 	if budget <= 0 || len(a.ws) == 0 {
@@ -507,17 +503,9 @@ func (a *actor) stepRow(i int32, round int, eta float64) {
 
 	x := proxStep(p.cfg.Mode, eta, budget, a.ws, &a.scratch)
 
-	// Rebuild the row (frozen coordinates kept as-is) and route the
-	// changed coordinates to their owners.
-	a.newRow = a.newRow[:0]
-	for t, j := range a.frozenIdx {
-		a.newRow = append(a.newRow, rowEntry{j: j, v: a.frozenVal[t]})
-	}
+	// Route the changed coordinates to their owners.
 	changed := false
 	for t, e := range a.ws {
-		if x[t] != 0 {
-			a.newRow = append(a.newRow, rowEntry{j: e.j, v: x[t]})
-		}
 		if x[t] != e.r {
 			changed = true
 			a.moved += abs(x[t] - e.r)
@@ -533,14 +521,68 @@ func (a *actor) stepRow(i int32, round int, eta float64) {
 	if !changed {
 		return
 	}
-	// Sort the rebuilt row back into index order (support was sorted,
-	// candidates were appended at the end). Indices are unique.
-	slices.SortFunc(a.newRow, func(x, y rowEntry) int { return cmp.Compare(x.j, y.j) })
+	// Rebuild the row in index order, frozen coordinates kept as they
+	// are. The support part of the working set is already in order, so
+	// only the frozen coordinates (in order among themselves) and the
+	// few appended candidates that received mass need ordering before
+	// one merge.
+	extra := a.extra[:0]
+	for t, j := range a.frozenIdx {
+		extra = append(extra, rowEntry{j: j, v: a.frozenVal[t]})
+	}
+	for t := support; t < len(a.ws); t++ {
+		if x[t] == 0 {
+			continue
+		}
+		e := rowEntry{j: a.ws[t].j, v: x[t]}
+		u := len(extra)
+		extra = append(extra, e)
+		for ; u > 0 && extra[u-1].j > e.j; u-- {
+			extra[u] = extra[u-1]
+		}
+		extra[u] = e
+	}
 	row.idx, row.val = row.idx[:0], row.val[:0]
-	for _, e := range a.newRow {
+	u := 0
+	for t, e := range a.ws[:support] {
+		if x[t] == 0 {
+			continue
+		}
+		for ; u < len(extra) && extra[u].j < e.j; u++ {
+			row.idx = append(row.idx, extra[u].j)
+			row.val = append(row.val, extra[u].v)
+		}
+		row.idx = append(row.idx, e.j)
+		row.val = append(row.val, x[t])
+	}
+	for _, e := range extra[u:] {
 		row.idx = append(row.idx, e.j)
 		row.val = append(row.val, e.v)
 	}
+	a.extra = extra
+}
+
+// delayRow returns organization i's row of the metro delay table in
+// block mode, indexed by metro, and nil otherwise.
+func (p *Plane) delayRow(i int32) []float64 {
+	if p.block {
+		return p.metroDelays[p.labels[i]]
+	}
+	return nil
+}
+
+// cij returns c_ij. With drow = delayRow(i) set it reads the metro table
+// instead of calling the latency view: model.ClusterDelays verifies that
+// every off-diagonal pair of a metro pair holds the same value, so the
+// table holds exactly the bits At returns, and At returns 0 for j = i.
+func (p *Plane) cij(drow []float64, i, j int32) float64 {
+	if drow == nil {
+		return p.lat.At(int(i), int(j))
+	}
+	if i == j {
+		return 0
+	}
+	return drow[p.labels[j]]
 }
 
 // apply is phase 3: fold every delta destined to this actor's servers —

@@ -1,19 +1,25 @@
 package descent
 
-// Membership and load churn. The plane treats every mutation the same
-// way: assemble the global rows, project them through the exact same
-// O(nnz + m) transforms the session tier uses (internal/dynamic.Rescale
-// for loads, a dynamic.Resize batch for joins and leaves), then
-// reshard. Join and Leave project a one-edit batch; Crash records every
-// departure of the victim in one batch, so a metro's worth of servers
-// costs one projection and one rebuild. Rebuilding from rows is what
-// makes mid-round churn safe — columns, loads, subscriptions and price
-// caches are derived state, and any in-flight payload (including a
-// delta addressed to a server that just left) is dropped with the old
-// inboxes rather than applied to a stale index space. Rows stay
-// row-stochastic by construction: a leaving server's orphaned mass
-// folds back onto each organization's home server, exactly like the
-// centralized failover.
+// Membership and load churn. Every mutation ends the same way: derive
+// recomputes columns, loads, subscriptions and price caches from the
+// rows, and drops every in-flight payload (including a delta addressed
+// to a server that just left) with the old inboxes rather than applying
+// it to a stale index space. That is what makes mid-round churn safe.
+// What comes before derive depends on the mutation:
+//
+//   - Join, Leave and Crash change the index space. They assemble the
+//     global rows, project them through a dynamic.Resize batch — the
+//     O(nnz + m) projection the session tier uses — and reshard the
+//     plane over the result. Join and Leave project a one-edit batch;
+//     Crash records every departure of the victim in one batch, so a
+//     metro's worth of servers costs one projection and one reshard.
+//     Rows stay row-stochastic by construction: a leaving server's
+//     orphaned mass folds back onto each organization's home server,
+//     exactly like the centralized failover.
+//   - UpdateLoads keeps the index space, the shards and every backing
+//     array. It scales each row in place by dynamic.RowScale, the rule
+//     dynamic.Rescale applies, so the rows come out bit for bit as a
+//     rescale-and-reshard would leave them.
 //
 // Churn calls must come between rounds (or, in tests, between phases) —
 // never concurrently with one.
@@ -26,7 +32,11 @@ import (
 )
 
 // UpdateLoads replaces the per-organization loads, rescaling each row
-// to its new load so relay fractions survive moderate churn.
+// to its new load so relay fractions survive moderate churn: a row that
+// carried load is scaled by new/old, a row that carried none restarts
+// on its home server, and entries that become exactly 0 leave the row.
+// The rows are scaled in place and the plane keeps its shards; derive
+// then recomputes everything that follows from the rows.
 func (p *Plane) UpdateLoads(loads []float64) error {
 	if len(loads) != p.in.M() {
 		return fmt.Errorf("descent: UpdateLoads got %d loads, fleet has %d", len(loads), p.in.M())
@@ -36,10 +46,32 @@ func (p *Plane) UpdateLoads(loads []float64) error {
 			return fmt.Errorf("descent: UpdateLoads load[%d]=%v, must be non-negative and finite", i, l)
 		}
 	}
-	next := dynamic.Rescale(p.Allocation(), p.in.Load, loads)
+	for i, row := range p.rows {
+		f, keep := dynamic.RowScale(p.in.Load[i], loads[i])
+		if !keep {
+			row.idx, row.val = row.idx[:0], row.val[:0]
+			if loads[i] != 0 {
+				row.idx = append(row.idx, int32(i))
+				row.val = append(row.val, loads[i])
+			}
+			continue
+		}
+		n := 0
+		for t, j := range row.idx {
+			if v := row.val[t] * f; v != 0 {
+				row.idx[n], row.val[n] = j, v
+				n++
+			}
+		}
+		row.idx, row.val = row.idx[:n], row.val[:n]
+	}
+	// The instance is exposed read-only through Instance, so the new
+	// loads go into a clone rather than under a caller's feet.
 	in := p.in.Clone()
 	copy(in.Load, loads)
-	return p.rebuild(in, next)
+	p.in, p.lat = in, in.Latency
+	p.derive()
+	return nil
 }
 
 // Join adds a server/organization with the given speed and load. On
@@ -53,13 +85,14 @@ func (p *Plane) Join(speed, load float64, latTo, latFrom []float64, cluster int)
 	}
 	r := dynamic.NewResize(p.in.M())
 	r.Join(load)
-	return p.rebuild(in, r.Apply(p.Allocation()))
+	p.rebuild(in, r.Apply(p.Allocation()))
+	return nil
 }
 
 // Leave removes server/organization i. Every index above i shifts down
 // by one; mass other organizations had routed to i folds back onto
 // their home servers. In-flight messages addressed to i are dropped
-// with the rebuild.
+// with the reshard.
 func (p *Plane) Leave(i int) error {
 	if i < 0 || i >= p.in.M() {
 		return fmt.Errorf("descent: Leave(%d) out of range, fleet has %d", i, p.in.M())
@@ -70,7 +103,8 @@ func (p *Plane) Leave(i int) error {
 	}
 	r := dynamic.NewResize(p.in.M())
 	r.Leave(i)
-	return p.rebuild(in, r.Apply(p.Allocation()))
+	p.rebuild(in, r.Apply(p.Allocation()))
+	return nil
 }
 
 // CrashEvent describes one actor crash executed by the plane.
@@ -139,9 +173,7 @@ func (p *Plane) Crash(victim int) (CrashEvent, error) {
 		in = next
 		r.Leave(int(own[t]))
 	}
-	if err := p.rebuild(in, r.Apply(p.Allocation())); err != nil {
-		return ev, err
-	}
+	p.rebuild(in, r.Apply(p.Allocation()))
 	p.crashes++
 	p.roundCrash = &ev
 	if p.cfg.OnCrash != nil {

@@ -2,10 +2,13 @@ package descent
 
 import (
 	"bytes"
+	"encoding/binary"
+	"fmt"
 	"math"
 	"reflect"
 	"testing"
 
+	"delaylb/internal/dynamic"
 	"delaylb/internal/model"
 )
 
@@ -320,5 +323,219 @@ func TestCrashMatchesLeaves(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// updateLoadsByReshard is the load update UpdateLoads replaced, kept as
+// its oracle: rescale the assembled allocation and reshard the plane
+// over the result.
+func updateLoadsByReshard(p *Plane, loads []float64) {
+	in := p.in.Clone()
+	copy(in.Load, loads)
+	p.rebuild(in, dynamic.Rescale(p.Allocation(), p.in.Load, loads))
+}
+
+// derivedState renders the bits of the state derive recomputes from the
+// rows: every column and every server load.
+func derivedState(p *Plane) []byte {
+	var buf bytes.Buffer
+	for j, col := range p.cols {
+		binary.Write(&buf, binary.LittleEndian, int32(len(col.idx)))
+		binary.Write(&buf, binary.LittleEndian, col.idx)
+		for _, v := range col.val {
+			binary.Write(&buf, binary.LittleEndian, math.Float64bits(v))
+		}
+		binary.Write(&buf, binary.LittleEndian, math.Float64bits(p.load[j]))
+	}
+	return buf.Bytes()
+}
+
+// TestUpdateLoadsMatchesReshard drives twin planes through one script of
+// load updates mixed with joins, leaves and rounds: one twin updates its
+// loads in place, the other through the rescale-and-reshard oracle.
+// After every edit the twins must hold the same allocation and derived
+// state bit for bit, and then run 20 identical rounds. The script drops
+// loads to 0, brings a zero-load row back, zeroes every load, and
+// updates loads between the step and apply phases of a round, with the
+// step's payloads in flight. It runs on the block-latency Bus, on the
+// dense fallback and on a lossy SimTransport, each at one shard and at
+// several.
+func TestUpdateLoadsMatchesReshard(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		dense bool
+		plan  *FaultPlan
+	}{
+		{"block", false, nil},
+		{"dense", true, nil},
+		{"lossy", false, &FaultPlan{Seed: 3, Drop: 0.2, Duplicate: 0.1, Reorder: 0.2, Delay: 0.1}},
+	} {
+		for _, shards := range []int{1, 4} {
+			t.Run(fmt.Sprintf("%s/shards=%d", tc.name, shards), func(t *testing.T) {
+				var planes [2]*Plane
+				for k := range planes {
+					in := clusteredInstance(t, 40, 4, 23)
+					if tc.dense {
+						in = denseInstance(t, 24, 23)
+					}
+					cfg := Config{Shards: shards, Seed: 23, Participation: 0.7}
+					if tc.plan != nil {
+						plan := *tc.plan
+						cfg.Faults = &plan
+					}
+					p, err := NewPlane(in, cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					planes[k] = p
+				}
+				inPlace, oracle := planes[0], planes[1]
+				step := 0
+				compare := func(what string) {
+					t.Helper()
+					step++
+					if !bytes.Equal(renderState(inPlace, nil), renderState(oracle, nil)) {
+						t.Fatalf("step %d (%s): allocations differ", step, what)
+					}
+					if !bytes.Equal(derivedState(inPlace), derivedState(oracle)) {
+						t.Fatalf("step %d (%s): columns or loads differ", step, what)
+					}
+					if inPlace.Cost() != oracle.Cost() || inPlace.Shards() != oracle.Shards() {
+						t.Fatalf("step %d (%s): cost %v on %d shards, oracle %v on %d", step, what,
+							inPlace.Cost(), inPlace.Shards(), oracle.Cost(), oracle.Shards())
+					}
+					for r := 0; r < 20; r++ {
+						a, err := inPlace.Round()
+						if err != nil {
+							t.Fatal(err)
+						}
+						b, err := oracle.Round()
+						if err != nil {
+							t.Fatal(err)
+						}
+						if !reflect.DeepEqual(a, b) {
+							t.Fatalf("step %d (%s), round %d: %+v, oracle %+v", step, what, r, a, b)
+						}
+					}
+				}
+				update := func(what string, loads []float64) {
+					t.Helper()
+					if err := inPlace.UpdateLoads(loads); err != nil {
+						t.Fatal(err)
+					}
+					updateLoadsByReshard(oracle, loads)
+					compare(what)
+				}
+				scaled := func(f float64, zero ...int) []float64 {
+					loads := append([]float64(nil), inPlace.Instance().Load...)
+					for i := range loads {
+						loads[i] *= f
+					}
+					for _, i := range zero {
+						loads[i] = 0
+					}
+					return loads
+				}
+				join := func() {
+					t.Helper()
+					for _, p := range planes {
+						var lat []float64
+						if tc.dense {
+							lat = make([]float64, p.M())
+							for j := range lat {
+								lat[j] = 5 + float64(j%7)
+							}
+						}
+						if err := p.Join(2.5, 60, lat, lat, 1); err != nil {
+							t.Fatal(err)
+						}
+					}
+					compare("join")
+				}
+
+				compare("start")
+				update("grow, two loads drop to 0", scaled(1.3, 2, 5))
+				join()
+				loads := scaled(0.9)
+				loads[2] = 40
+				update("a zero-load row comes back", loads)
+				for _, p := range planes {
+					if err := p.Leave(3); err != nil {
+						t.Fatal(err)
+					}
+				}
+				compare("leave")
+				update("every load 0", scaled(0))
+				loads = scaled(0)
+				for i := range loads {
+					loads[i] = float64(10 + 7*(i%5))
+				}
+				update("every row restarts", loads)
+
+				// Between phases: the step's deltas are in flight when the
+				// loads move, and both twins must drop them.
+				held := func(p *Plane) int {
+					n := 0
+					for _, a := range p.actors {
+						a.inMu.Lock()
+						n += len(a.inbox) + len(a.deferred) + len(a.pendingLocal) + len(a.deltaPend)
+						a.inMu.Unlock()
+					}
+					return n
+				}
+				for _, p := range planes {
+					p.round++
+					r := p.round
+					p.par(func(a *actor) { a.publish(r) })
+					p.tr.Flush()
+					p.par(func(a *actor) { a.step(r) })
+					p.tr.Flush()
+				}
+				if held(inPlace) == 0 {
+					t.Fatal("no payloads or deltas in flight between phases; the scenario is too quiet to exercise the drop")
+				}
+				loads = scaled(0.7, 1)
+				if err := inPlace.UpdateLoads(loads); err != nil {
+					t.Fatal(err)
+				}
+				updateLoadsByReshard(oracle, loads)
+				for k, p := range planes {
+					if n := held(p); n != 0 {
+						t.Fatalf("twin %d still holds %d payloads or deltas from before the update", k, n)
+					}
+				}
+				compare("between phases")
+			})
+		}
+	}
+}
+
+// TestUpdateLoadsAllocationBound pins the allocations of one load update
+// on a warm plane of the descent-flash shape: m=1500, 16 metros, after
+// 100 rounds at participation 0.2. Rows are scaled in place and every
+// column, load and price cache keeps its backing, so what remains is
+// the instance clone that carries the new loads: five allocations. A
+// reshard of this plane allocates over 30,000 times.
+func TestUpdateLoadsAllocationBound(t *testing.T) {
+	in := clusteredInstance(t, 1500, 16, 1)
+	p, err := NewPlane(in, Config{Seed: 1, Participation: 0.2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.Run(100); err != nil {
+		t.Fatal(err)
+	}
+	loads := append([]float64(nil), p.Instance().Load...)
+	n := testing.AllocsPerRun(20, func() {
+		for i := range loads {
+			loads[i] *= 1.001
+		}
+		if err := p.UpdateLoads(loads); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("UpdateLoads at m=1500: %.1f allocs/op", n)
+	if n > 5 {
+		t.Errorf("UpdateLoads allocates %.1f times per call at m=1500 (bound 5) — something is resharded again", n)
 	}
 }

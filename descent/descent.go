@@ -193,19 +193,23 @@ type Plane struct {
 
 	shards int
 	block  bool
-	k      int     // metro count (block mode)
-	labels []int   // metro per server (block mode)
-	owner  []int32 // owning actor per server/org
-	slot   []int32 // position of each server in its owner's own list
-	rows   []*vec  // allocation row per org, shared with every actor
+	k      int       // metro count (block mode)
+	labels []int     // metro per server (block mode)
+	owner  []int32   // owning actor per server/org
+	slot   []int32   // position of each server in its owner's own list
+	rows   []*vec    // allocation row per org, shared with every actor
+	cols   []*vec    // per-row contributions per server, shared likewise
+	load   []float64 // total load per server, shared likewise
 	actors []*actor
 	tr     Transport
+	// deliver is the receive hook attached to the transport: it
+	// enqueues a payload for the current actor dst.
+	deliver func(dst int, payload []byte)
 
 	round      int
 	eta        float64
 	minEta     float64
 	lastCost   float64
-	totalLoad  float64
 	quietFor   int
 	goodStreak int
 
@@ -269,6 +273,7 @@ func NewPlane(in *model.Instance, cfg Config) (*Plane, error) {
 		}
 	}
 	p := &Plane{cfg: cfg, eta: cfg.Step, minEta: cfg.Step / 1024}
+	p.deliver = func(dst int, payload []byte) { p.actors[dst].enqueue(payload) }
 	p.obs = newPlaneObs(cfg.Obs, cfg.Mode)
 	alloc := sparse.New(in.M(), in.M())
 	for i, l := range in.Load {
@@ -277,19 +282,23 @@ func NewPlane(in *model.Instance, cfg Config) (*Plane, error) {
 			alloc.Val[i] = []float64{l}
 		}
 	}
-	if err := p.rebuild(in.Clone(), alloc); err != nil {
-		return nil, err
-	}
+	p.rebuild(in.Clone(), alloc)
 	return p, nil
 }
 
 // rebuild (re)shards the plane over instance in with allocation rows
-// from alloc. It is the single entry point for both construction and
-// membership churn: all derived state — ownership, columns, loads,
-// price caches — is recomputed from the rows, and any in-flight
-// payloads are dropped (messages to servers that no longer exist must
-// vanish, not fault).
-func (p *Plane) rebuild(in *model.Instance, alloc *sparse.Matrix) error {
+// from alloc: reshard, then derive. Construction and membership churn
+// go through it; a load update keeps the shards and calls derive alone.
+func (p *Plane) rebuild(in *model.Instance, alloc *sparse.Matrix) {
+	p.reshard(in, alloc)
+	p.derive()
+}
+
+// reshard lays the plane out over instance in: the latency view, the
+// ownership of every server, fresh actors, and fresh row and column
+// storage with the rows copied from alloc. Everything else is derived
+// from the rows by derive, which must follow.
+func (p *Plane) reshard(in *model.Instance, alloc *sparse.Matrix) {
 	m := in.M()
 	p.in = in
 	p.lat = in.Latency
@@ -343,24 +352,21 @@ func (p *Plane) rebuild(in *model.Instance, alloc *sparse.Matrix) error {
 	}
 
 	p.rows = make([]*vec, m)
+	p.cols = make([]*vec, m)
+	p.load = make([]float64, m)
 	p.slot = make([]int32, m)
-	cols := make([]*vec, m)
-	load := make([]float64, m)
 	p.actors = make([]*actor, shards)
 	for id := range p.actors {
 		a := &actor{
 			pl:    p,
 			id:    id,
 			rows:  p.rows,
-			cols:  cols,
-			load:  load,
+			cols:  p.cols,
+			load:  p.load,
 			price: make(map[int32]loadSpeed),
 		}
 		if p.block {
 			a.byMetro = make([][]int32, p.k)
-		}
-		if p.harden {
-			a.hardInit(shards)
 		}
 		p.actors[id] = a
 	}
@@ -368,19 +374,13 @@ func (p *Plane) rebuild(in *model.Instance, alloc *sparse.Matrix) error {
 		a := p.actors[p.owner[j]]
 		p.slot[j] = int32(len(a.own))
 		a.own = append(a.own, int32(j))
-		cols[j] = &vec{}
+		p.cols[j] = &vec{}
 		if p.block {
 			g := p.labels[j]
 			a.byMetro[g] = append(a.byMetro[g], int32(j))
 		}
 	}
-
-	// Distribute rows and derive columns/loads in global index order —
-	// each column in ascending row order, the fold the incremental delta
-	// application continues.
-	p.totalLoad = 0
 	for i := 0; i < m; i++ {
-		p.totalLoad += in.Load[i]
 		row := &vec{}
 		for t, j := range alloc.Idx[i] {
 			// The dynamic projections may leave explicit zeros (e.g. a
@@ -392,30 +392,57 @@ func (p *Plane) rebuild(in *model.Instance, alloc *sparse.Matrix) error {
 			}
 		}
 		p.rows[i] = row
+	}
+}
+
+// derive recomputes all state that follows from the rows — columns and
+// loads, price caches, the transport's wiring and delays, the
+// hardened-transport streams and the cost — and drops every payload in
+// flight and every delta not yet applied, as fresh actors would start:
+// messages computed against the old rows must vanish, not fault. It
+// reuses the storage reshard laid out.
+func (p *Plane) derive() {
+	m := p.in.M()
+	// Columns and loads, in global index order — each column in
+	// ascending row order, the fold the incremental delta application
+	// continues.
+	for j := 0; j < m; j++ {
+		col := p.cols[j]
+		col.idx, col.val = col.idx[:0], col.val[:0]
+	}
+	clear(p.load)
+	for i := 0; i < m; i++ {
+		row := p.rows[i]
 		for t, j := range row.idx {
-			col := cols[j]
+			col := p.cols[j]
 			col.idx = append(col.idx, int32(i))
 			col.val = append(col.val, row.val[t])
-			load[j] += row.val[t]
+			p.load[j] += row.val[t]
 		}
 	}
-	// Seed the price caches from the global loads so the first round
-	// after a rebuild steps against consistent state even before the
-	// first publish lands.
 	for _, a := range p.actors {
+		a.drain()
+		a.deferred = nil
+		a.pendingLocal = a.pendingLocal[:0]
+		a.deltaPend = a.deltaPend[:0]
+		if p.harden {
+			a.hardInit(p.shards)
+		}
+		// Seed the price cache from the global loads so the first round
+		// steps against consistent state even before the first publish
+		// lands.
+		clear(a.price)
 		for _, i := range a.own {
 			for _, j := range p.rows[i].idx {
 				if p.owner[j] != int32(a.id) {
-					a.price[j] = loadSpeed{load: load[j], speed: in.Speed[j]}
+					a.price[j] = loadSpeed{load: p.load[j], speed: p.in.Speed[j]}
 				}
 			}
 		}
 	}
 
 	p.tr = p.cfg.Transport
-	p.tr.Attach(p.shards, func(dst int, payload []byte) {
-		p.actors[dst].enqueue(payload)
-	})
+	p.tr.Attach(p.shards, p.deliver)
 	if da, ok := p.tr.(DelayAware); ok {
 		ms := p.pairDelays()
 		rd := p.cfg.RoundMs
@@ -430,10 +457,11 @@ func (p *Plane) rebuild(in *model.Instance, alloc *sparse.Matrix) error {
 		}
 		da.SetDelays(ms, rd)
 	}
-	p.loads = make([]float64, m)
+	if len(p.loads) != m {
+		p.loads = make([]float64, m)
+	}
 	p.lastCost = p.observeCost()
 	p.quietFor = 0
-	return nil
 }
 
 func (p *Plane) noteErr(err error) {
@@ -703,9 +731,10 @@ func (p *Plane) observeCost() float64 {
 	}
 	for i := 0; i < m; i++ {
 		row := p.rows[i]
+		drow := p.delayRow(int32(i))
 		for t, j := range row.idx {
 			if v := row.val[t]; v != 0 && int(j) != i {
-				cost += v * p.lat.At(i, int(j))
+				cost += v * p.cij(drow, int32(i), j)
 			}
 		}
 	}

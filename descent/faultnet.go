@@ -144,7 +144,7 @@ func (fp *FaultPlan) CrashVictim(salt int64, shards int) int {
 
 // TransportStats counts a SimTransport's fault decisions, cumulatively
 // since construction (Attach does not reset them — the plane reads
-// per-round deltas across churn rebuilds).
+// per-round deltas across churn).
 type TransportStats struct {
 	Sent, Dropped, Duplicated, Reordered, Delayed, Corrupted, FalsePriced int64
 }
@@ -249,7 +249,7 @@ func (s *SimTransport) Attach(actors int, deliver func(dst int, payload []byte))
 	s.seq = make([]uint32, actors*actors)
 	if len(s.extra) != actors {
 		// Stale delay matrix from a previous topology: drop it rather
-		// than index out of range; the plane re-wires it on rebuild.
+		// than index out of range; the plane re-wires it in derive.
 		s.extra = nil
 	}
 }

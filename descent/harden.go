@@ -111,7 +111,7 @@ const (
 	refreshRounds = 16
 )
 
-// hardInit allocates the hardened per-actor state. Called from rebuild,
+// hardInit allocates the hardened per-actor state. Called from derive,
 // so churn resets every stream — exactly like a real peer restarting
 // with a new topology epoch.
 func (a *actor) hardInit(shards int) {

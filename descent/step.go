@@ -16,8 +16,12 @@ package descent
 //	x_j = max(0, η·s_j·(c_j − λ)),   c_j = r_j/(η·s_j) − g_j,
 //
 // with λ chosen so the row sums to its load — found by the standard
-// sort-descending breakpoint scan in O(|W| log |W|), |W| the working
-// set (current support plus O(k) metro candidates), never m.
+// descending breakpoint scan over the working set W (current support
+// plus O(k) metro candidates, never m). The scan only ever reads the
+// active prefix plus one coordinate, so W is heapified in O(|W|) and
+// popped in order until the breakpoint: O(|W| + a·log |W|) for an
+// active prefix of a coordinates, where a full sort would pay
+// O(|W| log |W|).
 //
 // The gradient g_j encodes the regime split of the paper:
 //
@@ -27,11 +31,6 @@ package descent
 // Cooperative fixed points are blockwise-optimal and hence global optima
 // of the (convex) system objective; selfish fixed points are Nash
 // equilibria, which is what makes the plane's PoA stream meaningful.
-
-import (
-	"cmp"
-	"slices"
-)
 
 // Mode selects which gradient the actors descend.
 type Mode int
@@ -65,27 +64,54 @@ type wsEntry struct {
 // stepScratch holds the reusable buffers of proxStep so steady-state
 // rounds allocate nothing.
 type stepScratch struct {
-	c   []float64
-	ord []proxKey
-	x   []float64
+	c    []float64
+	heap []proxKey
+	x    []float64
 }
 
-// proxKey is one working-set coordinate's sort key for the breakpoint
-// scan: its value c, its server j, and its position t in the set.
+// proxKey is one working-set coordinate's key for the breakpoint scan:
+// its value c, its server j, and its position t in the set.
 type proxKey struct {
 	c float64
 	j int32
 	t int32
 }
 
+// before is the scan order: c descending, ties by server ascending.
+// Servers are unique in a working set, so the order is total.
+func (a proxKey) before(b proxKey) bool {
+	return a.c > b.c || (a.c == b.c && a.j < b.j)
+}
+
+// siftDown restores the heap property below position i of h, a heap
+// whose root comes first in scan order.
+func siftDown(h []proxKey, i int) {
+	n := len(h)
+	for {
+		l := 2*i + 1
+		if l >= n {
+			return
+		}
+		c := l
+		if r := l + 1; r < n && h[r].before(h[l]) {
+			c = r
+		}
+		if !h[c].before(h[i]) {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
+}
+
 func (s *stepScratch) grow(n int) {
 	if cap(s.c) < n {
 		s.c = make([]float64, n)
-		s.ord = make([]proxKey, n)
+		s.heap = make([]proxKey, n)
 		s.x = make([]float64, n)
 	}
 	s.c = s.c[:n]
-	s.ord = s.ord[:n]
+	s.heap = s.heap[:n]
 	s.x = s.x[:n]
 }
 
@@ -104,37 +130,35 @@ func gradient(mode Mode, e wsEntry) float64 {
 // ws. budget must be > 0 and ws non-empty.
 //
 // Determinism: the only data-dependent branch is the breakpoint scan
-// over coordinates sorted by (c desc, j asc) — a total order on the
+// over coordinates in (c desc, j asc) order — a total order on the
 // working set — so identical inputs give bit-identical outputs
 // regardless of which shard runs the row.
 func proxStep(mode Mode, eta, budget float64, ws []wsEntry, scratch *stepScratch) []float64 {
 	n := len(ws)
 	scratch.grow(n)
-	c, ord, x := scratch.c, scratch.ord, scratch.x
+	c, heap, x := scratch.c, scratch.heap, scratch.x
 	for t, e := range ws {
 		c[t] = e.r/(eta*e.speed) - gradient(mode, e)
-		ord[t] = proxKey{c: c[t], j: e.j, t: int32(t)}
+		heap[t] = proxKey{c: c[t], j: e.j, t: int32(t)}
 	}
-	slices.SortFunc(ord, func(a, b proxKey) int {
-		switch {
-		case a.c > b.c:
-			return -1
-		case a.c < b.c:
-			return 1
-		}
-		return cmp.Compare(a.j, b.j)
-	})
+	for i := n/2 - 1; i >= 0; i-- {
+		siftDown(heap, i)
+	}
 	// Breakpoint scan: λ_t = (Σ_{u≤t} w_u·c_u − budget)/Σ_{u≤t} w_u with
-	// w = η·s. The active prefix is the largest t whose λ_t stays below
-	// the next coordinate's c.
+	// w = η·s, over coordinates popped in scan order. The active prefix
+	// is the largest t whose λ_t stays below the next coordinate's c,
+	// which is the heap's root once coordinate t is popped.
 	var wSum, wcSum, lam float64
-	for t := 0; t < n; t++ {
-		k := ord[t]
+	for {
+		k := heap[0]
+		heap[0] = heap[len(heap)-1]
+		heap = heap[:len(heap)-1]
+		siftDown(heap, 0)
 		w := eta * ws[k.t].speed
 		wSum += w
 		wcSum += w * k.c
 		lam = (wcSum - budget) / wSum
-		if t+1 < n && lam >= ord[t+1].c {
+		if len(heap) == 0 || lam >= heap[0].c {
 			break
 		}
 	}

@@ -17,8 +17,9 @@ package descent
 type Transport interface {
 	// Attach registers the receive path. deliver(dst, payload) enqueues
 	// payload for actor dst and is safe for concurrent calls — the
-	// plane's queues do their own locking. Attach is called once per
-	// topology (and again after membership churn).
+	// plane's queues do their own locking. Attach is called at
+	// construction and again after every churn call, load updates
+	// included; an implementation drops whatever it still holds.
 	Attach(actors int, deliver func(dst int, payload []byte))
 	// Send ships one payload to dst. The payload is owned by the
 	// transport after the call.

@@ -31,17 +31,26 @@ func newContiguous(rows, cols, nnz int) (*sparse.Matrix, []int32, []float64) {
 
 // Rescale adapts an allocation from the old loads to the new ones by
 // preserving each organization's relay fractions — what a running system
-// does naturally when its demand changes but its routing table persists:
-// row i is scaled by newLoads[i]/oldLoads[i]. Organizations that
-// previously had zero load restart as the identity placement of their
-// new load.
+// does naturally when its demand changes but its routing table persists.
+// Each row follows RowScale.
 func Rescale(a *sparse.Matrix, oldLoads, newLoads []float64) *sparse.Matrix {
 	return sparse.ScaleRows(a, func(i int) (float64, float64, bool) {
-		if oldLoads[i] > 0 {
-			return newLoads[i] / oldLoads[i], 0, true
-		}
-		return 0, newLoads[i], false
+		f, keep := RowScale(oldLoads[i], newLoads[i])
+		return f, newLoads[i], keep
 	})
+}
+
+// RowScale is the rule Rescale applies to one organization's row when
+// its load moves from oldLoad to newLoad. A row that carried load keeps
+// its relay fractions: every entry is multiplied by factor =
+// newLoad/oldLoad (keep is true). A row that carried none has nothing
+// to scale and restarts as the identity placement of its new load: one
+// entry, newLoad, on the organization's own server (keep is false).
+func RowScale(oldLoad, newLoad float64) (factor float64, keep bool) {
+	if oldLoad > 0 {
+		return newLoad / oldLoad, true
+	}
+	return 0, false
 }
 
 // Resize is a batch of server joins and leaves, recorded one edit at a

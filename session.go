@@ -472,7 +472,8 @@ func (s *Session) RunCluster(ctx context.Context, rounds int, onRound func(round
 	case stopped:
 		res.Reason = "callback"
 	default:
-		res.Converged = true
+		// The tick budget ran out: the runtime has no stopping rule of
+		// its own, so nothing says it converged.
 		res.Reason = "rounds"
 	}
 	return res, ctx.Err()

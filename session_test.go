@@ -187,6 +187,8 @@ func TestSessionRunClusterConvergesAndAdopts(t *testing.T) {
 // the round at which the simulation's improvement rule stops (9 on this
 // system), k rounds from a fresh session reach its allocation bit for
 // bit, and two sessions with one seed report identical per-round costs.
+// RunCluster has no stopping rule of its own, so a run that uses up its
+// tick budget reports Reason "rounds" and Converged false.
 func TestRunClusterMatchesSimulateDistributed(t *testing.T) {
 	sys := testSystem(t, 15, 12)
 	ctx := context.Background()
@@ -194,6 +196,9 @@ func TestRunClusterMatchesSimulateDistributed(t *testing.T) {
 		res, err := sys.NewSession().RunCluster(ctx, k, nil)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if res.Reason != "rounds" || res.Converged || res.Iterations != k {
+			t.Errorf("k=%d: budgeted cluster run reports reason=%q converged=%v iterations=%d, want rounds/false/%d", k, res.Reason, res.Converged, res.Iterations, k)
 		}
 		sim, _ := sys.SimulateDistributed(k)
 		if d := AllocationDistance(res, sim); math.Float64bits(res.Cost) != math.Float64bits(sim.Cost) || d != 0 {
