@@ -7,12 +7,14 @@ package descent
 // it to a stale index space. That is what makes mid-round churn safe.
 // What comes before derive depends on the mutation:
 //
-//   - Join, Leave and Crash change the index space. They assemble the
-//     global rows, project them through a dynamic.Resize batch — the
-//     O(nnz + m) projection the session tier uses — and reshard the
-//     plane over the result. Join and Leave project a one-edit batch;
+//   - Join, Leave and Crash change the index space. They record their
+//     edits in a dynamic.Resize batch — the record the session tier
+//     keeps — which checks each edit, builds the next instance and
+//     projects the assembled global rows in O(nnz + m), and reshard the
+//     plane over the result. Join and Leave apply a one-edit batch;
 //     Crash records every departure of the victim in one batch, so a
-//     metro's worth of servers costs one projection and one reshard.
+//     metro's worth of servers costs one instance, one projection and
+//     one reshard.
 //     Rows stay row-stochastic by construction: a leaving server's
 //     orphaned mass folds back onto each organization's home server,
 //     exactly like the centralized failover.
@@ -79,13 +81,11 @@ func (p *Plane) UpdateLoads(loads []float64) error {
 // cluster; dense instances need the explicit latency rows. The newcomer
 // starts by serving its own load, like every cold start.
 func (p *Plane) Join(speed, load float64, latTo, latFrom []float64, cluster int) error {
-	in, err := p.in.WithServer(speed, load, latTo, latFrom, cluster)
-	if err != nil {
+	r := dynamic.NewResize(p.in.M())
+	if err := r.Join(p.in, dynamic.Join{Speed: speed, Load: load, Cluster: cluster, To: latTo, From: latFrom}); err != nil {
 		return err
 	}
-	r := dynamic.NewResize(p.in.M())
-	r.Join(load)
-	p.rebuild(in, r.Apply(p.Allocation()))
+	p.rebuild(r.Apply(p.in, p.Allocation()))
 	return nil
 }
 
@@ -97,13 +97,11 @@ func (p *Plane) Leave(i int) error {
 	if i < 0 || i >= p.in.M() {
 		return fmt.Errorf("descent: Leave(%d) out of range, fleet has %d", i, p.in.M())
 	}
-	in, err := p.in.WithoutServer(i)
-	if err != nil {
+	r := dynamic.NewResize(p.in.M())
+	if err := r.Leave(p.in, i); err != nil {
 		return err
 	}
-	r := dynamic.NewResize(p.in.M())
-	r.Leave(i)
-	p.rebuild(in, r.Apply(p.Allocation()))
+	p.rebuild(r.Apply(p.in, p.Allocation()))
 	return nil
 }
 
@@ -164,16 +162,13 @@ func (p *Plane) Crash(victim int) (CrashEvent, error) {
 	// re-attaching resets the transport's in-flight state, so the
 	// rebuilds of one-at-a-time Leaves would leave nothing it does not
 	// redo.
-	in, r := p.in, dynamic.NewResize(p.in.M())
+	r := dynamic.NewResize(p.in.M())
 	for t := len(own) - 1; t >= 0; t-- {
-		next, err := in.WithoutServer(int(own[t]))
-		if err != nil {
+		if err := r.Leave(p.in, int(own[t])); err != nil {
 			return ev, err
 		}
-		in = next
-		r.Leave(int(own[t]))
 	}
-	p.rebuild(in, r.Apply(p.Allocation()))
+	p.rebuild(r.Apply(p.in, p.Allocation()))
 	p.crashes++
 	p.roundCrash = &ev
 	if p.cfg.OnCrash != nil {

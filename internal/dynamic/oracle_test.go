@@ -283,13 +283,16 @@ func TestSparseProjectionsMatchDense(t *testing.T) {
 		assertSparseEqualsDense(t, spR, denseR)
 
 		ref := newChurnRef(spR, &cov)
+		in := oneMetro(m)
 		r := NewResize(m)
 		for e, edits := 0, 1+rng.Intn(12); e < edits; e++ {
 			cur := len(ref.id)
 			if cur > 1 && rng.Intn(3) > 0 {
 				i := rng.Intn(cur)
 				ref.leave(i)
-				r.Leave(i)
+				if err := r.Leave(in, i); err != nil {
+					t.Fatal(err)
+				}
 				continue
 			}
 			load := 0.0
@@ -297,13 +300,15 @@ func TestSparseProjectionsMatchDense(t *testing.T) {
 				load = rng.Float64() * 40
 			}
 			ref.join(load)
-			r.Join(load)
+			if err := r.Join(in, Join{Speed: 1, Load: load}); err != nil {
+				t.Fatal(err)
+			}
 		}
 		if r.Len() == 0 {
 			t.Fatal("batch recorded no edits")
 		}
 		clone := spR.Clone()
-		got := r.Apply(spR)
+		_, got := r.Apply(in, spR)
 		assertUnchanged(t, spR, clone)
 		ref.check(t, got, spR)
 		if r.Len() != 0 {
@@ -345,6 +350,7 @@ func FuzzResize(f *testing.F) {
 			}
 		}
 		ref := newChurnRef(a, &churnCoverage{})
+		in := oneMetro(m)
 		r := NewResize(m)
 		// Each remaining byte, up to 64, is an edit: an odd byte leaves
 		// index (b>>1) mod M, an even one joins with load (b>>1)·0.3.
@@ -352,15 +358,19 @@ func FuzzResize(f *testing.F) {
 			if cur := len(ref.id); b%2 == 1 && cur > 1 {
 				i := int(b>>1) % cur
 				ref.leave(i)
-				r.Leave(i)
+				if err := r.Leave(in, i); err != nil {
+					t.Fatal(err)
+				}
 			} else {
 				load := float64(b>>1) * 0.3
 				ref.join(load)
-				r.Join(load)
+				if err := r.Join(in, Join{Speed: 1, Load: load}); err != nil {
+					t.Fatal(err)
+				}
 			}
 		}
 		clone := a.Clone()
-		got := r.Apply(a)
+		_, got := r.Apply(in, a)
 		assertUnchanged(t, a, clone)
 		ref.check(t, got, a)
 	})

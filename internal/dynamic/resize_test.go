@@ -25,11 +25,37 @@ func assertFeasible(t *testing.T, a *sparse.Matrix, in *model.Instance) {
 // sees them: a join expands it by a row and a column, a leave collapses
 // one of each.
 
-// project records edits in one batch against a and applies it.
-func project(a *sparse.Matrix, edits func(r *Resize)) *sparse.Matrix {
-	r := NewResize(a.Rows())
-	edits(r)
-	return r.Apply(a)
+// oneMetro is an m-server instance on a one-metro block view, for the
+// tests that watch the allocation alone: its joins need no delay rows.
+func oneMetro(m int) *model.Instance {
+	speed, load := make([]float64, m), make([]float64, m)
+	for i := range speed {
+		speed[i], load[i] = 1, 1
+	}
+	in, err := model.NewBlockInstance(speed, load, [][]float64{{5}}, make([]int, m))
+	if err != nil {
+		panic(err)
+	}
+	return in
+}
+
+// edit records one join or leave against in.
+type edit func(r *Resize, in *model.Instance) error
+
+func joining(j Join) edit { return func(r *Resize, in *model.Instance) error { return r.Join(in, j) } }
+
+func leaving(i int) edit { return func(r *Resize, in *model.Instance) error { return r.Leave(in, i) } }
+
+// project records edits in one batch against in and a, and applies it.
+func project(t *testing.T, in *model.Instance, a *sparse.Matrix, edits ...edit) (*model.Instance, *sparse.Matrix) {
+	t.Helper()
+	r := NewResize(in.M())
+	for _, e := range edits {
+		if err := e(r, in); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return r.Apply(in, a)
 }
 
 func TestExpandKeepsRowsAndAddsIdentityRow(t *testing.T) {
@@ -38,11 +64,11 @@ func TestExpandKeepsRowsAndAddsIdentityRow(t *testing.T) {
 	a.Set(0, 0, in.Load[0]/2)
 	a.Set(0, 3, in.Load[0]/2)
 
-	bigIn, err := in.WithServer(2, 40, []float64{1, 1, 1, 1}, []float64{1, 1, 1, 1}, 0)
-	if err != nil {
-		t.Fatal(err)
+	ones := []float64{1, 1, 1, 1}
+	bigIn, out := project(t, in, a, joining(Join{Speed: 2, Load: 40, To: ones, From: ones}))
+	if bigIn.M() != 5 || bigIn.Speed[4] != 2 || bigIn.Load[4] != 40 {
+		t.Fatalf("grown instance has %d servers, the last of speed %v and load %v", bigIn.M(), bigIn.Speed[4], bigIn.Load[4])
 	}
-	out := project(a, func(r *Resize) { r.Join(40) })
 	if out.Rows() != 5 || out.Cols != 5 {
 		t.Fatalf("expanded allocation is %d×%d, want 5×5", out.Rows(), out.Cols)
 	}
@@ -59,7 +85,7 @@ func TestExpandKeepsRowsAndAddsIdentityRow(t *testing.T) {
 		t.Error("existing entries not preserved")
 	}
 	// A zero-load join still stores its diagonal.
-	zero := project(a, func(r *Resize) { r.Join(0) })
+	_, zero := project(t, in, a, joining(Join{Speed: 1, To: ones, From: ones}))
 	if !slices.Equal(zero.Idx[4], []int32{4}) || zero.Val[4][0] != 0 {
 		t.Errorf("zero-load join row is %v/%v, want one explicit zero on the diagonal", zero.Idx[4], zero.Val[4])
 	}
@@ -76,11 +102,7 @@ func TestCollapseReturnsOrphanedMassHome(t *testing.T) {
 	a.Set(3, 2, 25)
 	a.Set(3, 4, 15)
 
-	smallIn, err := in.WithoutServer(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := project(a, func(r *Resize) { r.Leave(2) })
+	smallIn, out := project(t, in, a, leaving(2))
 	if out.Rows() != 4 || out.Cols != 4 {
 		t.Fatalf("collapsed allocation is %d×%d, want 4×4", out.Rows(), out.Cols)
 	}
@@ -98,7 +120,7 @@ func TestCollapseReturnsOrphanedMassHome(t *testing.T) {
 
 func TestCollapseOfUntouchedServerIsAReindex(t *testing.T) {
 	in := testInstance(13, 4)
-	out := project(sparse.Diagonal(in.Load), func(r *Resize) { r.Leave(1) })
+	_, out := project(t, in, sparse.Diagonal(in.Load), leaving(1))
 	for i := 0; i < 3; i++ {
 		orig := i
 		if i >= 1 {
@@ -117,14 +139,12 @@ func TestExpandCollapseRoundTrip(t *testing.T) {
 	a := sparse.Diagonal(in.Load)
 	a.Set(1, 1, in.Load[1]-5)
 	a.Set(1, 4, 5)
-	r := NewResize(6)
-	r.Join(33)
-	grown := r.Apply(a)
-	r.Leave(6)
-	for _, back := range []*sparse.Matrix{
-		r.Apply(grown),
-		project(a, func(r *Resize) { r.Join(33); r.Leave(6) }),
-	} {
+	row := []float64{3, 1, 4, 1, 5, 9}
+	newcomer := Join{Speed: 2, Load: 33, To: row, From: row}
+	grownIn, grown := project(t, in, a, joining(newcomer))
+	_, back1 := project(t, grownIn, grown, leaving(6))
+	_, back2 := project(t, in, a, joining(newcomer), leaving(6))
+	for _, back := range []*sparse.Matrix{back1, back2} {
 		if back.Rows() != a.Rows() || back.Cols != a.Cols {
 			t.Fatalf("round trip changed size: %d×%d", back.Rows(), back.Cols)
 		}
@@ -161,13 +181,13 @@ func TestResizeFoldsInDepartureOrder(t *testing.T) {
 	}
 	for _, tc := range []struct {
 		name  string
-		edits func(r *Resize)
+		edits []edit
 		home  float64
 	}{
-		{"1 then 2", func(r *Resize) { r.Leave(1); r.Leave(1) }, first1},
-		{"2 then 1", func(r *Resize) { r.Leave(2); r.Leave(1) }, first2},
+		{"1 then 2", []edit{leaving(1), leaving(1)}, first1},
+		{"2 then 1", []edit{leaving(2), leaving(1)}, first2},
 	} {
-		out := project(a, tc.edits)
+		_, out := project(t, oneMetro(4), a, tc.edits...)
 		if got := out.Get(0, 0); got != tc.home {
 			t.Errorf("%s: home mass %v, want %v", tc.name, got, tc.home)
 		}
@@ -175,7 +195,7 @@ func TestResizeFoldsInDepartureOrder(t *testing.T) {
 			t.Errorf("%s: row 3 became %v/%v, want [0 1]/[0.5 0.25]", tc.name, out.Idx[1], out.Val[1])
 		}
 	}
-	onlyZero := project(a, func(r *Resize) { r.Leave(1) })
+	_, onlyZero := project(t, oneMetro(4), a, leaving(1))
 	if !slices.Equal(onlyZero.Idx[2], []int32{0, 1}) {
 		t.Errorf("a zero orphan created a diagonal: row 3 is %v, want [0 1]", onlyZero.Idx[2])
 	}

@@ -142,8 +142,8 @@ func (in *Instance) Validate() error {
 				return fmt.Errorf("model: latency row %d has %d entries, want %d", i, len(lat[i]), m)
 			}
 			for j, c := range lat[i] {
-				if math.IsNaN(c) || c < 0 {
-					return fmt.Errorf("model: latency[%d][%d]=%v, must be >= 0", i, j, c)
+				if err := CheckDelay(i, j, c); err != nil {
+					return err
 				}
 				if i == j && c != 0 {
 					return fmt.Errorf("model: latency[%d][%d]=%v, diagonal must be 0", i, j, c)
@@ -192,17 +192,35 @@ func (in *Instance) Validate() error {
 			return fmt.Errorf("model: len(Cluster)=%d, want %d", len(in.Cluster), m)
 		}
 		for i, g := range in.Cluster {
-			// Labels are dense small ids because ClusterDelays allocates a
-			// table quadratic in the largest label. Labels below
-			// MaxSmallClusterLabel are always accepted even when they
-			// exceed m: server churn (WithoutServer) shrinks m without
-			// relabeling, so a metro's label may outlive most of its
-			// members. Larger labels are only accepted up to m, the
-			// pre-churn invariant.
-			if g < 0 || (g >= m && g >= MaxSmallClusterLabel) {
-				return fmt.Errorf("model: cluster[%d]=%d, must be in [0, max(m=%d, %d))", i, g, m, MaxSmallClusterLabel)
+			if err := CheckLabel(i, g, m); err != nil {
+				return err
 			}
 		}
+	}
+	return nil
+}
+
+// CheckDelay returns the error Validate reports for c_ij = c in a dense
+// view, or nil: a delay must be non-negative and not NaN (+Inf forbids
+// the link).
+func CheckDelay(i, j int, c float64) error {
+	if math.IsNaN(c) || c < 0 {
+		return fmt.Errorf("model: latency[%d][%d]=%v, must be >= 0", i, j, c)
+	}
+	return nil
+}
+
+// CheckLabel returns the error Validate reports for cluster label g of
+// server i in an m-server instance with a cluster hint on a dense view,
+// or nil. Labels are dense small ids because ClusterDelays allocates a
+// table quadratic in the largest label. Labels below
+// MaxSmallClusterLabel are always accepted even when they exceed m:
+// server churn shrinks m without relabeling, so a metro's label may
+// outlive most of its members. Larger labels are only accepted up to m,
+// the pre-churn invariant.
+func CheckLabel(i, g, m int) error {
+	if g < 0 || (g >= m && g >= MaxSmallClusterLabel) {
+		return fmt.Errorf("model: cluster[%d]=%d, must be in [0, max(m=%d, %d))", i, g, m, MaxSmallClusterLabel)
 	}
 	return nil
 }

@@ -181,3 +181,46 @@ func TestNewInstanceValidates(t *testing.T) {
 		t.Errorf("M() = %d, want 2", in.M())
 	}
 }
+
+func TestValidateClusterLabelCap(t *testing.T) {
+	in := Uniform(2, 1, 5, 3)
+	in.Cluster = []int{0, MaxSmallClusterLabel}
+	if err := in.Validate(); err == nil {
+		t.Errorf("label %d on m=2 accepted, want rejection at the cap", MaxSmallClusterLabel)
+	}
+	in.Cluster = []int{0, MaxSmallClusterLabel - 1}
+	if err := in.Validate(); err != nil {
+		t.Errorf("small label rejected: %v", err)
+	}
+}
+
+// Online feeds must not be able to poison an instance: NaN and ±Inf
+// loads, and NaN/−Inf latencies, are rejected; +Inf stays legal off the
+// diagonal (the paper's trust-restricted links).
+func TestValidateRejectsNonFiniteValues(t *testing.T) {
+	base := func() *Instance { return Uniform(3, 1, 5, 2) }
+
+	for name, mutate := range map[string]func(*Instance){
+		"NaN load":       func(in *Instance) { in.Load[1] = math.NaN() },
+		"+Inf load":      func(in *Instance) { in.Load[1] = math.Inf(1) },
+		"-Inf load":      func(in *Instance) { in.Load[1] = math.Inf(-1) },
+		"NaN speed":      func(in *Instance) { in.Speed[0] = math.NaN() },
+		"+Inf speed":     func(in *Instance) { in.Speed[0] = math.Inf(1) },
+		"NaN latency":    func(in *Instance) { in.Latency.(DenseLatency)[0][1] = math.NaN() },
+		"-Inf latency":   func(in *Instance) { in.Latency.(DenseLatency)[0][1] = math.Inf(-1) },
+		"diagonal +Inf":  func(in *Instance) { in.Latency.(DenseLatency)[2][2] = math.Inf(1) },
+		"negative delay": func(in *Instance) { in.Latency.(DenseLatency)[1][0] = -3 },
+	} {
+		in := base()
+		mutate(in)
+		if err := in.Validate(); err == nil {
+			t.Errorf("%s accepted by Validate", name)
+		}
+	}
+
+	ok := base()
+	ok.Latency.(DenseLatency)[0][1] = math.Inf(1) // forbidden link: legal
+	if err := ok.Validate(); err != nil {
+		t.Errorf("off-diagonal +Inf (forbidden link) rejected: %v", err)
+	}
+}

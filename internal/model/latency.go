@@ -2,10 +2,12 @@ package model
 
 import "sync/atomic"
 
-// BlockDenseMaterializations counts every BlockLatency.Dense() call —
-// the one operation that turns the O(m + k²) metro representation back
-// into an O(m²) matrix. The scale-tier acceptance tests read it to
-// prove a full replay ran without the dense matrix ever existing.
+// BlockDenseMaterializations counts every time the O(m + k²) metro
+// representation turns back into an O(m²) matrix: each
+// BlockLatency.Dense() call, and each churn batch (dynamic.Resize) whose
+// join rows break a block instance's metro table. The scale-tier
+// acceptance tests read it to prove a full replay ran without the dense
+// matrix ever existing.
 var BlockDenseMaterializations atomic.Int64
 
 // This file defines the latency *view* abstraction of the sparse
@@ -20,10 +22,9 @@ var BlockDenseMaterializations atomic.Int64
 //   - BlockLatency: the k×k metro block-delay table plus per-server
 //     metro labels — the exact structure of the NetClustered family,
 //     where c_ij depends only on (metro(i), metro(j)). It stores O(m +
-//     k²) instead of O(m²), and its churn operations (WithServer /
-//     WithoutServer) share the delay table structurally (copy-on-write),
-//     so a server join or leave costs O(m + k²) instead of a full matrix
-//     copy.
+//     k²) instead of O(m²), and server churn (dynamic.Resize) shares
+//     the delay table structurally (copy-on-write), so settling a burst
+//     of joins and leaves costs O(m + k²) instead of a full matrix copy.
 //
 // Views are immutable by contract: no code mutates a view in place.
 // Updates replace the view wholesale (the same replace-don't-mutate
@@ -159,24 +160,6 @@ func (b *BlockLatency) Dense() [][]float64 {
 		b.RowInto(i, out[i])
 	}
 	return out
-}
-
-// withLabel returns a view with one server of metro g appended — the
-// copy-on-write churn step: the delay table is shared, only the label
-// vector is copied. O(m).
-func (b *BlockLatency) withLabel(g int) *BlockLatency {
-	labels := make([]int, len(b.Label)+1)
-	copy(labels, b.Label)
-	labels[len(b.Label)] = g
-	return &BlockLatency{Delay: b.Delay, Label: labels}
-}
-
-// withoutIndex returns a view with server i removed; the delay table is
-// shared (a drained metro keeps its delays for later rejoins). O(m).
-func (b *BlockLatency) withoutIndex(i int) *BlockLatency {
-	labels := make([]int, 0, len(b.Label)-1)
-	labels = append(append(labels, b.Label[:i]...), b.Label[i+1:]...)
-	return &BlockLatency{Delay: b.Delay, Label: labels}
 }
 
 // RowView returns row i of the view without copying when possible: the

@@ -1,14 +1,16 @@
-package model
+package model_test
 
 import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"delaylb/internal/model"
 )
 
 // randomBlockInstance builds a random metro instance twice: once on the
 // block representation, once as the bit-identical dense oracle.
-func randomBlockInstance(t *testing.T, rng *rand.Rand, m, k int) (block, dense *Instance) {
+func randomBlockInstance(t *testing.T, rng *rand.Rand, m, k int) (block, dense *model.Instance) {
 	t.Helper()
 	delay := make([][]float64, k)
 	for g := range delay {
@@ -32,14 +34,14 @@ func randomBlockInstance(t *testing.T, rng *rand.Rand, m, k int) (block, dense *
 		load[i] = math.Round(rng.Float64() * 200)
 	}
 	var err error
-	block, err = NewBlockInstance(speed, load, delay, labels)
+	block, err = model.NewBlockInstance(speed, load, delay, labels)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dense = &Instance{
+	dense = &model.Instance{
 		Speed:   speed,
 		Load:    load,
-		Latency: NewDense(block.Latency.Dense()),
+		Latency: model.NewDense(block.Latency.Dense()),
 		Cluster: labels,
 	}
 	if err := dense.Validate(); err != nil {
@@ -49,7 +51,7 @@ func randomBlockInstance(t *testing.T, rng *rand.Rand, m, k int) (block, dense *
 }
 
 // assertViewsAgree checks every read path of the two views bit for bit.
-func assertViewsAgree(t *testing.T, block, dense *Instance) {
+func assertViewsAgree(t *testing.T, block, dense *model.Instance) {
 	t.Helper()
 	m := block.M()
 	if dense.M() != m {
@@ -98,12 +100,12 @@ func assertViewsAgree(t *testing.T, block, dense *Instance) {
 			}
 		}
 	}
-	// ClusterDelays: the block table (O(1)) must equal the dense-verified
+	// model.ClusterDelays: the block table (O(1)) must equal the dense-verified
 	// derivation wherever the dense matrix has a witness pair.
-	tabB, okB := ClusterDelays(block)
-	tabD, okD := ClusterDelays(dense)
+	tabB, okB := model.ClusterDelays(block)
+	tabD, okD := model.ClusterDelays(dense)
 	if !okB || !okD {
-		t.Fatalf("ClusterDelays: block ok=%v, dense ok=%v", okB, okD)
+		t.Fatalf("model.ClusterDelays: block ok=%v, dense ok=%v", okB, okD)
 	}
 	counts := make([]int, len(tabB))
 	for _, g := range block.Cluster {
@@ -117,7 +119,7 @@ func assertViewsAgree(t *testing.T, block, dense *Instance) {
 			}
 			bv, dv := tabB[g][h], tabD[g][h]
 			if bv != dv && !(math.IsInf(bv, 1) && math.IsInf(dv, 1)) {
-				t.Fatalf("ClusterDelays[%d][%d]: block %v, dense %v", g, h, bv, dv)
+				t.Fatalf("model.ClusterDelays[%d][%d]: block %v, dense %v", g, h, bv, dv)
 			}
 		}
 	}
@@ -126,7 +128,7 @@ func assertViewsAgree(t *testing.T, block, dense *Instance) {
 // TestBlockLatencyAgreesWithDense is the property test of the latency
 // view tentpole: across randomized metro instances the block view and
 // its dense materialization agree exactly on every read path — including
-// after WithServer/WithoutServer churn round-trips, where the block form
+// after churn round-trips through dynamic.Resize, where the block form
 // shares its delay table copy-on-write and the dense form full-copies.
 func TestBlockLatencyAgreesWithDense(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
@@ -142,47 +144,47 @@ func TestBlockLatencyAgreesWithDense(t *testing.T) {
 		g := rng.Intn(k)
 		latTo := make([]float64, m)
 		latFrom := make([]float64, m)
-		bv := block.Latency.(*BlockLatency)
+		bv := block.Latency.(*model.BlockLatency)
 		for j, h := range bv.Label {
 			latTo[j] = bv.Delay[g][h]
 			latFrom[j] = bv.Delay[h][g]
 		}
 		speed, load := 1+4*rng.Float64(), float64(rng.Intn(100))
-		block2, err := block.WithServer(speed, load, nil, nil, g)
+		block2, err := withServer(block, speed, load, nil, nil, g)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, still := block2.Latency.(*BlockLatency); !still {
+		if _, still := block2.Latency.(*model.BlockLatency); !still {
 			t.Fatal("implicit-row join should keep the block representation")
 		}
-		if &block2.Latency.(*BlockLatency).Delay[0][0] != &bv.Delay[0][0] {
+		if &block2.Latency.(*model.BlockLatency).Delay[0][0] != &bv.Delay[0][0] {
 			t.Fatal("block join should share the delay table (copy-on-write)")
 		}
-		dense2, err := dense.WithServer(speed, load, latTo, latFrom, g)
+		dense2, err := withServer(dense, speed, load, latTo, latFrom, g)
 		if err != nil {
 			t.Fatal(err)
 		}
 		assertViewsAgree(t, block2, dense2)
 
 		// Explicit matching rows must also keep the block form.
-		block2b, err := block.WithServer(speed, load, latTo, latFrom, g)
+		block2b, err := withServer(block, speed, load, latTo, latFrom, g)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, still := block2b.Latency.(*BlockLatency); !still {
+		if _, still := block2b.Latency.(*model.BlockLatency); !still {
 			t.Fatal("matching explicit rows should keep the block representation")
 		}
 
 		victim := rng.Intn(block2.M())
-		block3, err := block2.WithoutServer(victim)
+		block3, err := withoutServer(block2, victim)
 		if err != nil {
 			t.Fatal(err)
 		}
-		dense3, err := dense2.WithoutServer(victim)
+		dense3, err := withoutServer(dense2, victim)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if &block3.Latency.(*BlockLatency).Delay[0][0] != &bv.Delay[0][0] {
+		if &block3.Latency.(*model.BlockLatency).Delay[0][0] != &bv.Delay[0][0] {
 			t.Fatal("block leave should share the delay table (copy-on-write)")
 		}
 		assertViewsAgree(t, block3, dense3)
@@ -202,11 +204,11 @@ func TestBlockJoinWithForeignRowsDensifies(t *testing.T) {
 		latTo[j] = 123.25 // uniform, not block-structured
 		latFrom[j] = 17.5
 	}
-	out, err := block.WithServer(2, 10, latTo, latFrom, 0)
+	out, err := withServer(block, 2, 10, latTo, latFrom, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, isBlock := out.Latency.(*BlockLatency); isBlock {
+	if _, isBlock := out.Latency.(*model.BlockLatency); isBlock {
 		t.Fatal("foreign rows must densify the instance")
 	}
 	for j := 0; j < m; j++ {

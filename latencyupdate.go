@@ -91,6 +91,7 @@ func (s *Session) ApplyLatencyUpdate(u LatencyUpdate) error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.settleLocked()
 	next, err := s.in.WithLatencyUpdate(u.u)
 	if err != nil {
 		return err

@@ -100,6 +100,11 @@ type sessionBackend struct {
 	// nil on unclustered scenarios.
 	block      [][]float64
 	blockStale bool
+	// labeled and blockBacked track whether the session's instance
+	// carries cluster labels and whether it is block-backed, so a join
+	// need not read them back: a read settles the session's pending
+	// churn, and a rejoin burst would then settle once per join.
+	labeled, blockBacked bool
 	// pendingLat batches latency shifts so one epoch costs one
 	// UpdateLatency, not one per event.
 	pendingLat [][]float64
@@ -116,8 +121,10 @@ func newSessionBackend(sess *delaylb.Session, cfg Config) *sessionBackend {
 		// Block-backed session: the metro table is the representation —
 		// no O(m²) matrix materialization, no derivation pass.
 		en.block = delay
+		en.labeled, en.blockBacked = true, true
 	} else if labels := sess.Clusters(); labels != nil {
 		en.block = deriveBlock(labels, sess.Latency(), nil)
+		en.labeled = true
 	}
 	return en
 }
@@ -158,7 +165,11 @@ func (en *sessionBackend) flushLatency() error {
 	}
 	lat := en.pendingLat
 	en.pendingLat = nil
-	return en.sess.UpdateLatency(lat)
+	if err := en.sess.UpdateLatency(lat); err != nil {
+		return err
+	}
+	en.blockBacked = false
+	return nil
 }
 
 func (en *sessionBackend) shiftLatency(ev Event, from, to int) error {
@@ -169,18 +180,17 @@ func (en *sessionBackend) shiftLatency(ev Event, from, to int) error {
 	// after a dense edit is already pending this epoch, falls through to
 	// the dense batch (the oracle and the escape hatch — a targeted
 	// per-server shift need not be block-structured).
-	if ev.ID == Wildcard && ev.To == Wildcard && en.pendingLat == nil {
-		if delay, labels, ok := en.sess.BlockLatency(); ok {
-			if err := en.sess.ApplyLatencyUpdate(delaylb.ScaleBackbone(ev.Value)); err != nil {
-				return err
-			}
-			en.latSnaps = append(en.latSnaps, latSnap{
-				id: ev.ID, to: ev.To, from: -1, dst: -1,
-				m: len(labels), table: delay, labels: labels,
-			})
-			en.blockStale = true
-			return nil
+	if ev.ID == Wildcard && ev.To == Wildcard && en.pendingLat == nil && en.blockBacked {
+		delay, labels, _ := en.sess.BlockLatency()
+		if err := en.sess.ApplyLatencyUpdate(delaylb.ScaleBackbone(ev.Value)); err != nil {
+			return err
 		}
+		en.latSnaps = append(en.latSnaps, latSnap{
+			id: ev.ID, to: ev.To, from: -1, dst: -1,
+			m: len(labels), table: delay, labels: labels,
+		})
+		en.blockStale = true
+		return nil
 	}
 	if en.pendingLat == nil {
 		en.pendingLat = en.sess.Latency()
@@ -254,7 +264,7 @@ func (en *sessionBackend) restoreLatency(ev Event) error {
 // restore paths stay bit-identical.
 func (en *sessionBackend) restoreStructured(snap latSnap) error {
 	if en.pendingLat == nil {
-		if _, _, ok := en.sess.BlockLatency(); ok {
+		if en.blockBacked {
 			if err := en.sess.ApplyLatencyUpdate(delaylb.RestoreBlockLatency(snap.table)); err != nil {
 				return err
 			}
@@ -290,21 +300,21 @@ func (en *sessionBackend) join(ev Event) error {
 		// cached block table can no longer be trusted for later cluster
 		// joins, so mark it stale and let re-derivation decide.
 		spec.Cluster = 0
-		if en.sess.Clusters() != nil {
+		if en.labeled {
 			en.blockStale = true
 		}
 	case JoinCluster:
-		labels := en.sess.Clusters()
-		if labels == nil {
+		if !en.labeled {
 			return fmt.Errorf("join cluster=%d on a scenario without cluster labels", ev.Cluster)
 		}
-		if _, _, ok := en.sess.BlockLatency(); ok {
+		if en.blockBacked {
 			// Block fast path: nil rows tell the session to derive the
-			// newcomer's delays from its metro label — O(m + k²) per
-			// join, no row materialization, no table re-derivation.
+			// newcomer's delays from its metro label — recorded in O(1),
+			// no row materialization, no table re-derivation.
 			spec.Cluster = ev.Cluster
 			break
 		}
+		labels := en.sess.Clusters()
 		if en.blockStale {
 			nb := deriveBlock(labels, en.sess.Latency(), en.block)
 			if nb == nil {
@@ -327,7 +337,15 @@ func (en *sessionBackend) join(ev Event) error {
 	default:
 		return fmt.Errorf("unknown join latency mode %q", ev.Join)
 	}
-	return en.sess.AddServer(spec)
+	if err := en.sess.AddServer(spec); err != nil {
+		return err
+	}
+	if ev.Join == JoinUniform && en.blockBacked {
+		// Uniform rows that happen to match the metro table keep the
+		// session block-backed.
+		_, _, en.blockBacked = en.sess.BlockLatency()
+	}
+	return nil
 }
 
 // uniformRow is a JoinUniform newcomer's latency row: delay c to or from

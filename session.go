@@ -37,21 +37,22 @@ import (
 //
 // Session state is generation-tagged copy-on-write: every update swaps
 // in a fresh epoch-numbered instance that shares everything the update
-// did not touch. UpdateLoads copies only the load vector; AddServer /
-// RemoveServer on a block-latency (NetClustered) instance copy only the
-// O(m) per-server vectors and share the k×k metro table, so a churn
-// event costs O(m + k²) instead of the O(m²) full-matrix clone of the
-// dense path — the property session_alloc_test.go pins.
+// did not touch. UpdateLoads copies only the load vector, and
+// ApplyLatencyUpdate on a block-latency (NetClustered) instance only
+// the k×k metro table.
 //
 // The allocation itself is carried as sparse rows in request units, so
 // UpdateLoads is O(nnz + m) and results stay sparse until a caller
-// materializes them. AddServer and RemoveServer only record the edit;
-// the next call that reads the allocation (Result, Cost, UpdateLoads,
-// Reoptimize, RunCluster) projects every edit recorded since in one
-// O(nnz + m) pass, so a burst of churn — a metro outage, a rolling
-// restart — pays that pass once rather than once per server. For
-// sessions over thousands of servers, pass WithSolver("frankwolfe") or
-// the "proxy" MinE variant as a session default at NewSession.
+// materializes them. AddServer and RemoveServer check their own inputs
+// and record the edit without copying any state. Every other
+// call except M and Epoch reads the state, and the first read after a
+// burst of churn — a metro outage, a rolling restart — settles every
+// edit recorded since in one pass: the instance in O(m + k²) on a block
+// instance (the metro table is shared, never copied) or O(m²) on a dense
+// one, and the allocation in O(nnz + m). The burst pays that pass once
+// rather than once per server. For sessions over thousands of servers,
+// pass WithSolver("frankwolfe") or the "proxy" MinE variant as a session
+// default at NewSession.
 //
 // A Session is safe for concurrent use. The lock is released while a
 // solve or cluster run is in flight, so observers — including the
@@ -60,9 +61,9 @@ import (
 // is returned but not adopted.
 type Session struct {
 	mu      sync.Mutex
-	in      *model.Instance
-	alloc   *sparse.Matrix  // settled allocation, request units; read it through allocLocked
-	pending *dynamic.Resize // joins and leaves recorded since alloc was settled
+	in      *model.Instance // settled instance; read it after settleLocked
+	alloc   *sparse.Matrix  // settled allocation, request units; likewise
+	pending *dynamic.Resize // joins and leaves recorded since in and alloc were settled
 	base    []Option        // defaults captured at NewSession, prepended per call
 	epoch   int             // counts load/latency updates
 }
@@ -76,14 +77,13 @@ func (s *System) NewSession(opts ...Option) *Session {
 	return &Session{in: in, alloc: sparse.Diagonal(in.Load), pending: dynamic.NewResize(in.M()), base: opts}
 }
 
-// allocLocked settles the pending joins and leaves onto the allocation
-// and returns it. A settled matrix is never mutated, so callers may hand
-// it to readers outside the lock. Callers hold s.mu.
-func (s *Session) allocLocked() *sparse.Matrix {
+// settleLocked applies the pending joins and leaves to the instance and
+// the allocation. Settled instances and matrices are never mutated, so
+// callers may hand them to readers outside the lock. Callers hold s.mu.
+func (s *Session) settleLocked() {
 	if s.pending.Len() > 0 {
-		s.alloc = s.pending.Apply(s.alloc)
+		s.in, s.alloc = s.pending.Apply(s.in, s.alloc)
 	}
-	return s.alloc
 }
 
 // System returns an immutable snapshot of the session's current instance,
@@ -91,6 +91,7 @@ func (s *Session) allocLocked() *sparse.Matrix {
 func (s *Session) System() *System {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.settleLocked()
 	return &System{in: s.in.Clone()}
 }
 
@@ -105,17 +106,18 @@ func (s *Session) Epoch() int {
 
 // M returns the current number of organizations (= servers). Unlike
 // System.M it can change over the session's lifetime as servers join and
-// leave.
+// leave. It counts pending joins and leaves without settling them.
 func (s *Session) M() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.in.M()
+	return s.pending.M()
 }
 
 // Loads returns a copy of the current per-organization loads.
 func (s *Session) Loads() []float64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.settleLocked()
 	return append([]float64(nil), s.in.Load...)
 }
 
@@ -128,6 +130,7 @@ func (s *Session) Loads() []float64 {
 func (s *Session) Latency() [][]float64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.settleLocked()
 	if b, ok := s.in.Latency.(*model.BlockLatency); ok {
 		return b.Dense() // freshly built — safe to hand out
 	}
@@ -149,6 +152,7 @@ func (s *Session) Latency() [][]float64 {
 func (s *Session) BlockLatency() (delay [][]float64, labels []int, ok bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.settleLocked()
 	b, isBlock := s.in.Latency.(*model.BlockLatency)
 	if !isBlock {
 		return nil, nil, false
@@ -165,6 +169,7 @@ func (s *Session) BlockLatency() (delay [][]float64, labels []int, ok bool) {
 func (s *Session) Clusters() []int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.settleLocked()
 	if s.in.Cluster == nil {
 		return nil
 	}
@@ -178,7 +183,8 @@ func (s *Session) Clusters() []int {
 func (s *Session) Result() *Result {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return resultFromSparseRequests(s.in, s.allocLocked().Clone())
+	s.settleLocked()
+	return resultFromSparseRequests(s.in, s.alloc.Clone())
 }
 
 // Cost returns ΣC_i of the current allocation under the current loads
@@ -186,7 +192,8 @@ func (s *Session) Result() *Result {
 func (s *Session) Cost() float64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return model.TotalCostSparse(s.in, s.allocLocked())
+	s.settleLocked()
+	return model.TotalCostSparse(s.in, s.alloc)
 }
 
 // UpdateLoads replaces the per-organization loads. The current allocation
@@ -200,21 +207,22 @@ func (s *Session) Cost() float64 {
 func (s *Session) UpdateLoads(loads []float64) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if len(loads) != s.in.M() {
-		return fmt.Errorf("delaylb: UpdateLoads got %d loads, want %d", len(loads), s.in.M())
+	if m := s.pending.M(); len(loads) != m {
+		return fmt.Errorf("delaylb: UpdateLoads got %d loads, want %d", len(loads), m)
 	}
 	for i, n := range loads {
 		if n < 0 || math.IsNaN(n) || math.IsInf(n, 0) {
 			return fmt.Errorf("delaylb: UpdateLoads load[%d]=%v, must be non-negative and finite", i, n)
 		}
 	}
+	s.settleLocked()
 	next := &model.Instance{
 		Speed:   s.in.Speed,
 		Load:    append([]float64(nil), loads...),
 		Latency: s.in.Latency,
 		Cluster: s.in.Cluster,
 	}
-	s.alloc = dynamic.Rescale(s.allocLocked(), s.in.Load, next.Load)
+	s.alloc = dynamic.Rescale(s.alloc, s.in.Load, next.Load)
 	s.in = next
 	s.epoch++
 	return nil
@@ -239,7 +247,7 @@ func (s *Session) UpdateLatency(latency [][]float64) error {
 	defer s.mu.Unlock()
 	// Validate dimensions — including ragged rows — before cloning
 	// anything: rejecting a malformed m×m feed must not cost an m×m copy.
-	m := s.in.M()
+	m := s.pending.M()
 	if len(latency) != m {
 		return fmt.Errorf("delaylb: UpdateLatency got %d rows, want %d", len(latency), m)
 	}
@@ -248,6 +256,7 @@ func (s *Session) UpdateLatency(latency [][]float64) error {
 			return fmt.Errorf("delaylb: UpdateLatency row %d has %d entries, want %d", i, len(row), m)
 		}
 	}
+	s.settleLocked()
 	rows := make([][]float64, m)
 	for i, row := range latency {
 		rows[i] = append([]float64(nil), row...)
@@ -282,10 +291,10 @@ type ServerSpec struct {
 	//
 	// On a block-latency session both may be nil: the rows are implied
 	// by the Cluster label (the newcomer inherits its metro's block
-	// delays), which is the O(m + k²) fast path. Explicit rows that
-	// match the block structure keep it; rows that contradict it densify
-	// the session's instance (the newcomer genuinely breaks the metro
-	// scheme).
+	// delays), and AddServer records the join in O(1). Explicit rows
+	// that match the block structure keep it; rows that contradict it
+	// densify the session's instance at the next read (the newcomer
+	// genuinely breaks the metro scheme).
 	LatencyTo, LatencyFrom []float64
 	// Cluster is the metro label of the new server, used when the
 	// session's instance carries cluster labels (NetClustered scenarios).
@@ -296,21 +305,19 @@ type ServerSpec struct {
 // The current allocation is carried over: existing organizations keep
 // their routing (nobody relays to a server it has not seen), and the
 // newcomer starts by serving its own load locally — feasible by
-// construction, and the warm start the next Reoptimize improves. The
-// instance is updated at once; the allocation projection waits for the
-// next read, shared with every join and leave recorded until then.
+// construction, and the warm start the next Reoptimize improves.
+// AddServer checks the spec and records the join; the instance and the
+// allocation change at the next read, in one pass shared with every
+// join and leave recorded until then.
 func (s *Session) AddServer(spec ServerSpec) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	next, err := s.in.WithServer(spec.Speed, spec.Load, spec.LatencyTo, spec.LatencyFrom, spec.Cluster)
+	s.boundLocked()
+	err := s.pending.Join(s.in, dynamic.Join{Speed: spec.Speed, Load: spec.Load, Cluster: spec.Cluster,
+		To: spec.LatencyTo, From: spec.LatencyFrom})
 	if err != nil {
 		return err
 	}
-	if s.pending.Len() >= s.in.M() {
-		s.allocLocked() // keeps the batch O(m) for callers that never read
-	}
-	s.pending.Join(spec.Load)
-	s.in = next
 	s.epoch++
 	return nil
 }
@@ -321,22 +328,25 @@ func (s *Session) AddServer(spec ServerSpec) error {
 // relaying to the removed server back to its own server, so each
 // surviving row still sums to its load — the failover projection of
 // internal/dynamic.Resize. Indices above i shift down by one. As with
-// AddServer, the instance is updated at once and the allocation
-// projection waits for the next read.
+// AddServer, the edit is checked and recorded, and the instance and the
+// allocation change at the next read.
 func (s *Session) RemoveServer(i int) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	next, err := s.in.WithoutServer(i)
-	if err != nil {
+	s.boundLocked()
+	if err := s.pending.Leave(s.in, i); err != nil {
 		return err
 	}
-	if s.pending.Len() >= s.in.M() {
-		s.allocLocked() // keeps the batch O(m) for callers that never read
-	}
-	s.pending.Leave(i)
-	s.in = next
 	s.epoch++
 	return nil
+}
+
+// boundLocked settles a batch that holds M() edits, which keeps it O(m)
+// for callers that never read. Callers hold s.mu.
+func (s *Session) boundLocked() {
+	if s.pending.Len() >= s.pending.M() {
+		s.settleLocked()
+	}
 }
 
 // Reoptimize re-solves from the current allocation (warm start) with the
@@ -365,7 +375,8 @@ func (s *Session) RemoveServer(i int) error {
 func (s *Session) Reoptimize(ctx context.Context, opts ...Option) (*Result, error) {
 	s.mu.Lock()
 	o := buildOptions(append(append([]Option(nil), s.base...), opts...))
-	in, alloc, epoch := s.in, s.allocLocked(), s.epoch
+	s.settleLocked()
+	in, alloc, epoch := s.in, s.alloc, s.epoch
 	s.mu.Unlock()
 	solver, err := resolveSolver(o.solver)
 	if err != nil {
@@ -441,7 +452,8 @@ func (s *Session) RunCluster(ctx context.Context, rounds int, onRound func(round
 	}
 	s.mu.Lock()
 	o := buildOptions(append(append([]Option(nil), s.base...), opts...))
-	in, start, epoch := s.in, &model.Allocation{R: s.allocLocked().Dense()}, s.epoch
+	s.settleLocked()
+	in, start, epoch := s.in, &model.Allocation{R: s.alloc.Dense()}, s.epoch
 	s.mu.Unlock()
 	bus := runtime.NewSimBusFromAllocation(in, start, runtimeMinGain(in), o.Seed)
 	done := 0

@@ -2,6 +2,7 @@ package delaylb
 
 import (
 	"context"
+	"errors"
 	"math"
 	"math/rand"
 	"slices"
@@ -128,8 +129,9 @@ func TestChurnBatchStaysBounded(t *testing.T) {
 
 // TestSessionChurnWhileSolving churns and reads a session from another
 // goroutine while a Reoptimize runs outside the lock: each read settles
-// the batch into a new matrix and never writes the one the solver holds
-// (run it under -race). The session stays feasible throughout.
+// the batch into a new instance and a new matrix and never writes the
+// ones the solver holds (run it under -race). The session stays
+// feasible throughout.
 func TestSessionChurnWhileSolving(t *testing.T) {
 	sys, err := NewScenario(200).WithClusters(4).WithLoads(LoadZipf, 100).WithSeed(6).Build()
 	if err != nil {
@@ -155,8 +157,26 @@ func TestSessionChurnWhileSolving(t *testing.T) {
 				churned <- err
 				return
 			}
-			if k%3 == 0 {
+			var bad string
+			switch k % 4 {
+			case 0:
 				sess.Cost()
+			case 1:
+				if len(sess.Loads()) != sess.M() {
+					bad = "Loads disagrees with M"
+				}
+			case 2:
+				if len(sess.Clusters()) != sess.M() {
+					bad = "Clusters disagrees with M"
+				}
+			default:
+				if _, labels, ok := sess.BlockLatency(); !ok || len(labels) != sess.M() {
+					bad = "BlockLatency disagrees with M"
+				}
+			}
+			if bad != "" {
+				churned <- errors.New(bad)
+				return
 			}
 		}
 	}()

@@ -12,10 +12,13 @@ import (
 // updates and a (densifying) latency shift, on the block latency
 // representation and on the dense latency oracle. Both sessions hold
 // the same sparse allocation; the twins differ only in latency. Run
-// with -benchmem: the block path's bytes per event are O(m + k²) while
-// the dense path pays the O(m²) latency copy — the drop cmd/tables
-// -bench persists into BENCH_scale.json (whose session-churn-dense
-// rows were taken when the dense twin also held a dense allocation).
+// with -benchmem. A join or leave only records its edit, and with no
+// read in the loop the batch settles once M() edits are pending, so
+// join-leave reports that settle spread over M() events: O(1 + k²/m)
+// bytes per event on the block path, the O(m²) matrix build over m
+// events on the dense one. cmd/tables -bench persists the per-event
+// costs into BENCH_scale.json (whose session-churn-dense rows were
+// taken when the dense twin also held a dense allocation).
 //
 // Costs and allocation counts are deterministic; wall-clock is logged
 // for the trajectory only (1-CPU containers make speedups machine-

@@ -359,13 +359,16 @@ func (cfg BenchConfig) runCell(ctx context.Context, cell benchCell) (BenchEntry,
 // runChurnCell replays a deterministic churn stream — metro joins,
 // leaves and load updates in equal parts — against a live Session and
 // records the per-event wall-clock and allocation cost. No solving: the
-// cell isolates the state-maintenance cost the copy-on-write session
-// refactor targets. The dense cell differs from the block cell only in
-// the latency representation; both sessions hold a sparse allocation.
-// (BENCH_scale.json's session-churn-dense timings predate that: they
-// were taken with a dense m×m allocation.) Cost is the final session
-// ΣC_i, which is identical between the block and dense cells (pinned at
-// test scale by TestSessionChurnDeterministic).
+// cell isolates the session's state-maintenance cost. A join and a
+// leave only record their edits, and the load update that follows
+// settles both into the instance and the allocation, so the per-event
+// figure is a third of that settle (O(m + k²) on the block cell, O(m²)
+// on the dense one) plus the rescale. The dense cell differs from the
+// block cell only in the latency representation; both sessions hold a
+// sparse allocation. (BENCH_scale.json's session-churn-dense timings
+// predate that: they were taken with a dense m×m allocation.) Cost is
+// the final session ΣC_i, which is identical between the block and
+// dense cells (pinned at test scale by TestSessionChurnDeterministic).
 func (cfg BenchConfig) runChurnCell(entry *BenchEntry, sc delaylb.Scenario, dense bool) error {
 	events := cfg.ChurnEvents
 	if events <= 0 {
