@@ -405,6 +405,16 @@ func buildOptions(opts []Option) options {
 	return o
 }
 
+// checkTolerance is the one check on WithTolerance, made by every entry
+// point that reads it: NaN and ±Inf are errors, because +Inf would stop
+// a solver at once as converged and NaN would never let one stop early.
+func (o options) checkTolerance() error {
+	if math.IsNaN(o.Tolerance) || math.IsInf(o.Tolerance, 0) {
+		return fmt.Errorf("delaylb: Tolerance must be finite, got %v", o.Tolerance)
+	}
+	return nil
+}
+
 // Optimize computes the cooperative optimum of ΣC_i with a background
 // context. The default solver is the paper's distributed MinE algorithm
 // run to pairwise stability; WithSolver selects any other registered
@@ -418,6 +428,9 @@ func (s *System) Optimize(opts ...Option) (*Result, error) {
 // Result is returned alongside ctx.Err().
 func (s *System) OptimizeContext(ctx context.Context, opts ...Option) (*Result, error) {
 	o := buildOptions(opts)
+	if err := o.checkTolerance(); err != nil {
+		return nil, err
+	}
 	solver, err := resolveSolver(o.solver)
 	if err != nil {
 		return nil, err
@@ -436,6 +449,9 @@ func (s *System) NashEquilibrium(opts ...Option) (*Result, error) {
 // context; on cancellation the partial result is returned with ctx.Err().
 func (s *System) NashEquilibriumContext(ctx context.Context, opts ...Option) (*Result, error) {
 	o := buildOptions(opts)
+	if err := o.checkTolerance(); err != nil {
+		return nil, err
+	}
 	solver, err := resolveSolver("nash")
 	if err != nil {
 		return nil, err
@@ -465,6 +481,9 @@ func (s *System) EpsilonNash(res *Result) float64 {
 // change tolerance of the §VI-C termination rule.
 func (s *System) PriceOfAnarchy(opts ...Option) (float64, error) {
 	o := buildOptions(opts)
+	if err := o.checkTolerance(); err != nil {
+		return 0, err
+	}
 	cfg := game.Config{MaxSweeps: o.MaxIterations, ChangeTol: o.Tolerance}
 	res := game.MeasurePoA(s.in, cfg, rand.New(rand.NewSource(o.Seed)))
 	return res.Ratio, nil
@@ -508,6 +527,9 @@ func (s *System) OptimizeReplicated(r int, opts ...Option) (*Result, error) {
 		return nil, fmt.Errorf("delaylb: replication factor %d out of range [1, %d]", r, s.M())
 	}
 	o := buildOptions(opts)
+	if err := o.checkTolerance(); err != nil {
+		return nil, err
+	}
 	rho := discrete.SolveReplicated(s.in, r, o.MaxIterations, o.Tolerance)
 	return resultFromAllocation(s.in, model.FromFractions(s.in, rho)), nil
 }
@@ -543,23 +565,55 @@ func (s *System) RoundTasks(res *Result, tasks []Task) ([]int, *Result) {
 // pairwise balance proposals) from the identity allocation on a
 // deterministic in-memory bus, for at most the given number of rounds,
 // and returns the reached allocation along with the number of delivered
-// messages. The run stops early once a round improves ΣC_i by at most
-// 1e-9 relative; Iterations is the number of rounds run, Converged is
-// true only when that rule stopped the run (Reason "tolerance"), and
-// Reason is "max-iters" otherwise. With rounds < 1 nothing runs and the
-// result is the identity allocation.
+// messages. It is a fresh Session's RunCluster whose round callback is
+// an improvement rule: the run stops early once a round improves ΣC_i
+// by at most 1e-9 relative. Iterations is the number of rounds run,
+// Converged is true only when that rule stopped the run (Reason
+// "tolerance"), and Reason is "max-iters" otherwise. With rounds < 1
+// nothing runs and the result is the identity allocation.
 func (s *System) SimulateDistributed(rounds int, opts ...Option) (*Result, int) {
 	o := buildOptions(opts)
-	bus := runtime.NewSimBus(s.in, runtimeMinGain(s.in), o.Seed)
-	done, converged := bus.Run(s.in, rounds, 1e-9)
-	res := resultFromAllocation(s.in, bus.Allocation())
+	start := model.Identity(s.in)
+	prev := model.TotalCost(s.in, start)
+	improving := func(_ int, cost float64) bool {
+		if prev-cost <= 1e-9*prev {
+			return false
+		}
+		prev = cost
+		return true
+	}
+	alloc, done, converged, delivered := runRuntime(context.Background(), s.in, start, o.Seed, rounds, improving)
+	res := resultFromAllocation(s.in, alloc)
 	res.Iterations = done
 	res.Converged = converged
 	res.Reason = "max-iters"
 	if converged {
 		res.Reason = "tolerance"
 	}
-	return res, bus.Delivered
+	return res, delivered
+}
+
+// runRuntime is the tick loop of SimulateDistributed and RunCluster. It
+// runs the runtime from start on a fresh bus for at most rounds tick
+// rounds, stopping early once ctx is canceled or onRound, if non-nil,
+// returns false after a round (it gets the round number and the current
+// ΣC_i). It returns the reached allocation, the rounds run, whether
+// onRound stopped the run and the number of delivered messages.
+func runRuntime(ctx context.Context, in *model.Instance, start *model.Allocation, seed int64, rounds int,
+	onRound func(round int, cost float64) bool) (alloc *model.Allocation, done int, stopped bool, delivered int) {
+	bus := runtime.NewSimBusFromAllocation(in, start, runtimeMinGain(in), seed)
+	for r := 1; r <= rounds; r++ {
+		if ctx.Err() != nil {
+			break
+		}
+		bus.Tick()
+		done = r
+		if onRound != nil && !onRound(r, bus.Cost(in)) {
+			stopped = true
+			break
+		}
+	}
+	return bus.Allocation(), done, stopped, bus.Delivered
 }
 
 // runtimeMinGain is the proposal threshold of SimulateDistributed and

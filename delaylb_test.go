@@ -1,7 +1,9 @@
 package delaylb
 
 import (
+	"context"
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -87,6 +89,56 @@ func TestOptimizeUnknownSolver(t *testing.T) {
 	sys := testSystem(t, 5, 4)
 	if _, err := sys.Optimize(WithSolver("simplex")); err == nil {
 		t.Fatal("unknown solver accepted")
+	}
+}
+
+// TestNonFiniteToleranceRejected pins that every entry point reading
+// WithTolerance rejects NaN and ±Inf with an error naming it, and that
+// finite values, 0 and negatives included, are never rejected for it.
+func TestNonFiniteToleranceRejected(t *testing.T) {
+	sys := testSystem(t, 6, 3)
+	ctx := context.Background()
+	entries := map[string]func(tol float64) error{
+		"OptimizeContext": func(tol float64) error {
+			_, err := sys.OptimizeContext(ctx, WithTolerance(tol), WithMaxIterations(3))
+			return err
+		},
+		"OptimizeContext/frankwolfe": func(tol float64) error {
+			_, err := sys.OptimizeContext(ctx, WithSolver("frankwolfe"), WithTolerance(tol), WithMaxIterations(3))
+			return err
+		},
+		"Session.Reoptimize": func(tol float64) error {
+			_, err := sys.NewSession().Reoptimize(ctx, WithTolerance(tol), WithMaxIterations(3))
+			return err
+		},
+		"Session.Reoptimize/base": func(tol float64) error {
+			_, err := sys.NewSession(WithTolerance(tol), WithMaxIterations(3)).Reoptimize(ctx)
+			return err
+		},
+		"NashEquilibriumContext": func(tol float64) error {
+			_, err := sys.NashEquilibriumContext(ctx, WithTolerance(tol), WithMaxIterations(3))
+			return err
+		},
+		"PriceOfAnarchy": func(tol float64) error {
+			_, err := sys.PriceOfAnarchy(WithTolerance(tol), WithMaxIterations(3))
+			return err
+		},
+		"OptimizeReplicated": func(tol float64) error {
+			_, err := sys.OptimizeReplicated(2, WithTolerance(tol), WithMaxIterations(3))
+			return err
+		},
+	}
+	for name, call := range entries {
+		for _, tol := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			if err := call(tol); err == nil || !strings.Contains(err.Error(), "Tolerance") {
+				t.Errorf("%s(WithTolerance(%v)): error %v, want one naming Tolerance", name, tol, err)
+			}
+		}
+		for _, tol := range []float64{0, -1, 1e-6} {
+			if err := call(tol); err != nil && strings.Contains(err.Error(), "Tolerance") {
+				t.Errorf("%s(WithTolerance(%v)) rejected a finite tolerance: %v", name, tol, err)
+			}
+		}
 	}
 }
 

@@ -1,191 +1,37 @@
 package qp
 
-import (
-	"math"
+import "math"
 
-	"delaylb/internal/model"
-	"delaylb/internal/sparse"
-	"delaylb/obs"
-)
-
-// This file implements the away-step and pairwise Frank–Wolfe variants
-// on an explicit active vertex set. The feasible region is a product of
-// per-organization simplices, so every LMO vertex is a coordinate vector
-// e_j — which makes the active-set representation collapse into the
-// sparse iterate itself: row i's active vertices ARE its stored columns
-// and the convex-combination weights ARE the stored values. There is no
-// separate atom bookkeeping to keep consistent, and a warm start that
-// hands the solver a sparse iterate hands it the active set for free.
-//
-// Where the classic solver takes one global step per iteration (every
-// row blends toward its LMO vertex by the same ratio t), the variants
-// sweep the rows sequentially: each loaded row takes its own exact
-// line-search step along the best of its candidate directions —
+// This file holds the away-step and pairwise step rules of the
+// Frank–Wolfe engine (frankwolfe_sparse.go). Where classic blends every
+// row toward its LMO vertex by one global ratio, these rules sweep the
+// rows in turn against live loads (Gauss–Seidel), each loaded row taking
+// its own exact line-search steps along the best of
 //
 //	FW:       e_s − ρ_i          (toward the LMO vertex s, cap γ ≤ 1)
 //	away:     ρ_i − e_a          (off the worst active vertex a,
 //	                              cap γ ≤ ρ_a/(1−ρ_a))
 //	pairwise: e_s − e_a          (mass straight from a to s, cap γ ≤ ρ_a)
 //
-// with loads maintained incrementally (Gauss–Seidel), so every step sees
-// the congestion the previous rows just created. Per-row exact steps are
-// what plain FW cannot do: its single global ratio is throttled by the
-// most fragile row, which is why its duality gap stalls sublinearly,
-// while per-row steps that bind at the cap *drop* the away vertex from
-// the support entirely — the iterate sheds stale vertices instead of
-// shrinking them geometrically forever.
-//
-// The away direction is found by scanning only the row's active vertices
-// (O(nnz_i), fused with the score pass the sparse solver already does),
-// and the FW vertex comes from the same per-cluster minima structure as
-// the classic sparse path — maintained incrementally under the sweep's
-// load updates with dirty-cluster rescans, so the oracle stays O(k) per
-// row on verified metro networks.
-//
-// Convergence is still certified exactly like the classic solver: at
-// every sweep start the loads are recomputed from scratch and the true
-// duality gap  Σ_i n_i(⟨ρ_i, ∇_i⟩ − min_j ∇_ij)  is measured with the
-// exact LMO, so Cost − Gap lower-bounds the optimum regardless of what
-// the sweep in between did.
+// Classic's single ratio is throttled by the most fragile row, so its
+// gap stalls sublinearly; per-row steps that bind at the cap *drop* the
+// away vertex from the support, so the iterate sheds stale vertices
+// instead of shrinking them geometrically forever.
 
 // maxRowSteps bounds the chained line-search steps one row may take per
-// sweep. One step moves mass toward (or off) a single vertex; a heavily
-// loaded row that must spread over several servers needs several — and
-// giving it those within the sweep is what keeps the sweep count roughly
-// flat as m grows. Four is enough in practice; the certificate pass at
-// the next sweep start keeps the stopping rule exact no matter the value.
+// sweep: a heavy row spreading over several servers needs several, and
+// giving them within the sweep keeps the sweep count flat as m grows.
+// The certificate pass keeps the stopping rule exact at any value.
 const maxRowSteps = 4
 
-// activeLMO maintains per-cluster congestion minima (the O(k) oracle of
-// the classic sparse solver) under incremental load updates: a change
-// that can affect a cluster's two smallest base scores marks the cluster
-// dirty, and the next query rescans just that cluster's members in
-// ascending index order — preserving the lowest-index-wins tie-breaking
-// of a dense ascending scan.
-type activeLMO struct {
-	labels  []int
-	delay   [][]float64
-	members [][]int32 // per-cluster server indices, ascending
-	min1    []int32   // per-cluster argmin of base (−1: empty)
-	min2    []int32   // per-cluster second argmin (−1: singleton)
-	dirty   []bool
-}
-
-func newActiveLMO(in *model.Instance) *activeLMO {
-	delay, ok := model.ClusterDelays(in)
-	if !ok {
-		return nil
-	}
-	k := len(delay)
-	lmo := &activeLMO{
-		labels:  in.Cluster,
-		delay:   delay,
-		members: make([][]int32, k),
-		min1:    make([]int32, k),
-		min2:    make([]int32, k),
-		dirty:   make([]bool, k),
-	}
-	for j, g := range in.Cluster {
-		lmo.members[g] = append(lmo.members[g], int32(j))
-	}
-	return lmo
-}
-
-// prepareAll rebuilds every cluster's minima from the given base scores.
-func (c *activeLMO) prepareAll(base []float64) {
-	for g := range c.min1 {
-		c.rescan(g, base)
-	}
-}
-
-func (c *activeLMO) rescan(g int, base []float64) {
-	m1, m2 := int32(-1), int32(-1)
-	for _, j := range c.members[g] {
-		switch {
-		case m1 < 0 || base[j] < base[m1]:
-			m2, m1 = m1, j
-		case m2 < 0 || base[j] < base[m2]:
-			m2 = j
-		}
-	}
-	c.min1[g], c.min2[g], c.dirty[g] = m1, m2, false
-}
-
-// touch records that base[j] changed from old: the cluster is marked
-// dirty whenever the change could perturb its two smallest scores.
-func (c *activeLMO) touch(j int, old, now float64, base []float64) {
-	g := c.labels[j]
-	if c.dirty[g] {
-		return
-	}
-	jj := int32(j)
-	if jj == c.min1[g] || jj == c.min2[g] {
-		switch {
-		case now > old:
-			c.dirty[g] = true // a tracked minimum got worse
-		case jj == c.min2[g] && (c.min1[g] < 0 || now <= base[c.min1[g]]):
-			// min2 improved past (or onto) min1: the pair's order — which
-			// best() relies on to pick the cluster's candidate — is stale.
-			c.dirty[g] = true
-		}
-		return
-	}
-	if now < old && (c.min2[g] < 0 || now <= base[c.min2[g]]) {
-		c.dirty[g] = true // an untracked member may now beat the minima
-	}
-}
-
-// best returns row i's LMO vertex and score under the current base,
-// rescanning dirty clusters on the way — the same candidate argument and
-// tie-breaking as the classic clusterLMO.
-func (c *activeLMO) best(i int, base []float64) (int, float64) {
-	gi := c.labels[i]
-	bestJ, bestScore := i, base[i]
-	drow := c.delay[gi]
-	for h := range drow {
-		if c.dirty[h] {
-			c.rescan(h, base)
-		}
-		j := c.min1[h]
-		if int(j) == i {
-			j = c.min2[h]
-		}
-		if j < 0 {
-			continue
-		}
-		score := base[j] + drow[h]
-		// Adding the same block delay can collapse two distinct bases onto
-		// one score; the dense ascending scan then keeps the lower index,
-		// so check the cluster's second candidate for an index-improving
-		// exact tie.
-		if j2 := c.min2[h]; j2 >= 0 && int(j2) != i && j2 < j && base[j2]+drow[h] == score {
-			j = j2
-		}
-		if score < bestScore || (score == bestScore && bestJ != i && int(j) < bestJ) {
-			bestJ, bestScore = int(j), score
-		}
-	}
-	return bestJ, bestScore
-}
-
-// activeState is the mutable sweep state shared by the per-row steps.
-type activeState struct {
-	in    *model.Instance
-	rho   *sparse.Matrix
-	loads []float64 // l_j, maintained incrementally during a sweep
-	base  []float64 // l_j / s_j, kept in lockstep with loads
-	lmo   *activeLMO
-	buf   []float64 // latency-row scratch for the generic oracle
-
-	// Side-channel telemetry, accumulated locally and folded into the
-	// solve's instrument bundle once per sweep; reads nothing back.
-	oracleCalls int64
-	drops       int64
-}
+// maxRowDrift bounds how far an away step may leave a row's sum from 1
+// before the row is renormalized, a decade inside the 1e-12 the
+// active-set invariants allow.
+const maxRowDrift = 1e-13
 
 // shift moves delta requests onto server j, updating the congestion
-// score and the cluster oracle.
-func (st *activeState) shift(j int, delta float64) {
+// score and the metro oracle.
+func (st *fwState) shift(j int, delta float64) {
 	st.loads[j] += delta
 	old := st.base[j]
 	st.base[j] = st.loads[j] / st.in.Speed[j]
@@ -194,65 +40,43 @@ func (st *activeState) shift(j int, delta float64) {
 	}
 }
 
-// rowScores scans row i's active set under the current base: the
-// current score cur = ⟨ρ_i, ∇_i⟩/n_i and the away vertex (position in
-// the support, score) — the argmax over active vertices, first-wins on
-// ties like every ascending scan in this package.
-func (st *activeState) rowScores(i int, lat []float64) (cur, aScore float64, aPos int) {
-	idx, val := st.rho.Idx[i], st.rho.Val[i]
-	aPos = -1
-	if st.lmo != nil {
-		drow := st.lmo.delay[st.lmo.labels[i]]
-		for t, j := range idx {
-			score := st.base[j]
-			if int(j) != i {
-				score += drow[st.lmo.labels[j]]
+// sweep is the away/pairwise step: every loaded row takes up to
+// maxRowSteps exact steps against the loads the previous rows left.
+func (st *fwState) sweep(pairwise bool) {
+	for i, ni := range st.in.Load {
+		if ni == 0 {
+			continue
+		}
+		lat := st.latRow(i)
+		for k := 0; k < maxRowSteps; k++ {
+			cur, aScore, aPos := st.rowScores(i, lat)
+			if aPos < 0 {
+				break // infeasible empty row; nothing to move
 			}
-			cur += val[t] * score
-			if aPos < 0 || score > aScore {
-				aPos, aScore = t, score
+			s, sScore := st.oracle(i, lat)
+			if pairwise {
+				if aScore <= sScore {
+					break
+				}
+				st.pairRowStep(i, s, aPos, sScore, aScore)
+				continue
+			}
+			gFW, gAway := cur-sScore, aScore-cur
+			if gAway > gFW {
+				st.awayRowStep(i, aPos, gAway, lat)
+			} else if gFW > 0 {
+				st.fwRowStep(i, s, gFW)
+			} else {
+				break
 			}
 		}
-		return cur, aScore, aPos
 	}
-	for t, j := range idx {
-		score := st.base[j] + lat[j]
-		cur += val[t] * score
-		if aPos < 0 || score > aScore {
-			aPos, aScore = t, score
-		}
-	}
-	return cur, aScore, aPos
-}
-
-// oracle returns row i's LMO vertex under the current base.
-func (st *activeState) oracle(i int, lat []float64) (int, float64) {
-	st.oracleCalls++
-	if st.lmo != nil {
-		return st.lmo.best(i, st.base)
-	}
-	bestJ, bestScore := i, st.base[i] // c_ii = 0
-	for j := range st.base {
-		if score := st.base[j] + lat[j]; score < bestScore {
-			bestScore, bestJ = score, j
-		}
-	}
-	return bestJ, bestScore
-}
-
-// latRow materializes row i's latency row for the generic path (nil on
-// clustered instances, where the block table is used directly).
-func (st *activeState) latRow(i int) []float64 {
-	if st.lmo != nil {
-		return nil
-	}
-	return model.RowView(st.in.Latency, i, st.buf)
 }
 
 // fwRowStep takes row i's exact line-search step toward vertex s:
 // ρ_i ← (1−γ)ρ_i + γ e_s with γ = min(1, n_i·gFW/φ″). A γ = 1 step
 // lands on the vertex and drops the entire previous support.
-func (st *activeState) fwRowStep(i, s int, gFW float64) {
+func (st *fwState) fwRowStep(i, s int, gFW float64) {
 	ni := st.in.Load[i]
 	idx, val := st.rho.Idx[i], st.rho.Val[i]
 	var q float64 // Σ_j d_j²/s_j for d = e_s − ρ_i
@@ -296,7 +120,7 @@ func (st *activeState) fwRowStep(i, s int, gFW float64) {
 // ρ_i ← (1+γ)ρ_i − γ e_a with γ capped at ρ_a/(1−ρ_a), the step that
 // empties the away vertex. A cap-binding step is a drop step: the vertex
 // leaves the support and the survivors renormalize to an exact unit sum.
-func (st *activeState) awayRowStep(i, aPos int, gAway float64) {
+func (st *fwState) awayRowStep(i, aPos int, gAway float64, lat []float64) {
 	ni := st.in.Load[i]
 	idx, val := st.rho.Idx[i], st.rho.Val[i]
 	wa := val[aPos]
@@ -319,11 +143,17 @@ func (st *activeState) awayRowStep(i, aPos int, gAway float64) {
 	if gamma <= 0 {
 		return
 	}
+	if gamma > 1 {
+		// Only an away vertex holding over half the row allows γ > 1.
+		st.longAwayStep(i, aPos, lat)
+		return
+	}
 	if gamma == maxStep {
 		st.dropRow(i, aPos)
 		return
 	}
 	scale := 1 + gamma
+	var sum float64
 	for t, j := range idx {
 		old := val[t]
 		val[t] = old * scale
@@ -332,19 +162,79 @@ func (st *activeState) awayRowStep(i, aPos int, gAway float64) {
 			val[t] -= gamma
 			delta -= gamma
 		}
+		sum += val[t]
 		st.shift(int(j), ni*delta)
 	}
-	if val[aPos] <= 0 {
+	switch {
+	case val[aPos] <= 0:
 		// Rounding carried the away weight to (or past) zero: treat it
 		// as the drop it mathematically is.
 		st.dropRow(i, aPos)
+	case math.Abs(sum-1) > maxRowDrift:
+		// The update scales the row's deviation from a unit sum by 1+γ,
+		// so repeated away steps off one vertex compound it.
+		st.dropRow(i, -1)
 	}
+}
+
+// longAwayStep is awayRowStep off a vertex a holding most of row i. The
+// other mass r = Σ_{t≠a} ρ_t may then be tiny, and both aScore − cur and
+// (1+γ)ρ_a − γ subtract near-equal numbers: slope noise over a tiny
+// curvature can move O(1) mass, and the update can throw the row sum
+// far off 1. So the step is rebuilt from r: slope Σ_{t≠a} ρ_t(aScore −
+// score_t), cap ρ_a/r, and a move of exactly γ·r off a.
+func (st *fwState) longAwayStep(i, aPos int, lat []float64) {
+	ni := st.in.Load[i]
+	idx, val := st.rho.Idx[i], st.rho.Val[i]
+	a, wa := int(idx[aPos]), val[aPos]
+	aScore := st.score(i, a, lat)
+	var r, g, q float64 // other mass, slope, Σ_j d_j²/s_j
+	for t, j := range idx {
+		if t != aPos {
+			v := val[t]
+			r += v
+			g += v * (aScore - st.score(i, int(j), lat))
+			q += v * v / st.in.Speed[j]
+		}
+	}
+	if r <= 0 || g <= 0 {
+		return
+	}
+	q += r * r / st.in.Speed[a]
+	maxStep := wa / r
+	gamma := math.Min(maxStep, ni*g/(ni*ni*q)) // q > 0 unless r² underflows
+	if gamma == maxStep {
+		st.dropRow(i, aPos)
+		return
+	}
+	for t, j := range idx {
+		d := gamma * val[t]
+		if t == aPos {
+			d = -gamma * r
+		}
+		val[t] += d
+		st.shift(int(j), ni*d)
+	}
+	if val[aPos] <= 0 {
+		st.dropRow(i, aPos)
+	}
+}
+
+// score is row i's congestion score at server j, l_j/s_j + c_ij.
+func (st *fwState) score(i, j int, lat []float64) float64 {
+	if st.lmo == nil {
+		return st.base[j] + lat[j]
+	}
+	if j == i {
+		return st.base[j]
+	}
+	return st.base[j] + st.lmo.delay[st.lmo.labels[i]][st.lmo.labels[j]]
 }
 
 // pairRowStep moves mass straight from row i's away vertex a to vertex
 // s: ρ_i ← ρ_i + γ(e_s − e_a) with γ capped at ρ_a. Cap-binding steps
 // drop a from the support exactly.
-func (st *activeState) pairRowStep(i, s, aPos int, sScore, aScore float64) {
+func (st *fwState) pairRowStep(i, s, aPos int, sScore, aScore float64) {
 	ni := st.in.Load[i]
 	idx, val := st.rho.Idx[i], st.rho.Val[i]
 	a := int(idx[aPos])
@@ -371,17 +261,19 @@ func (st *activeState) pairRowStep(i, s, aPos int, sScore, aScore float64) {
 	st.shift(s, ni*gamma)
 }
 
-// dropRow removes row i's vertex at support position aPos, renormalizes
-// the survivors to an exact unit sum, and reconciles the load vector
-// with the row's actual before/after values.
-func (st *activeState) dropRow(i, aPos int) {
-	st.drops++
+// dropRow removes row i's vertex at support position aPos (a drop step;
+// aPos < 0 removes none), renormalizes the row to an exact unit sum, and
+// reconciles the load vector with the row's actual before/after values.
+func (st *fwState) dropRow(i, aPos int) {
 	ni := st.in.Load[i]
 	idx, val := st.rho.Idx[i], st.rho.Val[i]
 	for t, j := range idx {
 		st.shift(int(j), -ni*val[t])
 	}
-	st.rho.RemoveAt(i, aPos)
+	if aPos >= 0 {
+		st.drops++
+		st.rho.RemoveAt(i, aPos)
+	}
 	if sum := st.rho.RowSum(i); sum > 0 {
 		// Renormalize by division: a single survivor lands on exactly 1
 		// (x/x == 1 in IEEE arithmetic), so the "one active vertex"
@@ -394,134 +286,4 @@ func (st *activeState) dropRow(i, aPos int) {
 	for t, j := range st.rho.Idx[i] {
 		st.shift(int(j), ni*st.rho.Val[i][t])
 	}
-}
-
-// solveFrankWolfeActive runs the away-step or pairwise Frank–Wolfe
-// variant selected by opt.Variant. Iterations are row sweeps; the
-// reported Gap is the exact classic duality gap measured at the last
-// sweep start, so Cost − Gap still lower-bounds the optimum.
-func solveFrankWolfeActive(in *model.Instance, opt Options) *SparseResult {
-	opt = opt.withDefaults()
-	m := in.M()
-	var rho *sparse.Matrix
-	switch {
-	case opt.InitialSparse != nil:
-		rho = opt.InitialSparse.Clone()
-	case opt.Initial != nil:
-		rho = sparse.FromDense(opt.Initial, 0)
-	default:
-		rho = sparse.Identity(m)
-	}
-	// The invariant "stored entries are exactly the active set" starts
-	// here: warm starts may carry explicit zeros from earlier dense
-	// round-trips; they are not active vertices.
-	rho.Prune(0)
-
-	st := &activeState{
-		in:    in,
-		rho:   rho,
-		loads: make([]float64, m),
-		base:  make([]float64, m),
-		lmo:   newActiveLMO(in),
-	}
-	if st.lmo == nil {
-		st.buf = latRowBuf(in)
-	}
-	pairwise := opt.Variant == VariantPairwise
-	sobs := newSolveObs(opt.Obs, opt.Variant)
-	span := opt.Obs.Start("qp.solve")
-
-	res := &SparseResult{ClusteredLMO: st.lmo != nil}
-	for it := 1; it <= opt.MaxIters; it++ {
-		if model.Canceled(opt.Ctx) {
-			break
-		}
-		// Certificate pass: exact loads, exact LMO, exact duality gap —
-		// identical to the classic solver's measurement, untouched by
-		// whatever the incremental sweep below does.
-		LoadsSparse(in, rho, st.loads)
-		for j := range st.base {
-			st.base[j] = st.loads[j] / in.Speed[j]
-		}
-		if st.lmo != nil {
-			st.lmo.prepareAll(st.base)
-		}
-		var gap float64
-		for i := 0; i < m; i++ {
-			ni := in.Load[i]
-			if ni == 0 {
-				continue
-			}
-			lat := st.latRow(i)
-			cur, _, _ := st.rowScores(i, lat)
-			_, bestScore := st.oracle(i, lat)
-			gap += ni * (cur - bestScore)
-		}
-
-		cost := ObjectiveSparse(in, rho)
-		res.Iters = it
-		res.Gap = gap
-		sobs.sweep(gap, cost, st.oracleCalls, rho)
-		sobs.dropSteps.Add(st.drops)
-		st.oracleCalls, st.drops = 0, 0
-		if opt.TraceGaps {
-			res.Gaps = append(res.Gaps, gap)
-		}
-		if gap <= opt.Tol*math.Max(1, cost) {
-			res.Converged = true
-			break
-		}
-		if opt.OnIteration != nil && !opt.OnIteration(it, cost) {
-			res.Converged = true
-			break
-		}
-
-		// Sweep: every loaded row takes its own exact steps against the
-		// loads the previous rows just left behind. A row gets up to
-		// maxRowSteps chained steps — heavy rows whose mass must spread
-		// over several servers make a sweep's worth of progress at once,
-		// which is what keeps the sweep count flat as m grows.
-		for i := 0; i < m; i++ {
-			ni := in.Load[i]
-			if ni == 0 {
-				continue
-			}
-			lat := st.latRow(i)
-			for k := 0; k < maxRowSteps; k++ {
-				cur, aScore, aPos := st.rowScores(i, lat)
-				if aPos < 0 {
-					break // infeasible empty row; nothing to move
-				}
-				s, sScore := st.oracle(i, lat)
-				if pairwise {
-					if aScore <= sScore {
-						break
-					}
-					st.pairRowStep(i, s, aPos, sScore, aScore)
-					continue
-				}
-				gFW, gAway := cur-sScore, aScore-cur
-				if gAway > gFW {
-					st.awayRowStep(i, aPos, gAway)
-				} else if gFW > 0 {
-					st.fwRowStep(i, s, gFW)
-				} else {
-					break
-				}
-			}
-		}
-	}
-	res.Rho = rho
-	res.Cost = ObjectiveSparse(in, rho)
-	// Fold the tail sweep's tallies (a MaxIters exit breaks before the
-	// next certificate pass would have folded them).
-	sobs.lmoCalls.Add(st.oracleCalls)
-	sobs.dropSteps.Add(st.drops)
-	st.oracleCalls, st.drops = 0, 0
-	span.With(obs.Int("iters", int64(res.Iters))).
-		With(obs.Float("gap", res.Gap)).
-		With(obs.Float("cost", res.Cost)).
-		With(obs.Int("nnz", int64(rho.NNZ()))).
-		End()
-	return res
 }

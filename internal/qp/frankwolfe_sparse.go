@@ -8,22 +8,15 @@ import (
 	"delaylb/obs"
 )
 
-// This file is the large-m scale tier of the Frank–Wolfe solver. The
-// dense solver keeps an m×m ρ and touches all of it every iteration;
-// but a Frank–Wolfe iterate has at most iters+1 nonzeros per row (each
-// iteration blends the previous iterate with one simplex vertex), so
-// the sparse variant stores ρ in O(nnz) and does O(nnz_i) work per row
-// for everything except the linear minimization oracle (LMO).
-//
-// The LMO — argmin_j l_j/s_j + c_ij per row — is the one step that
-// inspects the whole latency row. On block-structured (metro/clustered)
-// networks, where c_ij depends only on (cluster(i), cluster(j)), the
-// argmin over m servers collapses to an argmin over k clusters: keep
-// the best and second-best congestion score per cluster and each row's
-// oracle is O(k). The structure is verified against the latency matrix
-// before it is trusted (model.ClusterDelays), and the tie-breaking
-// mirrors the dense ascending-j scan exactly, so generic, clustered and
-// dense runs all produce bit-identical iterates.
+// This file is the Frank–Wolfe engine. Simplex vertices are coordinate
+// vectors e_j, so the iterate lives in sparse rows whose stored columns
+// are each row's active vertex set and whose values are the weights;
+// everything but the linear minimization oracle (LMO) costs O(nnz_i)
+// per row. Every iteration starts with one certificate pass — loads
+// from scratch, every loaded row's LMO vertex, the exact duality gap —
+// and then one of three step rules moves the iterate: classic's global
+// step toward the LMO vertices (below), or the away/pairwise
+// Gauss–Seidel sweep (frankwolfe_active.go).
 
 // SparseResult reports a sparse Frank–Wolfe run. Rho stays in sparse
 // form so callers working at scale never pay the O(m²) densification;
@@ -59,65 +52,109 @@ func (r *SparseResult) Dense() *Result {
 	}
 }
 
-// clusterLMO answers per-row linear minimization queries in O(k) by
-// maintaining, per cluster, the two servers with the smallest
-// congestion score base_j = l_j/s_j (two, so that excluding the querying
-// server itself still leaves the cluster's best candidate).
-type clusterLMO struct {
-	labels []int
-	delay  [][]float64
-	base   []float64 // base[j] = loads[j]/s_j, refreshed each iteration
-	min1   []int32   // per-cluster argmin of base (−1: empty cluster)
-	min2   []int32   // per-cluster second argmin (−1: singleton)
+// metroLMO answers the LMO argmin_j l_j/s_j + c_ij in O(k) per row on
+// block (metro) networks, where c_ij depends only on the cluster pair:
+// per cluster it keeps the two servers with the smallest congestion
+// score base_j = l_j/s_j (two, so that excluding the querying server
+// still leaves the cluster's best candidate). The structure is verified
+// against the latency matrix first (model.ClusterDelays). Under the
+// sweep's incremental load updates, a change that can affect a
+// cluster's two smallest scores marks it dirty, and the next query
+// rescans its members in ascending order — the lowest-index-wins
+// tie-breaking of the dense ascending scan, which generic, clustered
+// and dense runs share bit for bit, short of the collapsed ties best
+// describes.
+type metroLMO struct {
+	labels  []int
+	delay   [][]float64
+	members [][]int32 // per-cluster server indices, ascending
+	min1    []int32   // per-cluster argmin of base (−1: empty)
+	min2    []int32   // per-cluster second argmin (−1: singleton)
+	dirty   []bool
 }
 
-func newClusterLMO(in *model.Instance) *clusterLMO {
+func newMetroLMO(in *model.Instance) *metroLMO {
 	delay, ok := model.ClusterDelays(in)
 	if !ok {
 		return nil
 	}
-	return &clusterLMO{
-		labels: in.Cluster,
-		delay:  delay,
-		base:   make([]float64, in.M()),
-		min1:   make([]int32, len(delay)),
-		min2:   make([]int32, len(delay)),
+	k := len(delay)
+	lmo := &metroLMO{
+		labels:  in.Cluster,
+		delay:   delay,
+		members: make([][]int32, k),
+		min1:    make([]int32, k),
+		min2:    make([]int32, k),
+		dirty:   make([]bool, k),
+	}
+	for j, g := range in.Cluster {
+		lmo.members[g] = append(lmo.members[g], int32(j))
+	}
+	return lmo
+}
+
+// prepareAll rebuilds every cluster's minima from the given base scores.
+func (c *metroLMO) prepareAll(base []float64) {
+	for g := range c.min1 {
+		c.rescan(g, base)
 	}
 }
 
-// prepare refreshes the per-cluster minima for the current loads.
-// Scanning j in ascending order with strict comparisons makes min1/min2
-// the lowest-index servers among ties — the same preference the dense
-// ascending scan encodes.
-func (c *clusterLMO) prepare(in *model.Instance, loads []float64) {
-	for j := range c.base {
-		c.base[j] = loads[j] / in.Speed[j]
-	}
-	for g := range c.min1 {
-		c.min1[g], c.min2[g] = -1, -1
-	}
-	for j, g := range c.labels {
+// rescan rebuilds cluster g's minima. Scanning members in ascending
+// order with strict comparisons makes min1/min2 the lowest-index servers
+// among ties — the same preference the dense ascending scan encodes.
+func (c *metroLMO) rescan(g int, base []float64) {
+	m1, m2 := int32(-1), int32(-1)
+	for _, j := range c.members[g] {
 		switch {
-		case c.min1[g] < 0 || c.base[j] < c.base[c.min1[g]]:
-			c.min2[g] = c.min1[g]
-			c.min1[g] = int32(j)
-		case c.min2[g] < 0 || c.base[j] < c.base[c.min2[g]]:
-			c.min2[g] = int32(j)
+		case m1 < 0 || base[j] < base[m1]:
+			m2, m1 = m1, j
+		case m2 < 0 || base[j] < base[m2]:
+			m2 = j
 		}
 	}
+	c.min1[g], c.min2[g], c.dirty[g] = m1, m2, false
 }
 
-// best returns row i's oracle vertex and its score. The dense scan's
-// winner is always among {i} ∪ {per-cluster best candidate ≠ i}: within
-// a cluster all servers share the same c_ij, so the first-index global
-// minimizer has the cluster-minimal base. Ties keep the incumbent i
-// (the dense scan requires a strict improvement) and otherwise prefer
-// the smaller index (the dense scan meets it first).
-func (c *clusterLMO) best(i int) (int, float64) {
-	gi := c.labels[i]
-	bestJ, bestScore := i, c.base[i]
-	drow := c.delay[gi]
+// touch records that base[j] changed from old: the cluster is marked
+// dirty whenever the change could perturb its two smallest scores.
+func (c *metroLMO) touch(j int, old, now float64, base []float64) {
+	g := c.labels[j]
+	if c.dirty[g] {
+		return
+	}
+	jj := int32(j)
+	if jj == c.min1[g] || jj == c.min2[g] {
+		switch {
+		case now > old:
+			c.dirty[g] = true // a tracked minimum got worse
+		case jj == c.min2[g] && (c.min1[g] < 0 || now <= base[c.min1[g]]):
+			// min2 improved past (or onto) min1: the pair's order — which
+			// best() relies on to pick the cluster's candidate — is stale.
+			c.dirty[g] = true
+		}
+		return
+	}
+	if now < old && (c.min2[g] < 0 || now <= base[c.min2[g]]) {
+		c.dirty[g] = true // an untracked member may now beat the minima
+	}
+}
+
+// best returns row i's LMO vertex and score under the current base,
+// rescanning dirty clusters on the way. The dense scan's winner is
+// always among {i} ∪ {per-cluster best candidate ≠ i}: within a cluster
+// all servers share the same c_ij, so the first-index global minimizer
+// has the cluster-minimal base (up to the rounding collapse noted
+// below). Ties keep the incumbent i (the dense
+// scan requires a strict improvement) and otherwise prefer the smaller
+// index (the dense scan meets it first).
+func (c *metroLMO) best(i int, base []float64) (int, float64) {
+	bestJ, bestScore := i, base[i]
+	drow := c.delay[c.labels[i]]
 	for h := range drow {
+		if c.dirty[h] {
+			c.rescan(h, base)
+		}
 		j := c.min1[h]
 		if int(j) == i {
 			j = c.min2[h]
@@ -125,11 +162,13 @@ func (c *clusterLMO) best(i int) (int, float64) {
 		if j < 0 {
 			continue
 		}
-		score := c.base[j] + drow[h]
-		// Rounding can collapse two distinct bases onto one score when the
-		// block delay dominates; the dense ascending scan keeps the lower
-		// index among such ties, so check the second candidate too.
-		if j2 := c.min2[h]; j2 >= 0 && int(j2) != i && j2 < j && c.base[j2]+drow[h] == score {
+		score := base[j] + drow[h]
+		// Adding the same block delay can collapse two distinct bases onto
+		// one score; the dense ascending scan then keeps the lower index,
+		// so check the cluster's second candidate for an index-improving
+		// exact tie. A third server collapsing onto the score goes
+		// unseen, and the dense scan may then pick another of them.
+		if j2 := c.min2[h]; j2 >= 0 && int(j2) != i && j2 < j && base[j2]+drow[h] == score {
 			j = j2
 		}
 		if score < bestScore || (score == bestScore && bestJ != i && int(j) < bestJ) {
@@ -137,6 +176,145 @@ func (c *clusterLMO) best(i int) (int, float64) {
 		}
 	}
 	return bestJ, bestScore
+}
+
+// fwState is the mutable solve state the certificate pass and the step
+// rules share.
+type fwState struct {
+	in    *model.Instance
+	rho   *sparse.Matrix
+	loads []float64 // l_j: exact after certify, incremental during a sweep
+	base  []float64 // l_j / s_j, kept in lockstep with loads
+	lmo   *metroLMO
+	buf   []float64 // latency-row scratch for the generic oracle
+
+	// Classic only: each loaded row's LMO vertex from the last
+	// certificate pass, and the load Σ n_i those vertices would receive.
+	best     []int
+	incoming []float64
+
+	// Telemetry tallies, folded into the solve's instruments once per
+	// iteration; nothing reads them back.
+	oracleCalls int64
+	drops       int64
+}
+
+// rowScores scans row i's active set under the current base: the
+// current score cur = ⟨ρ_i, ∇_i⟩/n_i and the away vertex (position in
+// the support, score) — the argmax over active vertices, first-wins on
+// ties like every ascending scan in this package.
+func (st *fwState) rowScores(i int, lat []float64) (cur, aScore float64, aPos int) {
+	idx, val := st.rho.Idx[i], st.rho.Val[i]
+	aPos = -1
+	if st.lmo != nil {
+		drow := st.lmo.delay[st.lmo.labels[i]]
+		for t, j := range idx {
+			score := st.base[j]
+			if int(j) != i {
+				score += drow[st.lmo.labels[j]]
+			}
+			cur += val[t] * score
+			if aPos < 0 || score > aScore {
+				aPos, aScore = t, score
+			}
+		}
+		return cur, aScore, aPos
+	}
+	for t, j := range idx {
+		score := st.base[j] + lat[j]
+		cur += val[t] * score
+		if aPos < 0 || score > aScore {
+			aPos, aScore = t, score
+		}
+	}
+	return cur, aScore, aPos
+}
+
+// oracle returns row i's LMO vertex under the current base.
+func (st *fwState) oracle(i int, lat []float64) (int, float64) {
+	st.oracleCalls++
+	if st.lmo != nil {
+		return st.lmo.best(i, st.base)
+	}
+	bestJ, bestScore := i, st.base[i] // c_ii = 0
+	for j := range st.base {
+		if score := st.base[j] + lat[j]; score < bestScore {
+			bestScore, bestJ = score, j
+		}
+	}
+	return bestJ, bestScore
+}
+
+// latRow materializes row i's latency row for the generic path (nil on
+// clustered instances, where the block table is used directly).
+func (st *fwState) latRow(i int) []float64 {
+	if st.lmo != nil {
+		return nil
+	}
+	return model.RowView(st.in.Latency, i, st.buf)
+}
+
+// certify is the certificate pass: exact loads, a fresh oracle and the
+// exact duality gap Σ_i n_i (⟨ρ_i, ∇_i⟩ − min_j ∇_ij), untouched by
+// whatever the previous step did. For classic it also records each
+// loaded row's LMO vertex in best.
+func (st *fwState) certify() (gap float64) {
+	in := st.in
+	LoadsSparse(in, st.rho, st.loads)
+	for j := range st.base {
+		st.base[j] = st.loads[j] / in.Speed[j]
+	}
+	if st.lmo != nil {
+		st.lmo.prepareAll(st.base)
+	}
+	for i, ni := range in.Load {
+		if ni == 0 {
+			continue
+		}
+		lat := st.latRow(i)
+		cur, _, _ := st.rowScores(i, lat)
+		s, sScore := st.oracle(i, lat)
+		if st.best != nil {
+			st.best[i] = s
+		}
+		gap += ni * (cur - sScore)
+	}
+	return gap
+}
+
+// globalStep is classic Frank–Wolfe's step: every loaded row blends
+// toward its LMO vertex by one shared ratio t, ρ_i ← (1−t)ρ_i + t·e_best.
+// Exact line search along d = v − ρ: with u_j = Σ_i n_i d_ij,
+// φ′(0) = −gap and φ″ = Σ_j u_j²/s_j, so t = min(1, gap/φ″). It reports
+// false when no step descends (t ≤ 0).
+func (st *fwState) globalStep(gap float64) bool {
+	in := st.in
+	for j := range st.incoming {
+		st.incoming[j] = 0
+	}
+	for i, ni := range in.Load {
+		if ni != 0 {
+			st.incoming[st.best[i]] += ni
+		}
+	}
+	var curvature float64
+	for j, l := range st.loads {
+		u := st.incoming[j] - l
+		curvature += u * u / in.Speed[j]
+	}
+	t := 1.0
+	if curvature > 0 {
+		t = math.Min(1, gap/curvature)
+	}
+	if t <= 0 {
+		return false
+	}
+	for i, ni := range in.Load {
+		if ni != 0 {
+			st.rho.ScaleRowAdd(i, 1-t, st.best[i], t)
+		}
+	}
+	return true
 }
 
 // SolveFrankWolfeSparse minimizes ΣC_i over the product of
@@ -147,17 +325,15 @@ func (c *clusterLMO) best(i int) (int, float64) {
 //
 // so the returned Gap certifies how far the final cost can be from the
 // optimum. The run stops when gap ≤ Tol·max(1, cost).
-// Options.Variant selects the step rule; VariantAway and VariantPairwise
-// use the active-vertex-set engine (see frankwolfe_active.go).
+// Options.Variant selects the step rule: VariantClassic takes one
+// global step per iteration, VariantAway and VariantPairwise sweep the
+// rows over their active vertex sets (see frankwolfe_active.go).
 //
 // The iterate is sparse rows: O(nnz + m) memory and, per iteration,
 // O(nnz + m·k) work on verified clustered networks or O(nnz + m²) with
 // the generic oracle. Classic iterates match the dense reference in
 // frankwolfe_sparse_test.go bit for bit.
 func SolveFrankWolfeSparse(in *model.Instance, opt Options) *SparseResult {
-	if opt.Variant != VariantClassic {
-		return solveFrankWolfeActive(in, opt)
-	}
 	opt = opt.withDefaults()
 	m := in.M()
 	var rho *sparse.Matrix
@@ -169,120 +345,62 @@ func SolveFrankWolfeSparse(in *model.Instance, opt Options) *SparseResult {
 	default:
 		rho = sparse.Identity(m)
 	}
-	loads := make([]float64, m)
-	incoming := make([]float64, m)
-	best := make([]int, m)
-	lmo := newClusterLMO(in)
-	var rowBuf []float64
-	if lmo == nil {
-		rowBuf = latRowBuf(in) // the generic oracle scans whole rows
+	// The invariant "stored entries are exactly the active set" starts
+	// here: warm starts may carry explicit zeros from earlier dense
+	// round-trips; they are not active vertices.
+	rho.Prune(0)
+
+	st := &fwState{
+		in:    in,
+		rho:   rho,
+		loads: make([]float64, m),
+		base:  make([]float64, m),
+		lmo:   newMetroLMO(in),
 	}
-	sobs := newSolveObs(opt.Obs, VariantClassic)
+	if st.lmo == nil {
+		st.buf = latRowBuf(in)
+	}
+	classic := opt.Variant == VariantClassic
+	if classic {
+		st.best, st.incoming = make([]int, m), make([]float64, m)
+	}
+	sobs := newSolveObs(opt.Obs, opt.Variant)
 	span := opt.Obs.Start("qp.solve")
 
-	res := &SparseResult{ClusteredLMO: lmo != nil}
+	res := &SparseResult{ClusteredLMO: st.lmo != nil}
 	for it := 1; it <= opt.MaxIters; it++ {
 		if model.Canceled(opt.Ctx) {
 			break
 		}
-		LoadsSparse(in, rho, loads)
-		if lmo != nil {
-			lmo.prepare(in, loads)
-		}
-
-		var gap float64
-		var oracleCalls int64
-		for j := range incoming {
-			incoming[j] = 0
-		}
-		for i := 0; i < m; i++ {
-			ni := in.Load[i]
-			bestJ, bestScore := i, loads[i]/in.Speed[i]
-			if ni == 0 {
-				best[i] = bestJ
-				continue
-			}
-			var cur float64
-			idx, val := rho.Idx[i], rho.Val[i]
-			if lmo != nil {
-				// O(nnz_i) current-score sum straight off the verified
-				// block table (c_ij = D[g_i][g_j], 0 on the diagonal),
-				// then the O(k) clustered oracle — no row
-				// materialization, no per-entry interface call.
-				drow := lmo.delay[lmo.labels[i]]
-				for t, j := range idx {
-					if f := val[t]; f > 0 {
-						var cij float64
-						if int(j) != i {
-							cij = drow[lmo.labels[j]]
-						}
-						cur += f * (loads[j]/in.Speed[j] + cij)
-					}
-				}
-				bestJ, bestScore = lmo.best(i)
-				oracleCalls++
-			} else {
-				lat := model.RowView(in.Latency, i, rowBuf)
-				for t, j := range idx {
-					if f := val[t]; f > 0 {
-						cur += f * (loads[j]/in.Speed[j] + lat[j])
-					}
-				}
-				for j := 0; j < m; j++ {
-					score := loads[j]/in.Speed[j] + lat[j]
-					if score < bestScore {
-						bestScore, bestJ = score, j
-					}
-				}
-				oracleCalls++
-			}
-			best[i] = bestJ
-			incoming[bestJ] += ni
-			gap += ni * (cur - bestScore)
-		}
-
+		gap := st.certify()
 		cost := ObjectiveSparse(in, rho)
-		res.Iters = it
-		res.Gap = gap
-		sobs.sweep(gap, cost, oracleCalls, rho)
+		res.Iters, res.Gap = it, gap
+		sobs.sweep(gap, cost, st.oracleCalls, rho)
+		sobs.dropSteps.Add(st.drops)
+		st.oracleCalls, st.drops = 0, 0
 		if opt.TraceGaps {
 			res.Gaps = append(res.Gaps, gap)
 		}
-		if gap <= opt.Tol*math.Max(1, cost) {
+		if gap <= opt.Tol*math.Max(1, cost) || (opt.OnIteration != nil && !opt.OnIteration(it, cost)) {
 			res.Converged = true
 			break
 		}
-		if opt.OnIteration != nil && !opt.OnIteration(it, cost) {
+		if !classic {
+			st.sweep(opt.Variant == VariantPairwise)
+		} else if !st.globalStep(gap) {
 			res.Converged = true
 			break
-		}
-
-		var curvature float64
-		for j := 0; j < m; j++ {
-			u := incoming[j] - loads[j]
-			curvature += u * u / in.Speed[j]
-		}
-		t := 1.0
-		if curvature > 0 {
-			t = math.Min(1, gap/curvature)
-		}
-		if t <= 0 {
-			res.Converged = true
-			break
-		}
-		for i := 0; i < m; i++ {
-			if in.Load[i] == 0 {
-				continue
-			}
-			rho.ScaleRowAdd(i, 1-t, best[i], t)
 		}
 	}
-	// A t=1 line-search step zeroes previous vertices in place; drop
-	// those stored zeros so NNZ reports true nonzeros. Exact zeros
-	// contribute nothing to any sum, so the cost is unaffected.
+	// A classic t=1 step zeroes previous vertices in place; drop them so
+	// NNZ counts true nonzeros (exact zeros leave every sum unchanged).
 	rho.Prune(0)
 	res.Rho = rho
 	res.Cost = ObjectiveSparse(in, rho)
+	// Fold the tail sweep's tallies (a MaxIters exit breaks before the
+	// next certificate pass would have folded them).
+	sobs.lmoCalls.Add(st.oracleCalls)
+	sobs.dropSteps.Add(st.drops)
 	span.With(obs.Int("iters", int64(res.Iters))).
 		With(obs.Float("gap", res.Gap)).
 		With(obs.Float("cost", res.Cost)).

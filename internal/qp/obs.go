@@ -13,7 +13,7 @@ import (
 // telemetry: nothing flows back into the iterates, so instrumented and
 // uninstrumented runs are bit-identical.
 type solveObs struct {
-	sweeps    *obs.Counter   // qp_sweeps_total: certificate passes / classic iterations
+	sweeps    *obs.Counter   // qp_sweeps_total: certificate passes (iterations)
 	lmoCalls  *obs.Counter   // qp_lmo_calls_total: per-row oracle invocations
 	dropSteps *obs.Counter   // qp_drop_steps_total: away/pairwise vertices dropped
 	gapHist   *obs.Histogram // qp_sweep_gap: per-sweep duality gap distribution
@@ -44,16 +44,16 @@ func newSolveObs(sc *obs.Scope, variant Variant) solveObs {
 }
 
 // sweep records one certificate pass: the measured gap and cost, the
-// row-oracle calls it spent, and the iterate's active-set size. The nnz
-// scan is gated so the disabled path stays O(1) per sweep; the dense
-// solver passes a nil rho (no sparse iterate to size).
+// row-oracle calls spent since the last fold, and the iterate's
+// active-set size. The nnz scan is gated so the disabled path stays
+// O(1) per sweep.
 func (o solveObs) sweep(gap, cost float64, lmoCalls int64, rho *sparse.Matrix) {
 	o.sweeps.Inc()
 	o.lmoCalls.Add(lmoCalls)
 	o.gapHist.Observe(gap)
 	o.gap.Set(gap)
 	o.cost.Set(cost)
-	if o.nnz != nil && rho != nil {
+	if o.nnz != nil {
 		o.nnz.Set(float64(rho.NNZ()))
 	}
 }

@@ -1,11 +1,13 @@
 package qp
 
 import (
+	"fmt"
 	"math/rand"
 	"os"
 	"testing"
 	"time"
 
+	"delaylb/internal/model"
 	"delaylb/obs"
 )
 
@@ -30,6 +32,49 @@ func TestDisabledSolveObsZeroAlloc(t *testing.T) {
 		})
 		if allocs != 0 {
 			t.Errorf("%v: disabled solve instrumentation allocated %.1f per sweep, want 0", v, allocs)
+		}
+	}
+}
+
+// TestSolveObsCounters pins the per-variant counters the repository
+// benchmark reads (qp.sweeps, qp.lmo_calls_per_sweep, qp.drop_steps):
+// one sweep per iteration; for classic, one oracle call per loaded row
+// per iteration and no drop steps; for away and pairwise, at least that
+// many oracle calls. Runs end both by tolerance and by MaxIters, on the
+// metro and the generic oracle, with some zero-load rows.
+func TestSolveObsCounters(t *testing.T) {
+	clustered := clusteredInstance(t, 60, 5, 7)
+	generic := randomInstance(t, 25, 11)
+	for _, in := range []*model.Instance{clustered, generic} {
+		in.Load[3], in.Load[8] = 0, 0
+	}
+	for _, in := range []*model.Instance{clustered, generic} {
+		var loaded int64
+		for _, n := range in.Load {
+			if n != 0 {
+				loaded++
+			}
+		}
+		for _, v := range []Variant{VariantClassic, VariantAway, VariantPairwise} {
+			for _, opt := range []Options{{Tol: 1e-6, MaxIters: 500}, {Tol: 1e-12, MaxIters: 7}} {
+				reg := obs.NewRegistry()
+				opt.Variant, opt.Obs = v, obs.NewScope(reg, nil)
+				res := SolveFrankWolfeSparse(in, opt)
+				label := fmt.Sprintf("%v m=%d maxIters=%d", v, in.M(), opt.MaxIters)
+				sweeps := reg.Counter("qp_sweeps_total", "variant", v.String()).Value()
+				calls := reg.Counter("qp_lmo_calls_total", "variant", v.String()).Value()
+				drops := reg.Counter("qp_drop_steps_total", "variant", v.String()).Value()
+				if sweeps != int64(res.Iters) {
+					t.Errorf("%s: qp_sweeps_total %d, Iters %d", label, sweeps, res.Iters)
+				}
+				perIter := loaded * int64(res.Iters)
+				switch {
+				case v == VariantClassic && (calls != perIter || drops != 0):
+					t.Errorf("%s: lmo calls %d, drops %d; want %d and 0", label, calls, drops, perIter)
+				case v != VariantClassic && calls < perIter:
+					t.Errorf("%s: lmo calls %d below loaded rows × Iters = %d", label, calls, perIter)
+				}
+			}
 		}
 	}
 }

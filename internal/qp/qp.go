@@ -189,9 +189,8 @@ type Options struct {
 	Initial [][]float64
 	// InitialSparse, if non-nil, is the starting ρ in sparse form
 	// (copied, not mutated); it takes precedence over Initial in
-	// SolveFrankWolfeSparse and in the away/pairwise Frank–Wolfe
-	// variants (whose engine is sparse even behind the dense façade),
-	// and is ignored by the other dense solvers.
+	// SolveFrankWolfeSparse, for every variant, and is ignored by
+	// SolveProjectedGradient.
 	InitialSparse *sparse.Matrix
 	// Variant selects the Frank–Wolfe step rule (classic, away-step or
 	// pairwise). Ignored by SolveProjectedGradient.

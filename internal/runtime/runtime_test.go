@@ -21,11 +21,31 @@ func testInstance(seed int64, m int) *model.Instance {
 	return in
 }
 
+// newIdentityBus starts a bus at the identity allocation.
+func newIdentityBus(in *model.Instance, minGain float64, seed int64) *SimBus {
+	return NewSimBusFromAllocation(in, model.Identity(in), minGain, seed)
+}
+
+// tickUntilStable ticks bus until a round improves ΣC_i by at most
+// relTol relative, or maxRounds rounds have run — the improvement rule
+// of delaylb's SimulateDistributed.
+func tickUntilStable(bus *SimBus, in *model.Instance, maxRounds int, relTol float64) {
+	prev := bus.Cost(in)
+	for r := 1; r <= maxRounds; r++ {
+		bus.Tick()
+		cur := bus.Cost(in)
+		if prev-cur <= relTol*prev {
+			return
+		}
+		prev = cur
+	}
+}
+
 func TestSimBusConvergesNearOptimum(t *testing.T) {
 	in := testInstance(1, 20)
 	ref := core.ReferenceOptimum(in, rand.New(rand.NewSource(2)))
-	bus := NewSimBus(in, 1e-6*ref, 3)
-	bus.Run(in, 60, 1e-9)
+	bus := newIdentityBus(in, 1e-6*ref, 3)
+	tickUntilStable(bus, in, 60, 1e-9)
 	got := bus.Cost(in)
 	if rel := (got - ref) / ref; rel > 0.05 {
 		t.Errorf("distributed runtime stalled %.2f%% above optimum", 100*rel)
@@ -37,7 +57,7 @@ func TestSimBusConvergesNearOptimum(t *testing.T) {
 
 func TestSimBusCostMonotoneOverRounds(t *testing.T) {
 	in := testInstance(4, 15)
-	bus := NewSimBus(in, 1e-3, 5)
+	bus := newIdentityBus(in, 1e-3, 5)
 	prev := bus.Cost(in)
 	for r := 0; r < 20; r++ {
 		bus.Tick()
@@ -51,8 +71,8 @@ func TestSimBusCostMonotoneOverRounds(t *testing.T) {
 
 func TestSimBusDeterministic(t *testing.T) {
 	in := testInstance(6, 12)
-	a := NewSimBus(in, 1e-3, 7)
-	b := NewSimBus(in, 1e-3, 7)
+	a := newIdentityBus(in, 1e-3, 7)
+	b := newIdentityBus(in, 1e-3, 7)
 	for r := 0; r < 10; r++ {
 		a.Tick()
 		b.Tick()
@@ -67,8 +87,8 @@ func TestSimBusDeterministic(t *testing.T) {
 
 func TestSimBusMassConservation(t *testing.T) {
 	in := testInstance(8, 15)
-	bus := NewSimBus(in, 1e-6, 9)
-	bus.Run(in, 30, 1e-9)
+	bus := newIdentityBus(in, 1e-6, 9)
+	tickUntilStable(bus, in, 30, 1e-9)
 	a := bus.Allocation()
 	for i := 0; i < in.M(); i++ {
 		var sum float64
@@ -89,7 +109,7 @@ func TestSimBusMessageBudget(t *testing.T) {
 	// in few rounds.
 	in := testInstance(10, 30)
 	ref := core.ReferenceOptimum(in, rand.New(rand.NewSource(11)))
-	bus := NewSimBus(in, 1e-6*ref, 12)
+	bus := newIdentityBus(in, 1e-6*ref, 12)
 	rounds := 0
 	for r := 0; r < 40; r++ {
 		bus.Tick()
@@ -109,7 +129,7 @@ func TestSimBusMessageBudget(t *testing.T) {
 
 func TestGossipSpreadsThroughTicks(t *testing.T) {
 	in := testInstance(13, 10)
-	bus := NewSimBus(in, math.Inf(1), 14) // gain threshold Inf: gossip only
+	bus := newIdentityBus(in, math.Inf(1), 14) // gain threshold Inf: gossip only
 	for r := 0; r < 30; r++ {
 		bus.Tick()
 	}

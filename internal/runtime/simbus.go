@@ -21,17 +21,9 @@ type SimBus struct {
 	Delivered int
 }
 
-// NewSimBus builds the node set from an instance, starting at the
-// identity allocation. minGain is the improvement threshold for
-// proposals (e.g. 1e-6 of the initial cost).
-func NewSimBus(in *model.Instance, minGain float64, seed int64) *SimBus {
-	return NewSimBusFromAllocation(in, model.Identity(in), minGain, seed)
-}
-
-// NewSimBusFromAllocation builds the node set starting from an arbitrary
-// feasible allocation: server i's initial column is a's column i. Used by
-// sessions to resume the protocol from a previously balanced state
-// instead of re-converging from scratch.
+// NewSimBusFromAllocation builds the node set starting from a feasible
+// allocation: server i's initial column is a's column i. minGain is the
+// improvement threshold for proposals (e.g. 1e-6 of the initial cost).
 func NewSimBusFromAllocation(in *model.Instance, a *model.Allocation, minGain float64, seed int64) *SimBus {
 	m := in.M()
 	rng := rand.New(rand.NewSource(seed))
@@ -89,24 +81,4 @@ func (b *SimBus) Allocation() *model.Allocation {
 // knows this quantity).
 func (b *SimBus) Cost(in *model.Instance) float64 {
 	return model.TotalCost(in, b.Allocation())
-}
-
-// Run ticks until a round improves ΣC_i by at most relTol relative, or
-// maxRounds rounds have run. It returns the rounds run and whether the
-// improvement rule stopped the run; with maxRounds < 1 it runs nothing
-// and returns (0, false).
-func (b *SimBus) Run(in *model.Instance, maxRounds int, relTol float64) (rounds int, converged bool) {
-	if maxRounds < 1 {
-		return 0, false
-	}
-	prev := b.Cost(in)
-	for r := 1; r <= maxRounds; r++ {
-		b.Tick()
-		cur := b.Cost(in)
-		if prev-cur <= relTol*prev {
-			return r, true
-		}
-		prev = cur
-	}
-	return maxRounds, false
 }

@@ -46,7 +46,7 @@ func TestSparseWireMatchesDenseProtocol(t *testing.T) {
 		goldenDelivered = 682
 	)
 	in := testInstance(31, 12)
-	bus := NewSimBus(in, 1e-6, 32)
+	bus := newIdentityBus(in, 1e-6, 32)
 	for r := 0; r < 12; r++ {
 		bus.Tick()
 	}
@@ -68,8 +68,8 @@ func TestSparseWireMatchesDenseProtocol(t *testing.T) {
 // than the fleet size.
 func TestProposalsStaySparse(t *testing.T) {
 	in := testInstance(33, 40)
-	bus := NewSimBus(in, 1e-6, 34)
-	bus.Run(in, 40, 1e-9)
+	bus := newIdentityBus(in, 1e-6, 34)
+	tickUntilStable(bus, in, 40, 1e-9)
 	maxNNZ, total := 0, 0
 	for _, s := range bus.Servers {
 		n := len(s.col.Idx)

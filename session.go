@@ -9,7 +9,6 @@ import (
 
 	"delaylb/internal/dynamic"
 	"delaylb/internal/model"
-	"delaylb/internal/runtime"
 	"delaylb/internal/sparse"
 	"delaylb/obs"
 )
@@ -375,6 +374,10 @@ func (s *Session) boundLocked() {
 func (s *Session) Reoptimize(ctx context.Context, opts ...Option) (*Result, error) {
 	s.mu.Lock()
 	o := buildOptions(append(append([]Option(nil), s.base...), opts...))
+	if err := o.checkTolerance(); err != nil {
+		s.mu.Unlock()
+		return nil, err
+	}
 	s.settleLocked()
 	in, alloc, epoch := s.in, s.alloc, s.epoch
 	s.mu.Unlock()
@@ -433,14 +436,15 @@ func (s *Session) adoptLocked(in *model.Instance, res *Result) {
 
 // RunCluster runs the message-passing runtime (gossip + pairwise balance
 // proposals, the protocol of SimulateDistributed) for the given number of
-// tick rounds on the same deterministic bus, starting from the session's
+// tick rounds on a deterministic bus, starting from the session's
 // current allocation. After each round onRound, if non-nil, is invoked
 // with the round number and current ΣC_i; returning false stops early
 // (Reason "callback"). The reached allocation is adopted into the
 // session unless an update landed mid-run. Per-round costs are
-// reproducible for a fixed seed. From a fresh session, k rounds reach
-// the allocation SimulateDistributed(k) reaches with the same seed,
-// unless its improvement rule stops it before round k.
+// reproducible for a fixed seed. SimulateDistributed runs the same tick
+// loop with its improvement rule as the round callback, so from a fresh
+// session k rounds reach the allocation SimulateDistributed(k) reaches
+// with the same seed, unless that rule stops it before round k.
 //
 // The session lock is not held while the runtime runs; see Reoptimize.
 // Every runtime server keeps an m-length latency row and gossip table,
@@ -455,23 +459,10 @@ func (s *Session) RunCluster(ctx context.Context, rounds int, onRound func(round
 	s.settleLocked()
 	in, start, epoch := s.in, &model.Allocation{R: s.alloc.Dense()}, s.epoch
 	s.mu.Unlock()
-	bus := runtime.NewSimBusFromAllocation(in, start, runtimeMinGain(in), o.Seed)
-	done := 0
-	stopped := false
-	for r := 1; r <= rounds; r++ {
-		if ctx.Err() != nil {
-			break
-		}
-		bus.Tick()
-		done = r
-		if onRound != nil && !onRound(r, bus.Cost(in)) {
-			stopped = true
-			break
-		}
-	}
+	alloc, done, stopped, _ := runRuntime(ctx, in, start, o.Seed, rounds, onRound)
 	// The session adopts the result's sparse rows, which nothing mutates;
 	// the dense matrix the bus reached is only the result's Requests view.
-	res := resultFromAllocation(in, bus.Allocation())
+	res := resultFromAllocation(in, alloc)
 	s.mu.Lock()
 	if s.epoch == epoch {
 		s.alloc = res.req
