@@ -247,7 +247,16 @@ func AllocationDistance(a, b *Result) float64 {
 // matrix's nonzeros and keeps the matrix itself, uncopied, as its
 // Requests view. Iteration/convergence metadata is the caller's to fill
 // in.
+//
+// The matrix must be a feasible plan: every entry finite and at least
+// −tol_i, and every row summing to its organization's load n_i within
+// tol_i = 1e-6·max(1, n_i), the tolerance the built-in solvers are held
+// to. Otherwise, and for a nil system, NewResult returns an error
+// naming the first offending row.
 func NewResult(sys *System, requests [][]float64) (*Result, error) {
+	if sys == nil || sys.in == nil {
+		return nil, errors.New("delaylb: NewResult needs a System, got nil")
+	}
 	m := sys.in.M()
 	if len(requests) != m {
 		return nil, fmt.Errorf("delaylb: NewResult got %d rows, want %d", len(requests), m)
@@ -255,6 +264,18 @@ func NewResult(sys *System, requests [][]float64) (*Result, error) {
 	for i, row := range requests {
 		if len(row) != m {
 			return nil, fmt.Errorf("delaylb: NewResult row %d has %d entries, want %d", i, len(row), m)
+		}
+		n := sys.in.Load[i]
+		tol := 1e-6 * math.Max(1, n)
+		var sum float64
+		for j, v := range row {
+			if math.IsNaN(v) || math.IsInf(v, 0) || v < -tol {
+				return nil, fmt.Errorf("delaylb: NewResult row %d entry %d is %v, want finite and at least %v", i, j, v, -tol)
+			}
+			sum += v
+		}
+		if !(math.Abs(sum-n) <= tol) {
+			return nil, fmt.Errorf("delaylb: NewResult row %d sums to %v, want its load %v within %v", i, sum, n, tol)
 		}
 	}
 	return resultFromAllocation(sys.in, &model.Allocation{R: requests}), nil
@@ -381,11 +402,16 @@ func WithProgress(fn func(iteration int, cost float64) bool) Option {
 // Deprecated: drop the call; results are identical without it.
 func WithSparse() Option { return func(*options) {} }
 
-// WithObs attaches an observability scope to the solve: the QP solvers
+// WithObs attaches an observability scope to the solve. The QP solvers
 // report per-sweep duality gap, oracle-call and drop-step counts, and a
-// "qp.solve" span into it. Telemetry is one-way — results and iteration
-// trajectories are bit-identical with or without a scope, and the nil
-// default (no WithObs) costs zero allocations on the solve hot paths.
+// "qp.solve" span into it. The MinE solvers (mine, hybrid, proxy)
+// record one "core.solve" span carrying iters, reason (the index of the
+// stop reason in stable, target, max-iters, callback, canceled), cost,
+// nnz, searches (metro-index partner searches run) and search_nodes
+// (tree nodes those searches visited). Telemetry is one-way — results
+// and iteration trajectories are bit-identical with or without a scope,
+// and the nil default (no WithObs) costs zero allocations on the solve
+// hot paths.
 func WithObs(sc *obs.Scope) Option { return func(o *options) { o.Obs = sc } }
 
 // WithWarmStart starts the solve from the given requests matrix instead

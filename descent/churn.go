@@ -94,9 +94,6 @@ func (p *Plane) Join(speed, load float64, latTo, latFrom []float64, cluster int)
 // their home servers. In-flight messages addressed to i are dropped
 // with the reshard.
 func (p *Plane) Leave(i int) error {
-	if i < 0 || i >= p.in.M() {
-		return fmt.Errorf("descent: Leave(%d) out of range, fleet has %d", i, p.in.M())
-	}
 	r := dynamic.NewResize(p.in.M())
 	if err := r.Leave(p.in, i); err != nil {
 		return err

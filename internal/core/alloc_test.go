@@ -57,12 +57,12 @@ func TestHybridPickAllocationBound(t *testing.T) {
 			}
 			m := in.M()
 			for id := 0; id < m; id++ { // warm-up: grow the scratch
-				s.pick(id)
+				s.pick(id, 0)
 			}
 			id := 0
 			if a := testing.AllocsPerRun(100, func() {
 				id = (id + 7) % m
-				s.pick(id)
+				s.pick(id, 0)
 			}); a != 0 {
 				t.Errorf("hybrid pick: %v allocations per call, want 0", a)
 			}

@@ -1,8 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 
 	"delaylb/internal/model"
 )
@@ -30,28 +31,48 @@ import (
 //
 // Each metro's leaves are ordered by descending speed, so a subtree spans
 // a narrow speed band and its bound pairs a speed close to every member's
-// own with the subtree's β extremes. In server-index order a high node
-// paired the metro's fastest speed with its lowest β, loose enough that
-// a proxy solve on the zipf scale scenarios (k = 8, 12, 8, 8) popped
-// 15 / 37 / 72 / 184 nodes per query at m = 500 / 1100 / 2000 / 5000,
-// linear in m. In speed order the same solves pop 14 / 27 / 33 / 52,
-// evaluating 1.2 / 1.8 / 2.4 / 3.4 leaves. Worst case (adversarially
-// tied instances) is still the full scan, exact either way.
+// own with the subtree's β extremes; in server-index order a high node
+// paired the metro's fastest speed with its lowest β, and the node count
+// per query grew linearly in m.
+//
+// A query computes each metro's thresholds once, slack included, and
+// pushes the metro roots whose bound passes, strongest on top. From a
+// popped node it walks down in place: at each internal node it bounds
+// both children (nodeUB, inlined), pushes the weaker if it passes and
+// steps into the stronger, and at the leaf scores ProxyGain from the
+// metro table and the state's loads. Best passes RunState's noise floor
+// minGain, so subtrees that can only yield picks RunState discards are
+// never entered. On the zipf scale scenarios (k = 8, 12, 8, 8; seeds
+// 1–5, whole cold proxy solves of 4 iterations) a query at
+// m = 500 / 1100 / 2000 / 5000 visits 6.0 / 18.8 / 11.6 / 16.6 nodes,
+// computes 18.4 / 46.6 / 28.9 / 38.3 bounds and scores 0.8 / 1.5 / 1.2 /
+// 1.4 leaves. The work sits in the first iteration from the identity,
+// where every server is far from balance: 17 / 54 / 34 / 49 nodes and
+// 38 / 112 / 70 / 99 bounds per query, 71–75% of a solve's nodes. Worst
+// case (adversarially tied instances) is still the full scan, exact
+// either way.
 
 // MetroIndex accelerates proxy/hybrid partner searches on block-backed
-// instances. It must be kept in sync with the state's load vector via
-// UpdateLoad; queries are exact with respect to the loads last pushed.
+// instances. It must be kept in sync with the state's load vector: Rebuild
+// keeps the slice it is given, and UpdateLoad reports each changed
+// entry; queries are exact with respect to those loads.
 type MetroIndex struct {
 	labels []int
 	delay  [][]float64
 	speed  []float64
+	loads  []float64 // the load vector last passed to Rebuild, read at the leaves
 	beta   []float64 // load/speed per server
 	trees  []*metroTree
 	pos    []int32 // server -> leaf slot in its metro's tree
 
-	stack []boundEntry      // scratch for the depth-first search
-	top   []scoredCandidate // the best candidates found by a search
-	heads []metroHead       // scratch for nearest-neighbour merges
+	metros []metroQuery      // one query's per-metro thresholds and delays
+	stack  []boundEntry      // scratch for the depth-first search
+	top    []scoredCandidate // the best candidates found by a search
+	heads  []metroHead       // scratch for nearest-neighbour merges
+
+	// searches counts the partner searches run and nodes the tree nodes
+	// they visited: telemetry only, never read by a search.
+	searches, nodes int64
 }
 
 // metroTree is an array-backed segment tree over one metro's members.
@@ -66,6 +87,12 @@ type metroTree struct {
 type metroNode struct {
 	maxS       float64 // max speed (static)
 	minB, maxB float64 // β extremes
+	noise      float64 // maxS·(minB² + maxB²), nodeUB's rounding-noise term
+}
+
+// newNode summarizes a subtree from its extremes, noise term included.
+func newNode(maxS, minB, maxB float64) metroNode {
+	return metroNode{maxS: maxS, minB: minB, maxB: maxB, noise: maxS * (minB*minB + maxB*maxB)}
 }
 
 // NewMetroIndex builds the index from the instance's block view and an
@@ -86,6 +113,7 @@ func NewMetroIndex(in *model.Instance) *MetroIndex {
 		beta:   make([]float64, m),
 		trees:  make([]*metroTree, k),
 		pos:    make([]int32, m),
+		metros: make([]metroQuery, k),
 	}
 	counts := make([]int, k)
 	for _, g := range b.Label {
@@ -106,8 +134,8 @@ func NewMetroIndex(in *model.Instance) *MetroIndex {
 			continue
 		}
 		t.n = len(t.members)
-		t.leaves = append([]int32(nil), t.members...)
-		sort.SliceStable(t.leaves, func(x, y int) bool { return in.Speed[t.leaves[x]] > in.Speed[t.leaves[y]] })
+		t.leaves = slices.Clone(t.members)
+		slices.SortStableFunc(t.leaves, func(x, y int32) int { return cmp.Compare(in.Speed[y], in.Speed[x]) })
 		for s, j := range t.leaves {
 			mi.pos[j] = int32(s)
 		}
@@ -116,8 +144,11 @@ func NewMetroIndex(in *model.Instance) *MetroIndex {
 	return mi
 }
 
-// Rebuild refreshes every β from the given loads (O(m)).
+// Rebuild refreshes every β from the given loads (O(m)) and keeps the
+// slice: the leaves read the loads from it, so the caller updates it in
+// place and reports every changed entry through UpdateLoad.
 func (mi *MetroIndex) Rebuild(loads []float64) {
+	mi.loads = loads
 	for j := range mi.beta {
 		mi.beta[j] = loads[j] / mi.speed[j]
 	}
@@ -126,7 +157,7 @@ func (mi *MetroIndex) Rebuild(loads []float64) {
 			continue
 		}
 		for s, j := range t.leaves {
-			t.nodes[t.n+s] = metroNode{maxS: mi.speed[j], minB: mi.beta[j], maxB: mi.beta[j]}
+			t.nodes[t.n+s] = newNode(mi.speed[j], mi.beta[j], mi.beta[j])
 		}
 		for v := t.n - 1; v >= 1; v-- {
 			t.pull(v)
@@ -139,7 +170,7 @@ func (mi *MetroIndex) UpdateLoad(j int, load float64) {
 	mi.beta[j] = load / mi.speed[j]
 	t := mi.trees[mi.labels[j]]
 	v := t.n + int(mi.pos[j])
-	t.nodes[v].minB, t.nodes[v].maxB = mi.beta[j], mi.beta[j]
+	t.nodes[v] = newNode(mi.speed[j], mi.beta[j], mi.beta[j])
 	for v >>= 1; v >= 1; v >>= 1 {
 		t.pull(v)
 	}
@@ -149,15 +180,22 @@ func (mi *MetroIndex) UpdateLoad(j int, load float64) {
 // bottom-up layout every internal node v < n has both.
 func (t *metroTree) pull(v int) {
 	l, r := &t.nodes[2*v], &t.nodes[2*v+1]
-	t.nodes[v] = metroNode{maxS: max(l.maxS, r.maxS), minB: min(l.minB, r.minB), maxB: max(l.maxB, r.maxB)}
+	t.nodes[v] = newNode(max(l.maxS, r.maxS), min(l.minB, r.minB), max(l.maxB, r.maxB))
 }
 
-// boundEntry is one segment-tree node (or root) on the search stack.
+// metroQuery holds what one search needs of metro h: the query
+// server's delays to and from it and its two direction thresholds,
+// slack applied (see thresholds).
+type metroQuery struct {
+	cOut, cIn float64
+	a, b      float64
+}
+
+// boundEntry is a segment-tree node waiting on the search stack.
 type boundEntry struct {
 	ub   float64
-	tree *metroTree
-	node int     // segment-tree node id
-	a, b float64 // direction thresholds A (outgoing) and B (incoming)
+	h    int32 // metro
+	node int32 // segment-tree node id
 }
 
 // ubSlack inflates upper bounds by one part in 10⁹ so that a bound
@@ -165,30 +203,37 @@ type boundEntry struct {
 // gain it is supposed to dominate.
 const ubSlack = 1 + 1e-9
 
+// thresholds returns the direction thresholds of a query from a server
+// of load/speed bi to a metro whose β values all lie in [−bmax, bmax]:
+// A = bi − cOut for moving load to a candidate and B = bi + cIn for
+// pulling load from one. Each carries an absolute slack of
+// 1e-9·(|bi| + c + bmax + 1), at least the 1e-9·(|A or B| + |β| + 1)
+// that keeps the β-space bound from disagreeing, by float rounding,
+// with the request-space sign test inside ProxyGain near zero. A
+// forbidden direction (+Inf delay) gets A = −Inf or B = +Inf, with a
+// finite slack, so its gap in nodeUB is −Inf, never NaN.
+func thresholds(bi, cOut, cIn, bmax float64) (a, b float64) {
+	s := 1e-9 * (math.Abs(bi) + bmax + 1)
+	return bi - cOut + (s + 1e-9*min(cOut, math.MaxFloat64)), bi + cIn - (s + 1e-9*min(cIn, math.MaxFloat64))
+}
+
 // nodeUB bounds the proxy gain of every member of a subtree for a query
-// with outgoing threshold A (= β_id − c_out, moving load to the
-// candidate) and incoming threshold B (= β_id + c_in, pulling load from
-// the candidate). si is the querying server's speed and ei = s_i·β_i².
-func nodeUB(t *metroTree, v int, si, ei, a, b float64) float64 {
-	nd := &t.nodes[v]
-	h := si * nd.maxS / (si + nd.maxS)
-	var ub float64
-	// The absolute slack keeps thresholds computed here (β-space) from
-	// disagreeing, by float rounding, with the request-space sign test
-	// inside proxyGain near d = 0.
-	if d := a - nd.minB + 1e-9*(math.Abs(a)+math.Abs(nd.minB)+1); d > 0 {
-		ub = 0.5 * h * d * d
+// with thresholds a and b from thresholds. si is the querying server's
+// speed and ei = s_i·β_i². The larger of the two direction gaps gives
+// the larger bound, since both share one harmonic speed.
+func nodeUB(nd *metroNode, si, ei, a, b float64) float64 {
+	d := a - nd.minB
+	if db := nd.maxB - b; db > d {
+		d = db
 	}
-	if d := nd.maxB - b + 1e-9*(math.Abs(b)+math.Abs(nd.maxB)+1); d > 0 {
-		ub = max(ub, 0.5*h*d*d)
-	}
-	if ub == 0 {
+	if d <= 0 {
 		return 0
 	}
-	// proxyGain takes a difference of costs of size (s_i·β_i² +
+	h := si * nd.maxS / (si + nd.maxS)
+	// ProxyGain takes a difference of costs of size (s_i·β_i² +
 	// s_j·β_j²)/2, rounded to a few ulps; on a pair just balanced that
 	// noise is the whole gain, and the bound must dominate it too.
-	return ub*ubSlack + 1e-14*(ei+nd.maxS*(nd.minB*nd.minB+nd.maxB*nd.maxB))
+	return 0.5*h*d*d*ubSlack + 1e-14*(ei+nd.noise)
 }
 
 // scoredCandidate records one exactly-evaluated candidate.
@@ -197,76 +242,83 @@ type scoredCandidate struct {
 	gain float64
 }
 
-// search runs the depth-first branch-and-bound for server id, invoking
-// gainFn (the selector's exact proxyGain) at the leaves, and returns the
-// best `want` candidates by (gain desc, index asc) — the order the plain
-// ascending-j scans encode. A node is dropped only when its bound is
-// below the want-th best gain collected so far, so every candidate that
-// ties the final cutoff is still visited and the smallest indices win.
-// Candidates with gain 0 are not collected; the callers treat "nothing
-// positive" separately, exactly like the plain scans.
-func (mi *MetroIndex) search(id, want int, gainFn func(id, j int) float64) []scoredCandidate {
-	si := mi.speed[id]
+// search runs the depth-first branch-and-bound for server id, scoring
+// the leaves with ProxyGain on the metro table and the loads, and
+// returns the best `want` candidates by (gain desc, index asc) — the
+// order the plain ascending-j scans encode. Only gains above floor
+// (taken as 0 when negative) are collected, and a node is dropped when
+// its bound is at most floor or below the want-th best gain collected so
+// far, so every candidate that ties the final cutoff is still visited
+// and the smallest indices win. Callers treat "nothing above the floor"
+// separately, exactly like the plain scans treat "nothing positive".
+//
+// At an internal node the search pushes the weaker child, if it passes,
+// and walks on into the stronger one: the visit order of pushing both
+// and popping the stronger at once, without its stack traffic.
+func (mi *MetroIndex) search(id, want int, floor float64) []scoredCandidate {
+	floor = max(floor, 0)
+	si, li := mi.speed[id], mi.loads[id]
 	bi := mi.beta[id]
 	ei := si * bi * bi
 	gi := mi.labels[id]
 	drow := mi.delay[gi]
 	mi.stack = mi.stack[:0]
 	mi.top = mi.top[:0]
+	visited := int64(0)
 	for h, t := range mi.trees {
 		if t == nil {
 			continue
 		}
-		cOut, cIn := drow[h], mi.delay[h][gi]
-		a, b := math.Inf(-1), math.Inf(1)
-		if !math.IsInf(cOut, 1) {
-			a = bi - cOut
-		}
-		if !math.IsInf(cIn, 1) {
-			b = bi + cIn
-		}
-		if ub := nodeUB(t, 1, si, ei, a, b); ub > 0 {
+		q := &mi.metros[h]
+		root := &t.nodes[1]
+		q.cOut, q.cIn = drow[h], mi.delay[h][gi]
+		q.a, q.b = thresholds(bi, q.cOut, q.cIn, max(root.maxB, -root.minB))
+		if ub := nodeUB(root, si, ei, q.a, q.b); ub > floor {
 			// Ascending bound order: the strongest metro is popped first.
 			p := len(mi.stack)
 			mi.stack = append(mi.stack, boundEntry{})
 			for ; p > 0 && mi.stack[p-1].ub > ub; p-- {
 				mi.stack[p] = mi.stack[p-1]
 			}
-			mi.stack[p] = boundEntry{ub: ub, tree: t, node: 1, a: a, b: b}
+			mi.stack[p] = boundEntry{ub: ub, h: int32(h), node: 1}
 		}
 	}
 	var cut float64 // the want-th best gain so far; 0 until there are want
+pop:
 	for len(mi.stack) > 0 {
 		e := mi.stack[len(mi.stack)-1]
 		mi.stack = mi.stack[:len(mi.stack)-1]
 		if e.ub < cut {
 			continue
 		}
-		t := e.tree
-		if e.node >= t.n { // leaf
-			j := t.leaves[e.node-t.n]
-			if int(j) == id {
-				continue
+		t, q := mi.trees[e.h], &mi.metros[e.h]
+		v := int(e.node)
+		for v < t.n {
+			visited++
+			l, r := 2*v, 2*v+1
+			ul, ur := nodeUB(&t.nodes[l], si, ei, q.a, q.b), nodeUB(&t.nodes[r], si, ei, q.a, q.b)
+			if ul > ur {
+				l, r, ul, ur = r, l, ur, ul
 			}
-			if g := gainFn(id, int(j)); g > 0 && g >= cut {
-				cut = mi.offer(scoredCandidate{j: j, gain: g}, want)
+			if !(ur > floor && ur >= cut) {
+				continue pop // the weaker child fails too
 			}
+			if ul > floor && ul >= cut {
+				mi.stack = append(mi.stack, boundEntry{ub: ul, h: e.h, node: int32(l)})
+			}
+			v = r
+		}
+		visited++
+		j := t.leaves[v-t.n]
+		if int(j) == id {
 			continue
 		}
-		// Push the weaker child first so the stronger one is explored
-		// first and raises the cutoff sooner.
-		l, r := 2*e.node, 2*e.node+1
-		ul, ur := nodeUB(t, l, si, ei, e.a, e.b), nodeUB(t, r, si, ei, e.a, e.b)
-		if ul > ur {
-			l, r, ul, ur = r, l, ur, ul
-		}
-		if ul > 0 && ul >= cut {
-			mi.stack = append(mi.stack, boundEntry{ub: ul, tree: t, node: l, a: e.a, b: e.b})
-		}
-		if ur > 0 && ur >= cut {
-			mi.stack = append(mi.stack, boundEntry{ub: ur, tree: t, node: r, a: e.a, b: e.b})
+		if g := ProxyGain(si, mi.speed[j], li, mi.loads[j], q.cOut, q.cIn); g > floor && g >= cut {
+			cut = mi.offer(scoredCandidate{j: j, gain: g}, want)
 		}
 	}
+	mi.searches++
+	mi.nodes += visited
 	return mi.top
 }
 
@@ -294,10 +346,13 @@ func (mi *MetroIndex) offer(c scoredCandidate, want int) float64 {
 }
 
 // Best returns the exact argmax candidate for server id — the partner
-// the unbucketed bestProxy scan would pick — or (-1, 0) when no partner
-// has positive proxy gain.
-func (mi *MetroIndex) Best(id int, gainFn func(id, j int) float64) (int, float64) {
-	cand := mi.search(id, 1, gainFn)
+// the unbucketed bestProxy scan would pick — when its proxy gain exceeds
+// floor, and (-1, 0) otherwise. RunState passes its noise threshold
+// minGain, below which it discards a pick anyway, so the search skips
+// every subtree that can only yield such picks; a floor of 0 asks for
+// any positive gain.
+func (mi *MetroIndex) Best(id int, floor float64) (int, float64) {
+	cand := mi.search(id, 1, floor)
 	if len(cand) == 0 {
 		return -1, 0
 	}
@@ -307,23 +362,25 @@ func (mi *MetroIndex) Best(id int, gainFn func(id, j int) float64) (int, float64
 // AppendTopProxy appends the indices of the (up to) k best candidates by
 // exact proxy gain — the same list the unbucketed appendTopK produces,
 // including its padding with zero and negative scores.
-func (mi *MetroIndex) AppendTopProxy(dst []int, id, k int, gainFn func(id, j int) float64) []int {
+func (mi *MetroIndex) AppendTopProxy(dst []int, id, k int) []int {
 	start := len(dst)
-	for _, c := range mi.search(id, k, gainFn) {
+	for _, c := range mi.search(id, k, 0) {
 		dst = append(dst, int(c.j))
 	}
-	// The unbucketed appendTopK ranks every finite score (proxyGain
+	// The unbucketed appendTopK ranks every finite score (ProxyGain
 	// never returns −Inf, forbidden metros included). With fewer than k
 	// positive gains the tail takes zero gains in ascending index order,
 	// because its insertion sort keeps equal keys in scan order, then
-	// negative ones: proxyGain rounds to a tiny negative on a pair the
+	// negative ones: ProxyGain rounds to a tiny negative on a pair the
 	// Lemma 1 step has just balanced. Positives are already in dst.
 	mi.top = mi.top[:0]
+	si, li, gi := mi.speed[id], mi.loads[id], mi.labels[id]
 	for j := 0; len(dst)-start < k && j < len(mi.labels); j++ {
 		if j == id {
 			continue
 		}
-		if g := gainFn(id, j); g == 0 {
+		h := mi.labels[j]
+		if g := ProxyGain(si, mi.speed[j], li, mi.loads[j], mi.delay[gi][h], mi.delay[h][gi]); g == 0 {
 			dst = append(dst, j)
 		} else if g < 0 {
 			mi.offer(scoredCandidate{j: int32(j), gain: g}, k)

@@ -107,13 +107,21 @@ func agreementInstances(t *testing.T, seed int64, small, spread int) []*model.In
 }
 
 // checkPick fails unless the index and the plain scan pick the same
-// partner with the same gain, bit for bit.
-func checkPick(t *testing.T, s *selector, id int) {
+// partner with the same gain, bit for bit, under floors 0, g/2, the
+// float just below g, g itself and the extra ones given, where g is the
+// scan's best gain: a floor below g must leave the pick unchanged, and
+// one at or above it must answer (-1, 0).
+func checkPick(t *testing.T, s *selector, id int, extra ...float64) {
 	t.Helper()
 	wantJ, wantG := s.bestProxy(id)
-	gotJ, gotG := s.metro.Best(id, s.proxyGain)
-	if wantJ != gotJ || wantG != gotG {
-		t.Fatalf("m=%d id %d: scan (%d, %v) vs index (%d, %v)", s.st.In.M(), id, wantJ, wantG, gotJ, gotG)
+	for _, f := range append([]float64{0, wantG / 2, math.Nextafter(wantG, math.Inf(-1)), wantG}, extra...) {
+		j, g := wantJ, wantG
+		if !(wantG > f) {
+			j, g = -1, 0
+		}
+		if gotJ, gotG := s.metro.Best(id, f); gotJ != j || gotG != g {
+			t.Fatalf("m=%d id %d floor %v: scan (%d, %v) vs index (%d, %v)", s.st.In.M(), id, f, j, g, gotJ, gotG)
+		}
 	}
 }
 
@@ -125,7 +133,7 @@ func checkShortlists(t *testing.T, s *selector, id, k int) {
 	in := s.st.In
 	m := in.M()
 	wantTop := appendTopK(nil, k, m, id, func(j int) float64 { return s.proxyGain(id, j) })
-	gotTop := s.metro.AppendTopProxy(nil, id, k, s.proxyGain)
+	gotTop := s.metro.AppendTopProxy(nil, id, k)
 	if fmt.Sprint(wantTop) != fmt.Sprint(gotTop) {
 		t.Fatalf("m=%d id %d: proxy top-%d %v vs %v", m, id, k, wantTop, gotTop)
 	}
@@ -169,6 +177,71 @@ func TestMetroIndexPickAgreement(t *testing.T) {
 			proxyStep(s, rng)
 		}
 	}
+}
+
+// TestMetroNodeBoundDominates pins the branch-and-bound's premise: for
+// every query server and every tree node, the node's bound is at least
+// the proxy gain of every member under it, the query server aside. The
+// instances cover every speed kind, idle servers, +Inf metro pairs and
+// loads moved by pair steps.
+func TestMetroNodeBoundDominates(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	pairs := 0
+	for trial := 0; trial < 10; trial++ {
+		for _, kind := range []metroKind{mixedSpeeds, constSpeeds, paletteSpeeds, zipfSkew} {
+			in := randomMetroInstance(rng, 10+rng.Intn(120), 2+rng.Intn(5), trial%2 == 0, kind)
+			s := newSelector(NewIdentityState(in), Config{Strategy: StrategyProxy})
+			for step := 0; step < 4; step++ {
+				for id := 0; id < in.M(); id++ {
+					pairs += checkNodeBounds(t, s, id)
+				}
+				proxyStep(s, rng)
+			}
+		}
+	}
+	t.Logf("%d node/member pairs", pairs)
+}
+
+// checkNodeBounds walks every metro's tree for a query from id, fails
+// unless each node's bound dominates the proxy gain of each member under
+// it, and returns the number of node/member pairs checked. A metro whose
+// size is not a power of two keeps leaves at two depths, so the walk
+// follows the children rather than a leaf range.
+func checkNodeBounds(t *testing.T, s *selector, id int) int {
+	t.Helper()
+	mi := s.metro
+	si, bi := mi.speed[id], mi.beta[id]
+	gi := mi.labels[id]
+	pairs := 0
+	for h, tr := range mi.trees {
+		if tr == nil {
+			continue
+		}
+		root := &tr.nodes[1]
+		a, b := thresholds(bi, mi.delay[gi][h], mi.delay[h][gi], max(root.maxB, -root.minB))
+		var walk func(v int) []int32
+		walk = func(v int) []int32 {
+			var members []int32
+			if v >= tr.n {
+				members = []int32{tr.leaves[v-tr.n]}
+			} else {
+				members = append(walk(2*v), walk(2*v+1)...)
+			}
+			ub := nodeUB(&tr.nodes[v], si, si*bi*bi, a, b)
+			for _, j := range members {
+				if int(j) == id {
+					continue
+				}
+				if g := s.proxyGain(id, int(j)); !(ub >= g) {
+					t.Fatalf("m=%d id %d metro %d node %d: bound %v below member %d's gain %v", s.st.In.M(), id, h, v, ub, j, g)
+				}
+				pairs++
+			}
+			return members
+		}
+		walk(1)
+	}
+	return pairs
 }
 
 // TestMetroIndexHybridShortlistAgreement pins the bucketed hybrid
@@ -230,37 +303,37 @@ func TestMetroIndexDisabledOffBlock(t *testing.T) {
 	}
 }
 
-// TestMetroIndexSearchAllocs pins the partner search at zero
+// TestMetroIndexSearchAllocationBound pins the partner search at zero
 // allocations per query once its scratch has grown: Best, and
 // AppendTopProxy into a pre-sized dst.
-func TestMetroIndexSearchAllocs(t *testing.T) {
+func TestMetroIndexSearchAllocationBound(t *testing.T) {
 	in := randomMetroInstance(rand.New(rand.NewSource(5)), 400, 8, true, zipfSkew)
 	s := newSelector(NewIdentityState(in), Config{Strategy: StrategyHybrid})
 	dst := make([]int, 0, 8)
 	for id := 0; id < in.M(); id++ { // warm-up: grow the scratch
-		s.metro.Best(id, s.proxyGain)
-		s.metro.AppendTopProxy(dst, id, 8, s.proxyGain)
+		s.metro.Best(id, 0)
+		s.metro.AppendTopProxy(dst, id, 8)
 	}
 	id := 0
 	if a := testing.AllocsPerRun(100, func() {
 		id = (id + 7) % in.M()
-		s.metro.Best(id, s.proxyGain)
+		s.metro.Best(id, 0)
 	}); a != 0 {
 		t.Errorf("Best: %v allocations per call, want 0", a)
 	}
 	if a := testing.AllocsPerRun(100, func() {
 		id = (id + 7) % in.M()
-		s.metro.AppendTopProxy(dst, id, 8, s.proxyGain)
+		s.metro.AppendTopProxy(dst, id, 8)
 	}); a != 0 {
 		t.Errorf("AppendTopProxy: %v allocations per call, want 0", a)
 	}
 }
 
 // FuzzMetroIndexPick decodes bytes into a block instance (m ≤ 48, k ≤ 6,
-// palette speeds, loads with zeros, optionally one +Inf metro pair) and a
-// few pair steps, and after each step checks every server's index
-// queries against the plain scans: Best, AppendTopProxy and
-// AppendNearest.
+// palette speeds, loads with zeros, optionally one +Inf metro pair), a
+// floor for Best and a few pair steps, and after each step checks every
+// server's index queries against the plain scans: Best, AppendTopProxy
+// and AppendNearest.
 func FuzzMetroIndexPick(f *testing.F) {
 	f.Add([]byte{20, 3, 7, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 0, 5, 3, 3})
 	f.Add([]byte{46, 0x85, 2, 0xaa, 0x13, 0x77, 9, 200, 31, 64, 1, 1, 2, 2})
@@ -302,10 +375,14 @@ func FuzzMetroIndexPick(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		floor := 0.0 // one floor from the input: 0, or 2^e for e in [-7, 23]
+		if e := int(data[2] >> 3); e > 0 {
+			floor = math.Ldexp(1, e-8)
+		}
 		s := newSelector(NewIdentityState(in), Config{Strategy: StrategyHybrid})
 		check := func() {
 			for id := 0; id < m; id++ {
-				checkPick(t, s, id)
+				checkPick(t, s, id, floor)
 				checkShortlists(t, s, id, shortK)
 			}
 		}
@@ -351,4 +428,33 @@ func BenchmarkMinEIterationProxyMetro(b *testing.B) {
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/1e6/float64(b.N), "ms/iter")
 		})
 	}
+}
+
+// BenchmarkProxySolveMetro times a cold proxy MinE solve from the
+// identity, capped at 60 iterations, on the shape of the repository
+// benchmark's cold-mine workload: m=1100, 12 metros
+// (ClusteredBlock(m, 12, 1, 20)), speeds in [1, 5] and zipf loads of
+// mean 100. It cycles through eight instances; nearly all of a solve's
+// time is its first iterations' partner searches.
+func BenchmarkProxySolveMetro(b *testing.B) {
+	const m, metros = 1100, 12
+	var ins []*model.Instance
+	for seed := int64(1); seed <= 8; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		delay, labels := netmodel.ClusteredBlock(m, metros, 1, 20, rng)
+		speed := workload.UniformSpeeds(m, 1, 5, rng)
+		in, err := model.NewBlockInstance(speed, workload.Loads(workload.KindZipf, m, 100, rng), delay, labels)
+		if err != nil {
+			b.Fatal(err)
+		}
+		ins = append(ins, in)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		st := NewIdentityState(ins[i%len(ins)])
+		b.StartTimer()
+		RunState(st, Config{Strategy: StrategyProxy, MaxIters: 60, Rng: rand.New(rand.NewSource(1))})
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/1e6/float64(b.N), "ms/solve")
 }

@@ -92,6 +92,10 @@ type Trace struct {
 	Iters     int
 	Reason    StopReason
 	Converged bool // false when stopped by MaxIters or by cancellation
+	// Searches counts the metro-index partner searches the run made and
+	// SearchNodes the tree nodes they visited; both stay 0 when the
+	// index is off (exact strategy, or a view that is not block-backed).
+	Searches, SearchNodes int64
 }
 
 // Run creates an identity allocation for the instance and optimizes it
@@ -119,6 +123,7 @@ func RunState(st *State, cfg Config) *Trace {
 	tr := &Trace{Costs: []float64{cost}, Reason: StopMaxIters}
 
 	sel := newSelector(st, cfg)
+	defer sel.tally(tr)
 	for iter := 1; iter <= cfg.MaxIters; iter++ {
 		var movedTotal float64
 		accepted := 0
@@ -127,7 +132,7 @@ func RunState(st *State, cfg Config) *Trace {
 				tr.Reason = StopCanceled
 				return tr
 			}
-			partner, gain := sel.pick(id)
+			partner, gain := sel.pick(id, minGain)
 			if partner < 0 || gain <= minGain {
 				continue
 			}
@@ -207,12 +212,14 @@ func newSelector(st *State, cfg Config) *selector {
 }
 
 // pick returns the chosen partner for server id and the (estimated or
-// exact) gain, or (-1, 0) when no partner improves.
-func (s *selector) pick(id int) (int, float64) {
+// exact) gain, or (-1, 0) when no partner improves. floor is the gain
+// at or below which the caller discards a pick; the metro-index search
+// may answer (-1, 0) for such picks instead.
+func (s *selector) pick(id int, floor float64) (int, float64) {
 	switch s.cfg.Strategy {
 	case StrategyProxy:
 		if s.metro != nil {
-			return s.metro.Best(id, s.proxyGain)
+			return s.metro.Best(id, floor)
 		}
 		j, gain := s.bestProxy(id)
 		return j, gain
@@ -220,6 +227,13 @@ func (s *selector) pick(id int) (int, float64) {
 		return s.bestHybrid(id)
 	default:
 		return s.bestExact(id)
+	}
+}
+
+// tally copies the metro index's search counts onto the trace.
+func (s *selector) tally(tr *Trace) {
+	if s.metro != nil {
+		tr.Searches, tr.SearchNodes = s.metro.searches, s.metro.nodes
 	}
 }
 
@@ -310,7 +324,7 @@ func (s *selector) bestHybrid(id int) (int, float64) {
 	m := s.st.In.M()
 	s.cand = s.cand[:0]
 	if s.metro != nil {
-		s.cand = s.metro.AppendTopProxy(s.cand, id, k, s.proxyGain)
+		s.cand = s.metro.AppendTopProxy(s.cand, id, k)
 		s.cand = s.metro.AppendNearest(s.cand, id, k)
 	} else {
 		s.cand = appendTopK(s.cand, k, m, id, func(j int) float64 {

@@ -23,10 +23,10 @@ func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 func naiveJoin(in *model.Instance, j Join) (*model.Instance, error) {
 	m := in.M()
 	if j.Speed <= 0 || !finite(j.Speed) {
-		return nil, fmt.Errorf("model: WithServer speed=%v, must be positive and finite", j.Speed)
+		return nil, fmt.Errorf("dynamic: join speed=%v, must be positive and finite", j.Speed)
 	}
 	if j.Load < 0 || !finite(j.Load) {
-		return nil, fmt.Errorf("model: WithServer load=%v, must be non-negative and finite", j.Load)
+		return nil, fmt.Errorf("dynamic: join load=%v, must be non-negative and finite", j.Load)
 	}
 	out := &model.Instance{
 		Speed: append(slices.Clone(in.Speed), j.Speed),
@@ -37,12 +37,12 @@ func naiveJoin(in *model.Instance, j Join) (*model.Instance, error) {
 	}
 	if b, ok := in.Latency.(*model.BlockLatency); ok {
 		if j.Cluster < 0 || j.Cluster >= b.K() {
-			return nil, fmt.Errorf("model: WithServer cluster=%d out of block range [0, %d)", j.Cluster, b.K())
+			return nil, fmt.Errorf("dynamic: join cluster=%d out of block range [0, %d)", j.Cluster, b.K())
 		}
 		fits := j.To == nil && j.From == nil
 		if !fits {
 			if len(j.To) != m || len(j.From) != m {
-				return nil, fmt.Errorf("model: WithServer latency rows have %d/%d entries, want %d", len(j.To), len(j.From), m)
+				return nil, fmt.Errorf("dynamic: join latency rows have %d/%d entries, want %d", len(j.To), len(j.From), m)
 			}
 			fits = true
 			for i, g := range b.Label {
@@ -56,7 +56,7 @@ func naiveJoin(in *model.Instance, j Join) (*model.Instance, error) {
 		in = &model.Instance{Speed: in.Speed, Load: in.Load, Latency: model.NewDense(b.Dense()), Cluster: in.Cluster}
 	}
 	if len(j.To) != m || len(j.From) != m {
-		return nil, fmt.Errorf("model: WithServer latency rows have %d/%d entries, want %d", len(j.To), len(j.From), m)
+		return nil, fmt.Errorf("dynamic: join latency rows have %d/%d entries, want %d", len(j.To), len(j.From), m)
 	}
 	rows := make([][]float64, m+1)
 	for i, row := range in.Latency.Dense() {
@@ -74,10 +74,10 @@ func naiveJoin(in *model.Instance, j Join) (*model.Instance, error) {
 func naiveLeave(in *model.Instance, i int) (*model.Instance, error) {
 	m := in.M()
 	if i < 0 || i >= m {
-		return nil, fmt.Errorf("model: WithoutServer index %d out of range [0, %d)", i, m)
+		return nil, fmt.Errorf("dynamic: leave index %d out of range [0, %d)", i, m)
 	}
 	if m == 1 {
-		return nil, fmt.Errorf("model: cannot remove the only server")
+		return nil, fmt.Errorf("dynamic: leave would remove the only server")
 	}
 	out := &model.Instance{
 		Speed: slices.Delete(slices.Clone(in.Speed), i, i+1),

@@ -208,15 +208,16 @@ func (r *Resize) checkLabels(skip, n int) error {
 }
 
 // Join checks and records a server joining at the end of in, the
-// instance the batch applies to. Join and Leave word their errors as
-// the model package's per-edit resize always did, so sessions and the
-// descent plane return the same text for the same bad edit.
+// instance the batch applies to. Join and Leave name the edit in their
+// errors ("dynamic: join ...", "dynamic: leave ..."), and sessions and
+// the descent plane return them as they are, so both report the same
+// text for the same bad edit.
 func (r *Resize) Join(in *model.Instance, j Join) error {
 	if j.Speed <= 0 || math.IsNaN(j.Speed) || math.IsInf(j.Speed, 0) {
-		return fmt.Errorf("model: WithServer speed=%v, must be positive and finite", j.Speed)
+		return fmt.Errorf("dynamic: join speed=%v, must be positive and finite", j.Speed)
 	}
 	if j.Load < 0 || math.IsNaN(j.Load) || math.IsInf(j.Load, 0) {
-		return fmt.Errorf("model: WithServer load=%v, must be non-negative and finite", j.Load)
+		return fmt.Errorf("dynamic: join load=%v, must be non-negative and finite", j.Load)
 	}
 	r.begin(in)
 	m := len(r.live)
@@ -224,7 +225,7 @@ func (r *Resize) Join(in *model.Instance, j Join) error {
 	densify := false
 	if b := r.block; b != nil && !r.dense {
 		if j.Cluster < 0 || j.Cluster >= b.K() {
-			return fmt.Errorf("model: WithServer cluster=%d out of block range [0, %d)", j.Cluster, b.K())
+			return fmt.Errorf("dynamic: join cluster=%d out of block range [0, %d)", j.Cluster, b.K())
 		}
 		if j.To == nil && j.From == nil || len(j.To) == m && len(j.From) == m && r.rowsMatch(b, j) {
 			r.record(rec)
@@ -233,7 +234,7 @@ func (r *Resize) Join(in *model.Instance, j Join) error {
 		densify = true
 	}
 	if len(j.To) != m || len(j.From) != m {
-		return fmt.Errorf("model: WithServer latency rows have %d/%d entries, want %d", len(j.To), len(j.From), m)
+		return fmt.Errorf("dynamic: join latency rows have %d/%d entries, want %d", len(j.To), len(j.From), m)
 	}
 	// The dense instance's new column comes before its new row in
 	// Validate's scan.
@@ -301,10 +302,10 @@ func (r *Resize) Leave(in *model.Instance, i int) error {
 	r.begin(in)
 	m := len(r.live)
 	if i < 0 || i >= m {
-		return fmt.Errorf("model: WithoutServer index %d out of range [0, %d)", i, m)
+		return fmt.Errorf("dynamic: leave index %d out of range [0, %d)", i, m)
 	}
 	if m == 1 {
-		return fmt.Errorf("model: cannot remove the only server")
+		return fmt.Errorf("dynamic: leave would remove the only server")
 	}
 	id := r.live[i]
 	if r.labels != nil {

@@ -50,9 +50,10 @@ type SolveOptions struct {
 	// the field.
 	FWVariant FWVariant
 	// Obs, if non-nil, receives solver telemetry (per-sweep duality gap,
-	// oracle calls, span timing). Strictly a side channel: the solve path
-	// never reads it back, results stay bit-identical, and the nil
-	// default adds zero allocations. See WithObs.
+	// oracle calls, the MinE partner-search tallies, span timing).
+	// Strictly a side channel: the solve path never reads it back,
+	// results stay bit-identical, and the nil default adds zero
+	// allocations. See WithObs.
 	Obs *obs.Scope
 
 	// warmSparse is the session's allocation (request units), the warm

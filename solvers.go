@@ -4,12 +4,14 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"delaylb/internal/core"
 	"delaylb/internal/game"
 	"delaylb/internal/model"
 	"delaylb/internal/qp"
 	"delaylb/internal/sparse"
+	"delaylb/obs"
 )
 
 // This file implements the built-in solvers behind the registry:
@@ -138,6 +140,7 @@ func (ms mineSolver) Solve(ctx context.Context, sys *System, opts SolveOptions) 
 			return nil, err
 		}
 	}
+	span := opts.Obs.Start("core.solve")
 	st := core.NewState(sys.in, rows)
 	tr := core.RunState(st, core.Config{
 		Strategy:          strat,
@@ -156,8 +159,21 @@ func (ms mineSolver) Solve(ctx context.Context, sys *System, opts SolveOptions) 
 		// Public contract: a deliberate callback stop is not convergence.
 		res.Converged = false
 	}
-	return finishSolve(ctx, res)
+	res, err := finishSolve(ctx, res)
+	span.With(obs.Int("iters", int64(res.Iterations))).
+		With(obs.Int("reason", int64(slices.Index(stopReasons, core.StopReason(res.Reason))))).
+		With(obs.Float("cost", res.Cost)).
+		With(obs.Int("nnz", int64(res.NNZ))).
+		With(obs.Int("searches", tr.Searches)).
+		With(obs.Int("search_nodes", tr.SearchNodes)).
+		End()
+	return res, err
 }
+
+// stopReasons numbers MinE's stop reasons for the core.solve span, whose
+// attributes are numbers: its "reason" is the index of the result's
+// Reason here.
+var stopReasons = []core.StopReason{core.StopStable, core.StopTarget, core.StopMaxIters, core.StopCallback, core.StopCanceled}
 
 // qpSolver wraps the centralized convex baselines of §III.
 type qpSolver struct {
