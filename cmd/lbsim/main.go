@@ -334,8 +334,12 @@ func runMode(ctx context.Context, cfg config, scope *obs.Scope, w io.Writer) err
 		if err != nil {
 			return err
 		}
+		eps, err := sys.EpsilonNash(nash)
+		if err != nil {
+			return err
+		}
 		fmt.Fprintf(w, "Nash ΣC_i = %.6g in %d sweeps; optimum = %.6g; cost of selfishness = %.4f (ε=%.3g)\n",
-			nash.Cost, nash.Iterations, opt.Cost, nash.Cost/opt.Cost, sys.EpsilonNash(nash))
+			nash.Cost, nash.Iterations, opt.Cost, nash.Cost/opt.Cost, eps)
 	case "runtime":
 		sess := sys.NewSession(delaylb.WithSeed(cfg.Seed))
 		res, err := sess.RunCluster(ctx, cfg.Rounds, func(round int, cost float64) bool {

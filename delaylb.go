@@ -496,9 +496,13 @@ func (s *System) NashEquilibriumContext(ctx context.Context, opts ...Option) (*R
 
 // EpsilonNash returns the largest relative gain any organization could
 // still obtain by unilaterally deviating from the given allocation to its
-// best response: 0 means an exact Nash equilibrium.
-func (s *System) EpsilonNash(res *Result) float64 {
-	return game.EpsilonNash(s.in, &model.Allocation{R: res.Requests()})
+// best response: 0 means an exact Nash equilibrium. A nil result, one
+// without an allocation, or one sized for another system is an error.
+func (s *System) EpsilonNash(res *Result) (float64, error) {
+	if err := s.checkResult("EpsilonNash", res); err != nil {
+		return 0, err
+	}
+	return game.EpsilonNash(s.in, &model.Allocation{R: res.Requests()}), nil
 }
 
 // PriceOfAnarchy measures the cost of selfishness: ΣC_i at the Nash
@@ -533,15 +537,26 @@ func (s *System) TheoreticalPoABounds() (lower, upper float64) {
 // dense views stay unmaterialized. A nil result, one without an
 // allocation, or one sized for another system is an error.
 func (s *System) DistanceBound(res *Result) (float64, error) {
-	if res == nil || !res.hasAllocation() {
-		return 0, errors.New("delaylb: DistanceBound needs a result with an allocation")
-	}
-	if m := s.M(); res.req.Rows() != m || res.req.Cols != m {
-		return 0, fmt.Errorf("delaylb: DistanceBound got a %d×%d allocation for a %d-server system", res.req.Rows(), res.req.Cols, m)
+	if err := s.checkResult("DistanceBound", res); err != nil {
+		return 0, err
 	}
 	st := core.NewState(s.in, res.req)
 	core.RemoveCycles(st)
 	return core.DistanceBound(st), nil
+}
+
+// checkResult is the input check of the calls that read a result's
+// allocation: a nil result, one without an allocation (solver errors can
+// produce metadata-only results), or one sized for another system is an
+// error naming the call.
+func (s *System) checkResult(call string, res *Result) error {
+	if res == nil || !res.hasAllocation() {
+		return fmt.Errorf("delaylb: %s needs a result with an allocation", call)
+	}
+	if m := s.M(); res.req.Rows() != m || res.req.Cols != m {
+		return fmt.Errorf("delaylb: %s got a %d×%d allocation for a %d-server system", call, res.req.Rows(), res.req.Cols, m)
+	}
+	return nil
 }
 
 // OptimizeReplicated solves the §VII replication variant: every
@@ -560,11 +575,31 @@ func (s *System) OptimizeReplicated(r int, opts ...Option) (*Result, error) {
 	return resultFromAllocation(s.in, model.FromFractions(s.in, rho)), nil
 }
 
-// PlaceReplicas samples, for one task of organization i, the r distinct
-// servers that should hold its copies, with inclusion probabilities
-// r·ρ_ij taken from a replicated optimization result.
-func (s *System) PlaceReplicas(res *Result, org, r int, seed int64) []int {
-	return discrete.PlaceReplicas(res.Fractions()[org], r, rand.New(rand.NewSource(seed)))
+// PlaceReplicas samples, for one task of organization org, the r
+// distinct servers that should hold its copies, with inclusion
+// probabilities r·ρ_ij taken from a replicated optimization result. A
+// nil result, one without an allocation or sized for another system, an
+// org outside [0, m), an r outside [1, m], or a row with some ρ_ij above
+// 1/r (beyond 1e-6, the OptimizeReplicated tolerance), which would place
+// two copies on one server, is an error.
+func (s *System) PlaceReplicas(res *Result, org, r int, seed int64) ([]int, error) {
+	if err := s.checkResult("PlaceReplicas", res); err != nil {
+		return nil, err
+	}
+	m := s.M()
+	if org < 0 || org >= m {
+		return nil, fmt.Errorf("delaylb: PlaceReplicas organization %d out of range [0, %d)", org, m)
+	}
+	if r < 1 || r > m {
+		return nil, fmt.Errorf("delaylb: replication factor %d out of range [1, %d]", r, m)
+	}
+	row := res.Fractions()[org]
+	for j, f := range row {
+		if f > 1/float64(r)+1e-6 {
+			return nil, fmt.Errorf("delaylb: PlaceReplicas organization %d sends %v of its requests to server %d, above 1/r = %v; solve with OptimizeReplicated(%d)", org, f, j, 1/float64(r), r)
+		}
+	}
+	return discrete.PlaceReplicas(row, r, rand.New(rand.NewSource(seed))), nil
 }
 
 // Task is an indivisible request with a size, for the §VII discrete
@@ -580,11 +615,26 @@ func (s *System) GenerateTasks(meanSize float64, seed int64) []Task {
 // RoundTasks assigns whole tasks to servers approximating the fractional
 // result (multiple-subset-sum greedy; over-assignment per server bounded
 // by the organization's largest task). It returns the task → server
-// assignment and the achieved discrete allocation as a Result.
-func (s *System) RoundTasks(res *Result, tasks []Task) ([]int, *Result) {
+// assignment and the achieved discrete allocation as a Result. A nil
+// result, one without an allocation or sized for another system, is an
+// error, as is a task whose Org is outside [0, m) or whose Size is
+// negative, NaN or infinite (the error names the first such task).
+func (s *System) RoundTasks(res *Result, tasks []Task) ([]int, *Result, error) {
+	if err := s.checkResult("RoundTasks", res); err != nil {
+		return nil, nil, err
+	}
+	m := s.M()
+	for k, t := range tasks {
+		if t.Org < 0 || t.Org >= m {
+			return nil, nil, fmt.Errorf("delaylb: RoundTasks task %d organization %d out of range [0, %d)", k, t.Org, m)
+		}
+		if math.IsNaN(t.Size) || math.IsInf(t.Size, 0) || t.Size < 0 {
+			return nil, nil, fmt.Errorf("delaylb: RoundTasks task %d size %v, must be non-negative and finite", k, t.Size)
+		}
+	}
 	asg := discrete.Round(s.in, res.Fractions(), tasks)
 	vol := discrete.Volumes(s.in, tasks, asg)
-	return asg, resultFromAllocation(s.in, vol)
+	return asg, resultFromAllocation(s.in, vol), nil
 }
 
 // SimulateDistributed runs the message-passing runtime (gossip +

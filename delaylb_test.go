@@ -281,7 +281,10 @@ func TestReplicatedOptimization(t *testing.T) {
 			}
 		}
 	}
-	picks := sys.PlaceReplicas(res, 0, r, 9)
+	picks, err := sys.PlaceReplicas(res, 0, r, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(picks) != r {
 		t.Fatalf("got %d replicas, want %d", len(picks), r)
 	}
@@ -307,7 +310,10 @@ func TestRoundTasks(t *testing.T) {
 		t.Fatal(err)
 	}
 	tasks := sys.GenerateTasks(3, 11)
-	asg, disc := sys.RoundTasks(res, tasks)
+	asg, disc, err := sys.RoundTasks(res, tasks)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(asg) != len(tasks) {
 		t.Fatalf("assignment covers %d of %d tasks", len(asg), len(tasks))
 	}

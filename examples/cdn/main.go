@@ -56,7 +56,10 @@ func run(w io.Writer) error {
 
 	// 2. Round to whole content chunks (mean size 5 requests' worth).
 	tasks := sys.GenerateTasks(5, seed+3)
-	_, discrete := sys.RoundTasks(opt, tasks)
+	_, discrete, err := sys.RoundTasks(opt, tasks)
+	if err != nil {
+		return err
+	}
 	fmt.Fprintf(w, "after rounding %d chunks: ΣC_i = %.0f ms (+%.2f%% vs fractional)\n",
 		len(tasks), discrete.Cost, 100*(discrete.Cost-opt.Cost)/opt.Cost)
 
@@ -83,7 +86,10 @@ func run(w io.Writer) error {
 	}
 	fmt.Fprintf(w, "replica placements for organization %d's chunks:\n", busiest)
 	for chunk := 0; chunk < 3; chunk++ {
-		servers := sys.PlaceReplicas(repl, busiest, replicas, int64(seed+10+chunk))
+		servers, err := sys.PlaceReplicas(repl, busiest, replicas, int64(seed+10+chunk))
+		if err != nil {
+			return err
+		}
 		fmt.Fprintf(w, "  chunk %d → servers %v\n", chunk, servers)
 	}
 	return nil

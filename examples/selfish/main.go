@@ -64,8 +64,12 @@ func run(w io.Writer) error {
 	if err != nil {
 		return err
 	}
+	eps, err := sys.EpsilonNash(nash)
+	if err != nil {
+		return err
+	}
 	fmt.Fprintf(w, "  Nash ΣC_i = %.0f ms after %d sweeps; optimum = %.0f ms (residual ε = %.2g)\n",
-		nash.Cost, nash.Iterations, opt.Cost, sys.EpsilonNash(nash))
+		nash.Cost, nash.Iterations, opt.Cost, eps)
 	fmt.Fprintf(w, "  cost of selfishness = %.4f\n", nash.Cost/opt.Cost)
 	fmt.Fprintln(w, "\nconclusion (paper §IX): federations stay efficient without central control —")
 	fmt.Fprintln(w, "selfish routing costs only a few percent over the coordinated optimum.")

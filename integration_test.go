@@ -49,7 +49,10 @@ func TestFullPipeline(t *testing.T) {
 
 	// 3. Discrete rounding stays close to the fractional optimum.
 	tasks := sys.GenerateTasks(4, 103)
-	_, disc := sys.RoundTasks(mine, tasks)
+	_, disc, err := sys.RoundTasks(mine, tasks)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if rel := (disc.Cost - mine.Cost) / mine.Cost; rel > 0.05 {
 		t.Fatalf("rounding cost %v (+%.2f%%)", disc.Cost, 100*rel)
 	}

@@ -42,16 +42,45 @@ func (st *fwState) shift(j int, delta float64) {
 
 // sweep is the away/pairwise step: every loaded row takes up to
 // maxRowSteps exact steps against the loads the previous rows left.
+//
+// On the metro oracle a row step first brackets the oracle's score
+// sScore between the O(k) bound LB and the incumbent's base[i]. IEEE
+// subtraction is monotone, so fl(cur − LB) ≥ gFW ≥ fl(cur − base[i]),
+// and the step is settled without the oracle when the bracket decides
+// it: an away step that beats every possible gFW, a stay that no gFW
+// can beat, or (pairwise) an away vertex no worse than LB. Only a FW or
+// pairwise step needs the vertex itself. The choices, and so the
+// iterates, are the always-oracle sweep's bit for bit.
 func (st *fwState) sweep(pairwise bool) {
 	for i, ni := range st.in.Load {
 		if ni == 0 {
 			continue
 		}
 		lat := st.latRow(i)
+	steps:
 		for k := 0; k < maxRowSteps; k++ {
 			cur, aScore, aPos := st.rowScores(i, lat)
 			if aPos < 0 {
 				break // infeasible empty row; nothing to move
+			}
+			gAway := aScore - cur
+			if st.lmo != nil {
+				lb := st.lmo.lowerBound(i, st.base)
+				hi := cur - lb // ≥ gFW
+				switch {
+				case pairwise:
+					if aScore <= lb {
+						st.oracleSkips++
+						break steps
+					}
+				case gAway > hi:
+					st.oracleSkips++
+					st.awayRowStep(i, aPos, gAway, lat)
+					continue
+				case hi <= 0 && gAway <= cur-st.base[i]:
+					st.oracleSkips++
+					break steps
+				}
 			}
 			s, sScore := st.oracle(i, lat)
 			if pairwise {
@@ -61,8 +90,7 @@ func (st *fwState) sweep(pairwise bool) {
 				st.pairRowStep(i, s, aPos, sScore, aScore)
 				continue
 			}
-			gFW, gAway := cur-sScore, aScore-cur
-			if gAway > gFW {
+			if gFW := cur - sScore; gAway > gFW {
 				st.awayRowStep(i, aPos, gAway, lat)
 			} else if gFW > 0 {
 				st.fwRowStep(i, s, gFW)

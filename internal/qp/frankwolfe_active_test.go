@@ -1,10 +1,14 @@
 package qp
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"delaylb/internal/model"
+	"delaylb/internal/sparse"
 )
 
 // activeVariants enumerates the active-set step rules under test.
@@ -192,5 +196,199 @@ func TestActiveGapTrace(t *testing.T) {
 		if sp.Gaps[len(sp.Gaps)-1] != sp.Gap {
 			t.Fatalf("%s: trace tail %v != reported gap %v", v, sp.Gaps[len(sp.Gaps)-1], sp.Gap)
 		}
+	}
+}
+
+// sweepReference is the always-oracle sweep that sweep's score bracket
+// must reproduce: every row step calls the oracle, and the metro oracle
+// is bestReference.
+func (st *fwState) sweepReference(pairwise bool) {
+	for i, ni := range st.in.Load {
+		if ni == 0 {
+			continue
+		}
+		lat := st.latRow(i)
+		for k := 0; k < maxRowSteps; k++ {
+			cur, aScore, aPos := st.rowScores(i, lat)
+			if aPos < 0 {
+				break
+			}
+			var s int
+			var sScore float64
+			if st.lmo != nil {
+				s, sScore = st.lmo.bestReference(i, st.base)
+			} else {
+				s, sScore = st.oracle(i, lat)
+			}
+			if pairwise {
+				if aScore <= sScore {
+					break
+				}
+				st.pairRowStep(i, s, aPos, sScore, aScore)
+				continue
+			}
+			gFW, gAway := cur-sScore, aScore-cur
+			if gAway > gFW {
+				st.awayRowStep(i, aPos, gAway, lat)
+			} else if gFW > 0 {
+				st.fwRowStep(i, s, gFW)
+			} else {
+				break
+			}
+		}
+	}
+}
+
+// bestReference is best without the nearest-first order and the bound
+// skip: it meets the clusters in ascending order and rescans every dirty
+// one.
+func (c *metroLMO) bestReference(i int, base []float64) (int, float64) {
+	bestJ, bestScore := i, base[i]
+	drow := c.delay[c.labels[i]]
+	for h := range drow {
+		if c.dirty[h] {
+			c.rescan(h, base)
+		}
+		j := c.min1[h]
+		if int(j) == i {
+			j = c.min2[h]
+		}
+		if j < 0 {
+			continue
+		}
+		score := base[j] + drow[h]
+		if j2 := c.min2[h]; j2 >= 0 && int(j2) != i && j2 < j && base[j2]+drow[h] == score {
+			j = j2
+		}
+		if score < bestScore || (score == bestScore && bestJ != i && int(j) < bestJ) {
+			bestJ, bestScore = int(j), score
+		}
+	}
+	return bestJ, bestScore
+}
+
+// randomBlockInstance draws a metro instance for the bracket tests: up
+// to 48 servers on k = 1, k = m or k drawn in between metros (so
+// one-server and empty metros occur), speeds and loads on coarse grids
+// so that scores tie, some zero-load rows, +Inf delays between some
+// metro pairs on a third of the draws, and either a BlockLatency view or
+// dense rows with a verified hint.
+func randomBlockInstance(t *testing.T, rng *rand.Rand) *model.Instance {
+	t.Helper()
+	m := 1 + rng.Intn(48)
+	var k int
+	switch rng.Intn(4) {
+	case 0:
+		k = 1
+	case 1:
+		k = m
+	default:
+		k = 1 + rng.Intn(m)
+	}
+	labels := make([]int, m)
+	speed := make([]float64, m)
+	load := make([]float64, m)
+	for i := range labels {
+		labels[i] = rng.Intn(k)
+		if k == m {
+			labels[i] = i
+		}
+		speed[i] = 0.5 + float64(rng.Intn(8))
+		if rng.Intn(5) > 0 {
+			load[i] = float64(rng.Intn(60)) * 1.7
+		}
+	}
+	infLinks := rng.Intn(3) == 0
+	delay := make([][]float64, k)
+	for g := range delay {
+		delay[g] = make([]float64, k)
+		for h := range delay[g] {
+			delay[g][h] = float64(rng.Intn(40)) * 0.9
+			if g != h && infLinks && rng.Intn(3) == 0 {
+				delay[g][h] = math.Inf(1)
+			}
+		}
+	}
+	in, err := model.NewBlockInstance(speed, load, delay, labels)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rng.Intn(2) == 0 {
+		in = genericTwin(t, in)
+		in.Cluster = labels
+	}
+	return in
+}
+
+// randomStart is the identity or, on half the draws, a decoded warm
+// start with explicit zeros stored on arbitrary columns, pruned as the
+// solver prunes it.
+func randomStart(in *model.Instance, rng *rand.Rand) *sparse.Matrix {
+	if rng.Intn(2) == 0 {
+		return sparse.Identity(in.M())
+	}
+	raw := make([]byte, in.M()*in.M())
+	rng.Read(raw)
+	b := fuzzBytes(raw)
+	start := decodeWarmStart(in, &b)
+	start.Prune(0)
+	return start
+}
+
+// assertSameState requires two solve states to hold the same iterate,
+// loads and base scores, bit for bit.
+func assertSameState(t *testing.T, label string, got, want *fwState) {
+	t.Helper()
+	for i := range want.rho.Idx {
+		gi, wi := got.rho.Idx[i], want.rho.Idx[i]
+		if !slices.Equal(gi, wi) {
+			t.Fatalf("%s: row %d support %v, reference %v", label, i, gi, wi)
+		}
+		for t2, v := range want.rho.Val[i] {
+			if g := got.rho.Val[i][t2]; math.Float64bits(g) != math.Float64bits(v) {
+				t.Fatalf("%s: rho[%d][%d] %v, reference %v", label, i, wi[t2], g, v)
+			}
+		}
+	}
+	for j := range want.loads {
+		if math.Float64bits(got.loads[j]) != math.Float64bits(want.loads[j]) ||
+			math.Float64bits(got.base[j]) != math.Float64bits(want.base[j]) {
+			t.Fatalf("%s: server %d load/base %v/%v, reference %v/%v",
+				label, j, got.loads[j], got.base[j], want.loads[j], want.base[j])
+		}
+	}
+}
+
+// TestSweepMatchesReference holds the bracketed sweep to the
+// always-oracle reference: on random block instances and starts, after
+// every away and pairwise sweep, the iterate's bits, the loads and the
+// base scores equal the reference's, and the run settles some row steps
+// without the oracle.
+func TestSweepMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	var skips int64
+	for n := 0; n < 240; n++ {
+		in := randomBlockInstance(t, rng)
+		start := randomStart(in, rng)
+		for _, pairwise := range []bool{false, true} {
+			got := newFWState(in, start.Clone(), false)
+			want := newFWState(in, start.Clone(), false)
+			if got.lmo == nil {
+				t.Fatalf("instance %d: metro oracle not engaged", n)
+			}
+			for s := 1; s <= 12; s++ {
+				label := fmt.Sprintf("instance %d (m=%d, k=%d) pairwise=%v sweep %d", n, in.M(), len(got.lmo.delay), pairwise, s)
+				if g, w := got.certify(), want.certify(); math.Float64bits(g) != math.Float64bits(w) {
+					t.Fatalf("%s: gap %v, reference %v", label, g, w)
+				}
+				got.sweep(pairwise)
+				want.sweepReference(pairwise)
+				assertSameState(t, label, got, want)
+			}
+			skips += got.oracleSkips
+		}
+	}
+	if skips == 0 {
+		t.Fatal("the bracket settled no row step")
 	}
 }

@@ -2,6 +2,7 @@ package qp
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"delaylb/internal/model"
@@ -100,6 +101,26 @@ func fuzzFWInstance(t *testing.T, flags int, b *fuzzBytes) (in *model.Instance, 
 	return in, !contradict
 }
 
+// assertSameSparseRun requires two sparse runs to agree bit for bit:
+// scalars, gap trace and iterate.
+func assertSameSparseRun(t *testing.T, label string, got, want *SparseResult) {
+	t.Helper()
+	if math.Float64bits(got.Cost) != math.Float64bits(want.Cost) || math.Float64bits(got.Gap) != math.Float64bits(want.Gap) ||
+		got.Iters != want.Iters || got.Converged != want.Converged {
+		t.Fatalf("%s: (cost %v, gap %v, iters %d, converged %v), reference (%v, %v, %d, %v)", label,
+			got.Cost, got.Gap, got.Iters, got.Converged, want.Cost, want.Gap, want.Iters, want.Converged)
+	}
+	if !slices.Equal(got.Gaps, want.Gaps) {
+		t.Fatalf("%s: gap trace %v, reference %v", label, got.Gaps, want.Gaps)
+	}
+	for i := range want.Rho.Idx {
+		if !slices.Equal(got.Rho.Idx[i], want.Rho.Idx[i]) || !slices.Equal(got.Rho.Val[i], want.Rho.Val[i]) {
+			t.Fatalf("%s: row %d is %v/%v, reference %v/%v", label, i,
+				got.Rho.Idx[i], got.Rho.Val[i], want.Rho.Idx[i], want.Rho.Val[i])
+		}
+	}
+}
+
 // genericTwin is in with dense latency rows and no hint, which the
 // solver answers with the generic full-row oracle.
 func genericTwin(t *testing.T, in *model.Instance) *model.Instance {
@@ -142,9 +163,10 @@ func decodeWarmStart(in *model.Instance, b *fuzzBytes) *sparse.Matrix {
 // FuzzFrankWolfe runs all three step rules of SolveFrankWolfeSparse on
 // decoded instances and starts. Classic with the generic oracle must
 // reproduce the dense reference on the densified start bit for bit;
-// away and pairwise must keep the active-set invariants and never end
-// above their start cost; and every variant's Cost − Gap must
-// lower-bound every variant's Cost.
+// away and pairwise must reproduce the always-oracle reference sweep bit
+// for bit, keep the active-set invariants and never end above their
+// start cost; and every variant's Cost − Gap must lower-bound every
+// variant's Cost.
 //
 // With a verified hint, classic is held to the dense reference's first
 // certificate only. The metro oracle returns the minimal score, but
@@ -174,7 +196,7 @@ func FuzzFrankWolfe(f *testing.F) {
 			start = decodeWarmStart(in, &b)
 			opt.InitialSparse = start
 		}
-		startCost := ObjectiveSparse(in, start)
+		startCost := objectiveSparse(in, start)
 
 		var runs []*SparseResult
 		for _, v := range []Variant{VariantClassic, VariantAway, VariantPairwise} {
@@ -193,6 +215,7 @@ func FuzzFrankWolfe(f *testing.F) {
 					t.Fatalf("classic: first gap %v, dense reference %v", sp.Gaps[0], dense.Gaps[0])
 				}
 			} else {
+				assertSameSparseRun(t, v.String(), sp, solveSparse(in, o, (*fwState).sweepReference))
 				assertActiveInvariants(t, v.String(), sp, in.Load, sp.Iters)
 				if sp.Cost > startCost {
 					t.Fatalf("%v: cost %v above the start's %v", v, sp.Cost, startCost)

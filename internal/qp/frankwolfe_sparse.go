@@ -1,7 +1,9 @@
 package qp
 
 import (
+	"cmp"
 	"math"
+	"slices"
 
 	"delaylb/internal/model"
 	"delaylb/internal/sparse"
@@ -56,20 +58,30 @@ func (r *SparseResult) Dense() *Result {
 // block (metro) networks, where c_ij depends only on the cluster pair:
 // per cluster it keeps the two servers with the smallest congestion
 // score base_j = l_j/s_j (two, so that excluding the querying server
-// still leaves the cluster's best candidate). The structure is verified
-// against the latency matrix first (model.ClusterDelays). Under the
-// sweep's incremental load updates, a change that can affect a
-// cluster's two smallest scores marks it dirty, and the next query
-// rescans its members in ascending order — the lowest-index-wins
-// tie-breaking of the dense ascending scan, which generic, clustered
-// and dense runs share bit for bit, short of the collapsed ties best
-// describes.
+// still leaves the cluster's best candidate) and a lower bound on every
+// member's base. The structure is verified against the latency matrix
+// first (model.ClusterDelays).
+//
+// Under the sweep's incremental load updates, a change that can affect a
+// cluster's two smallest scores marks it dirty, and a query that still
+// needs it rescans its members in ascending order — the lowest-index-wins
+// tie-breaking of the dense ascending scan, which generic, clustered and
+// dense runs share bit for bit, short of the collapsed ties best
+// describes. A clean cluster's bound is its exact smallest base; a dirty
+// one's is the smallest it held when it went dirty, lowered by every
+// later decrease. The bounds serve twice without a rescan: lowerBound
+// brackets a row's oracle score, which lets the sweep settle a row step
+// that does not need the vertex, and best meets the clusters
+// nearest-first and passes over any whose bound already loses to the
+// score in hand.
 type metroLMO struct {
 	labels  []int
 	delay   [][]float64
+	order   [][]int32 // per source cluster, clusters by ascending delay
 	members [][]int32 // per-cluster server indices, ascending
 	min1    []int32   // per-cluster argmin of base (−1: empty)
 	min2    []int32   // per-cluster second argmin (−1: singleton)
+	lb      []float64 // per-cluster bound: ≤ every member's base (+Inf: empty)
 	dirty   []bool
 }
 
@@ -82,13 +94,23 @@ func newMetroLMO(in *model.Instance) *metroLMO {
 	lmo := &metroLMO{
 		labels:  in.Cluster,
 		delay:   delay,
+		order:   make([][]int32, k),
 		members: make([][]int32, k),
 		min1:    make([]int32, k),
 		min2:    make([]int32, k),
+		lb:      make([]float64, k),
 		dirty:   make([]bool, k),
 	}
 	for j, g := range in.Cluster {
 		lmo.members[g] = append(lmo.members[g], int32(j))
+	}
+	for g, drow := range delay {
+		ord := make([]int32, k)
+		for h := range ord {
+			ord[h] = int32(h)
+		}
+		slices.SortStableFunc(ord, func(a, b int32) int { return cmp.Compare(drow[a], drow[b]) })
+		lmo.order[g] = ord
 	}
 	return lmo
 }
@@ -100,60 +122,87 @@ func (c *metroLMO) prepareAll(base []float64) {
 	}
 }
 
-// rescan rebuilds cluster g's minima. Scanning members in ascending
-// order with strict comparisons makes min1/min2 the lowest-index servers
-// among ties — the same preference the dense ascending scan encodes.
+// rescan rebuilds cluster g's minima and bound. Scanning members in
+// ascending order with strict comparisons makes min1/min2 the
+// lowest-index servers among ties — the same preference the dense
+// ascending scan encodes.
 func (c *metroLMO) rescan(g int, base []float64) {
 	m1, m2 := int32(-1), int32(-1)
+	b1, b2 := math.Inf(1), math.Inf(1)
 	for _, j := range c.members[g] {
-		switch {
-		case m1 < 0 || base[j] < base[m1]:
-			m2, m1 = m1, j
-		case m2 < 0 || base[j] < base[m2]:
-			m2 = j
+		switch b := base[j]; {
+		case m1 < 0 || b < b1:
+			m2, b2 = m1, b1
+			m1, b1 = j, b
+		case m2 < 0 || b < b2:
+			m2, b2 = j, b
 		}
 	}
-	c.min1[g], c.min2[g], c.dirty[g] = m1, m2, false
+	c.min1[g], c.min2[g], c.lb[g], c.dirty[g] = m1, m2, b1, false
 }
 
-// touch records that base[j] changed from old: the cluster is marked
-// dirty whenever the change could perturb its two smallest scores.
+// touch records that base[j] changed from old to now: the cluster is
+// marked dirty whenever the change could perturb its two smallest
+// scores, and its bound follows every decrease.
 func (c *metroLMO) touch(j int, old, now float64, base []float64) {
 	g := c.labels[j]
-	if c.dirty[g] {
-		return
-	}
-	jj := int32(j)
-	if jj == c.min1[g] || jj == c.min2[g] {
-		switch {
-		case now > old:
-			c.dirty[g] = true // a tracked minimum got worse
-		case jj == c.min2[g] && (c.min1[g] < 0 || now <= base[c.min1[g]]):
-			// min2 improved past (or onto) min1: the pair's order — which
-			// best() relies on to pick the cluster's candidate — is stale.
-			c.dirty[g] = true
+	if !c.dirty[g] {
+		jj := int32(j)
+		if jj == c.min1[g] || jj == c.min2[g] {
+			switch {
+			case now > old:
+				// A tracked minimum got worse. The bound keeps the old
+				// minimum, below every member.
+				c.dirty[g] = true
+			case jj == c.min2[g] && (c.min1[g] < 0 || now <= base[c.min1[g]]):
+				// min2 improved past (or onto) min1: the pair's order — which
+				// best() relies on to pick the cluster's candidate — is stale.
+				c.dirty[g] = true
+			}
+		} else if now < old && (c.min2[g] < 0 || now <= base[c.min2[g]]) {
+			c.dirty[g] = true // an untracked member may now beat the minima
 		}
-		return
 	}
-	if now < old && (c.min2[g] < 0 || now <= base[c.min2[g]]) {
-		c.dirty[g] = true // an untracked member may now beat the minima
+	if now < c.lb[g] {
+		c.lb[g] = now
 	}
 }
 
-// best returns row i's LMO vertex and score under the current base,
-// rescanning dirty clusters on the way. The dense scan's winner is
-// always among {i} ∪ {per-cluster best candidate ≠ i}: within a cluster
-// all servers share the same c_ij, so the first-index global minimizer
-// has the cluster-minimal base (up to the rounding collapse noted
-// below). Ties keep the incumbent i (the dense
+// lowerBound returns a lower bound on the score best(i) returns, in
+// O(k) and without a rescan: the incumbent's base or, per cluster, the
+// bound plus the block delay. IEEE addition is monotone, so a bound
+// below every member's base scores below every member.
+func (c *metroLMO) lowerBound(i int, base []float64) float64 {
+	lb := base[i]
+	for h, d := range c.delay[c.labels[i]] {
+		if s := c.lb[h] + d; s < lb {
+			lb = s
+		}
+	}
+	return lb
+}
+
+// best returns row i's LMO vertex and score under the current base. The
+// dense scan's winner is always among {i} ∪ {per-cluster best candidate
+// ≠ i}: within a cluster all servers share the same c_ij, so the
+// first-index global minimizer has the cluster-minimal base (up to the
+// rounding collapse noted below). Ties keep the incumbent i (the dense
 // scan requires a strict improvement) and otherwise prefer the smaller
-// index (the dense scan meets it first).
+// index (the dense scan meets it first). Neither rule depends on the
+// order the clusters are met in, so best meets them nearest-first, and
+// a cluster whose bound scores above the best score so far is passed
+// over, dirty or not: none of its members can win or tie.
 func (c *metroLMO) best(i int, base []float64) (int, float64) {
 	bestJ, bestScore := i, base[i]
-	drow := c.delay[c.labels[i]]
-	for h := range drow {
+	g := c.labels[i]
+	drow := c.delay[g]
+	for _, h := range c.order[g] {
+		d := drow[h]
+		if c.lb[h]+d > bestScore {
+			continue
+		}
 		if c.dirty[h] {
-			c.rescan(h, base)
+			c.rescan(int(h), base)
 		}
 		j := c.min1[h]
 		if int(j) == i {
@@ -162,13 +211,13 @@ func (c *metroLMO) best(i int, base []float64) (int, float64) {
 		if j < 0 {
 			continue
 		}
-		score := base[j] + drow[h]
+		score := base[j] + d
 		// Adding the same block delay can collapse two distinct bases onto
 		// one score; the dense ascending scan then keeps the lower index,
 		// so check the cluster's second candidate for an index-improving
 		// exact tie. A third server collapsing onto the score goes
 		// unseen, and the dense scan may then pick another of them.
-		if j2 := c.min2[h]; j2 >= 0 && int(j2) != i && j2 < j && base[j2]+drow[h] == score {
+		if j2 := c.min2[h]; j2 >= 0 && int(j2) != i && j2 < j && base[j2]+d == score {
 			j = j2
 		}
 		if score < bestScore || (score == bestScore && bestJ != i && int(j) < bestJ) {
@@ -196,7 +245,28 @@ type fwState struct {
 	// Telemetry tallies, folded into the solve's instruments once per
 	// iteration; nothing reads them back.
 	oracleCalls int64
+	oracleSkips int64 // sweep row steps the score bracket settled
 	drops       int64
+}
+
+// newFWState wraps the iterate rho in the solve state; classic adds the
+// global step's scratch.
+func newFWState(in *model.Instance, rho *sparse.Matrix, classic bool) *fwState {
+	m := in.M()
+	st := &fwState{
+		in:    in,
+		rho:   rho,
+		loads: make([]float64, m),
+		base:  make([]float64, m),
+		lmo:   newMetroLMO(in),
+	}
+	if st.lmo == nil {
+		st.buf = latRowBuf(in)
+	}
+	if classic {
+		st.best, st.incoming = make([]int, m), make([]float64, m)
+	}
+	return st
 }
 
 // rowScores scans row i's active set under the current base: the
@@ -332,10 +402,19 @@ func (st *fwState) globalStep(gap float64) bool {
 // The iterate is sparse rows: O(nnz + m) memory and, per iteration,
 // O(nnz + m·k) work on verified clustered networks or O(nnz + m²) with
 // the generic oracle. Classic iterates match the dense reference in
-// frankwolfe_sparse_test.go bit for bit.
+// frankwolfe_sparse_test.go bit for bit, short of one rounding corner
+// on the metro oracle: when adding the block delay collapses more
+// servers of one cluster onto the minimal score than the two it
+// tracks, it can return another of them than the dense scan's lowest
+// index (see metroLMO.best), and the runs part there.
 func SolveFrankWolfeSparse(in *model.Instance, opt Options) *SparseResult {
+	return solveSparse(in, opt, (*fwState).sweep)
+}
+
+// solveSparse is SolveFrankWolfeSparse with the away/pairwise sweep
+// passed in, so tests can run the same loop on a reference sweep.
+func solveSparse(in *model.Instance, opt Options, sweep func(st *fwState, pairwise bool)) *SparseResult {
 	opt = opt.withDefaults()
-	m := in.M()
 	var rho *sparse.Matrix
 	switch {
 	case opt.InitialSparse != nil:
@@ -343,27 +422,15 @@ func SolveFrankWolfeSparse(in *model.Instance, opt Options) *SparseResult {
 	case opt.Initial != nil:
 		rho = sparse.FromDense(opt.Initial, 0)
 	default:
-		rho = sparse.Identity(m)
+		rho = sparse.Identity(in.M())
 	}
 	// The invariant "stored entries are exactly the active set" starts
 	// here: warm starts may carry explicit zeros from earlier dense
 	// round-trips; they are not active vertices.
 	rho.Prune(0)
 
-	st := &fwState{
-		in:    in,
-		rho:   rho,
-		loads: make([]float64, m),
-		base:  make([]float64, m),
-		lmo:   newMetroLMO(in),
-	}
-	if st.lmo == nil {
-		st.buf = latRowBuf(in)
-	}
 	classic := opt.Variant == VariantClassic
-	if classic {
-		st.best, st.incoming = make([]int, m), make([]float64, m)
-	}
+	st := newFWState(in, rho, classic)
 	sobs := newSolveObs(opt.Obs, opt.Variant)
 	span := opt.Obs.Start("qp.solve")
 
@@ -373,11 +440,10 @@ func SolveFrankWolfeSparse(in *model.Instance, opt Options) *SparseResult {
 			break
 		}
 		gap := st.certify()
-		cost := ObjectiveSparse(in, rho)
+		cost := objectiveAt(in, rho, st.loads, st.buf)
 		res.Iters, res.Gap = it, gap
-		sobs.sweep(gap, cost, st.oracleCalls, rho)
-		sobs.dropSteps.Add(st.drops)
-		st.oracleCalls, st.drops = 0, 0
+		sobs.sweep(gap, cost, rho)
+		st.fold(sobs)
 		if opt.TraceGaps {
 			res.Gaps = append(res.Gaps, gap)
 		}
@@ -386,7 +452,7 @@ func SolveFrankWolfeSparse(in *model.Instance, opt Options) *SparseResult {
 			break
 		}
 		if !classic {
-			st.sweep(opt.Variant == VariantPairwise)
+			sweep(st, opt.Variant == VariantPairwise)
 		} else if !st.globalStep(gap) {
 			res.Converged = true
 			break
@@ -396,15 +462,24 @@ func SolveFrankWolfeSparse(in *model.Instance, opt Options) *SparseResult {
 	// NNZ counts true nonzeros (exact zeros leave every sum unchanged).
 	rho.Prune(0)
 	res.Rho = rho
-	res.Cost = ObjectiveSparse(in, rho)
+	LoadsSparse(in, rho, st.loads)
+	res.Cost = objectiveAt(in, rho, st.loads, st.buf)
 	// Fold the tail sweep's tallies (a MaxIters exit breaks before the
 	// next certificate pass would have folded them).
-	sobs.lmoCalls.Add(st.oracleCalls)
-	sobs.dropSteps.Add(st.drops)
+	st.fold(sobs)
 	span.With(obs.Int("iters", int64(res.Iters))).
 		With(obs.Float("gap", res.Gap)).
 		With(obs.Float("cost", res.Cost)).
 		With(obs.Int("nnz", int64(rho.NNZ()))).
 		End()
 	return res
+}
+
+// fold adds the tallies since the last fold to the solve's counters and
+// clears them.
+func (st *fwState) fold(o solveObs) {
+	o.lmoCalls.Add(st.oracleCalls)
+	o.lmoSkips.Add(st.oracleSkips)
+	o.dropSteps.Add(st.drops)
+	st.oracleCalls, st.oracleSkips, st.drops = 0, 0, 0
 }

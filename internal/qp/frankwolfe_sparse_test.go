@@ -1,8 +1,10 @@
 package qp
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"delaylb/internal/model"
@@ -267,5 +269,115 @@ func TestSparseResultDense(t *testing.T) {
 	}
 	if got := Objective(in, res.Rho); got != sp.Cost {
 		t.Fatalf("densified rho evaluates to %v, sparse cost %v", got, sp.Cost)
+	}
+}
+
+// clone copies the metro oracle's mutable state, so a probe can query
+// it without rescanning the original's dirty clusters.
+func (c *metroLMO) clone() *metroLMO {
+	d := *c
+	d.min1, d.min2 = slices.Clone(c.min1), slices.Clone(c.min2)
+	d.lb, d.dirty = slices.Clone(c.lb), slices.Clone(c.dirty)
+	return &d
+}
+
+// TestMetroLowerBound applies random load shifts to the metro oracle of
+// random block instances and checks, after every shift, that every
+// clean cluster holds its exact (base, index) top two and its smallest
+// base as its bound, that every dirty cluster's bound is at most each
+// member's base, and that for every row lowerBound is at most the score
+// best returns, whose pick equals bestReference's.
+func TestMetroLowerBound(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	var dirtySeen int
+	for n := 0; n < 80; n++ {
+		in := randomBlockInstance(t, rng)
+		m := in.M()
+		st := newFWState(in, randomStart(in, rng), false)
+		st.certify()
+		c := st.lmo
+		for s := 0; s < 60; s++ {
+			j := rng.Intn(m)
+			// Shifts on the load grid keep ties between servers of one speed.
+			delta := float64(rng.Intn(31)-15) * 1.7
+			if rng.Intn(4) == 0 || st.loads[j]+delta < 0 {
+				delta = -st.loads[j] // empty the server
+			}
+			st.shift(j, delta)
+			label := fmt.Sprintf("instance %d (m=%d, k=%d) shift %d", n, m, len(c.delay), s)
+			for g, members := range c.members {
+				for _, x := range members {
+					if c.lb[g] > st.base[x] {
+						t.Fatalf("%s: cluster %d bound %v above member %d's base %v", label, g, c.lb[g], x, st.base[x])
+					}
+				}
+				if c.dirty[g] {
+					dirtySeen++
+					continue
+				}
+				m1, m2 := int32(-1), int32(-1)
+				for _, x := range members {
+					switch {
+					case m1 < 0 || st.base[x] < st.base[m1]:
+						m2, m1 = m1, x
+					case m2 < 0 || st.base[x] < st.base[m2]:
+						m2 = x
+					}
+				}
+				if c.min1[g] != m1 || c.min2[g] != m2 {
+					t.Fatalf("%s: clean cluster %d tracks (%d, %d), exact top two (%d, %d)", label, g, c.min1[g], c.min2[g], m1, m2)
+				}
+				want := math.Inf(1) // an empty cluster's bound
+				if m1 >= 0 {
+					want = st.base[m1]
+				}
+				if c.lb[g] != want {
+					t.Fatalf("%s: clean cluster %d bound %v, smallest base %v", label, g, c.lb[g], want)
+				}
+			}
+			probe, ref := c.clone(), c.clone()
+			for i := 0; i < m; i++ {
+				lb := c.lowerBound(i, st.base)
+				j1, s1 := probe.best(i, st.base)
+				j2, s2 := ref.bestReference(i, st.base)
+				if j1 != j2 || math.Float64bits(s1) != math.Float64bits(s2) {
+					t.Fatalf("%s: row %d best (%d, %v), reference (%d, %v)", label, i, j1, s1, j2, s2)
+				}
+				if lb > s1 {
+					t.Fatalf("%s: row %d lower bound %v above the oracle's score %v", label, i, lb, s1)
+				}
+			}
+		}
+	}
+	if dirtySeen == 0 {
+		t.Fatal("no cluster was ever dirty")
+	}
+}
+
+// TestFrankWolfeIterationAllocationBound pins the per-iteration work
+// outside the step rules at zero allocations: on a warm block instance,
+// one certificate pass plus the iteration's objective, read from the
+// loads that pass computed, allocate nothing.
+func TestFrankWolfeIterationAllocationBound(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	delay, labels := netmodel.ClusteredBlock(400, 6, 2, 80, rng)
+	in, err := model.NewBlockInstance(workload.UniformSpeeds(400, 1, 5, rng), workload.ZipfLoads(400, 100, 1.2, rng), delay, labels)
+	if err != nil {
+		t.Fatal(err)
+	}
+	warm := SolveFrankWolfeSparse(in, Options{Variant: VariantAway, Tol: 1e-12, MaxIters: 20})
+	for _, classic := range []bool{false, true} {
+		st := newFWState(in, warm.Rho.Clone(), classic)
+		var cost float64
+		allocs := testing.AllocsPerRun(20, func() {
+			st.certify()
+			cost = objectiveAt(in, st.rho, st.loads, st.buf)
+		})
+		if allocs != 0 {
+			t.Errorf("classic=%v: certificate pass and objective allocated %.1f times, want 0", classic, allocs)
+		}
+		if want := objectiveSparse(in, st.rho); cost != want {
+			t.Errorf("classic=%v: objective from the pass's loads %v, objectiveSparse %v", classic, cost, want)
+		}
 	}
 }

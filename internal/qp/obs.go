@@ -14,7 +14,8 @@ import (
 // uninstrumented runs are bit-identical.
 type solveObs struct {
 	sweeps    *obs.Counter   // qp_sweeps_total: certificate passes (iterations)
-	lmoCalls  *obs.Counter   // qp_lmo_calls_total: per-row oracle invocations
+	lmoCalls  *obs.Counter   // qp_lmo_calls_total: per-row oracle evaluations
+	lmoSkips  *obs.Counter   // qp_lmo_skipped_total: sweep row steps the score bracket settled
 	dropSteps *obs.Counter   // qp_drop_steps_total: away/pairwise vertices dropped
 	gapHist   *obs.Histogram // qp_sweep_gap: per-sweep duality gap distribution
 	gap       *obs.Gauge     // qp_gap: last measured duality gap
@@ -35,6 +36,7 @@ func newSolveObs(sc *obs.Scope, variant Variant) solveObs {
 	return solveObs{
 		sweeps:    sc.Counter("qp_sweeps_total", "variant", v),
 		lmoCalls:  sc.Counter("qp_lmo_calls_total", "variant", v),
+		lmoSkips:  sc.Counter("qp_lmo_skipped_total", "variant", v),
 		dropSteps: sc.Counter("qp_drop_steps_total", "variant", v),
 		gapHist:   sc.Histogram("qp_sweep_gap", sweepGapBuckets, "variant", v),
 		gap:       sc.Gauge("qp_gap", "variant", v),
@@ -43,13 +45,11 @@ func newSolveObs(sc *obs.Scope, variant Variant) solveObs {
 	}
 }
 
-// sweep records one certificate pass: the measured gap and cost, the
-// row-oracle calls spent since the last fold, and the iterate's
-// active-set size. The nnz scan is gated so the disabled path stays
-// O(1) per sweep.
-func (o solveObs) sweep(gap, cost float64, lmoCalls int64, rho *sparse.Matrix) {
+// sweep records one certificate pass: the measured gap and cost and
+// the iterate's active-set size. The nnz scan is gated so the disabled
+// path stays O(1) per sweep.
+func (o solveObs) sweep(gap, cost float64, rho *sparse.Matrix) {
 	o.sweeps.Inc()
-	o.lmoCalls.Add(lmoCalls)
 	o.gapHist.Observe(gap)
 	o.gap.Set(gap)
 	o.cost.Set(cost)

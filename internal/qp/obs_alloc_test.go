@@ -25,9 +25,10 @@ func TestDisabledSolveObsZeroAlloc(t *testing.T) {
 		var opt Options // Obs deliberately nil: the default every caller gets
 		allocs := testing.AllocsPerRun(200, func() {
 			span := opt.Obs.Start("qp.solve")
-			sobs.sweep(1.5e-3, 42.0, 7, rho)
+			sobs.sweep(1.5e-3, 42.0, rho)
 			sobs.dropSteps.Add(1)
 			sobs.lmoCalls.Add(3)
+			sobs.lmoSkips.Add(2)
 			span.With(obs.Float("gap", 1.5e-3)).With(obs.Int("iters", 12)).End()
 		})
 		if allocs != 0 {
@@ -40,8 +41,10 @@ func TestDisabledSolveObsZeroAlloc(t *testing.T) {
 // benchmark reads (qp.sweeps, qp.lmo_calls_per_sweep, qp.drop_steps):
 // one sweep per iteration; for classic, one oracle call per loaded row
 // per iteration and no drop steps; for away and pairwise, at least that
-// many oracle calls. Runs end both by tolerance and by MaxIters, on the
-// metro and the generic oracle, with some zero-load rows.
+// many oracle calls. Bracket-settled row steps (qp_lmo_skipped_total)
+// never occur in classic or on the generic oracle, and do occur in away
+// runs on the metro oracle. Runs end both by tolerance and by MaxIters,
+// on the metro and the generic oracle, with some zero-load rows.
 func TestSolveObsCounters(t *testing.T) {
 	clustered := clusteredInstance(t, 60, 5, 7)
 	generic := randomInstance(t, 25, 11)
@@ -56,6 +59,7 @@ func TestSolveObsCounters(t *testing.T) {
 			}
 		}
 		for _, v := range []Variant{VariantClassic, VariantAway, VariantPairwise} {
+			var skipped int64
 			for _, opt := range []Options{{Tol: 1e-6, MaxIters: 500}, {Tol: 1e-12, MaxIters: 7}} {
 				reg := obs.NewRegistry()
 				opt.Variant, opt.Obs = v, obs.NewScope(reg, nil)
@@ -64,6 +68,7 @@ func TestSolveObsCounters(t *testing.T) {
 				sweeps := reg.Counter("qp_sweeps_total", "variant", v.String()).Value()
 				calls := reg.Counter("qp_lmo_calls_total", "variant", v.String()).Value()
 				drops := reg.Counter("qp_drop_steps_total", "variant", v.String()).Value()
+				skipped += reg.Counter("qp_lmo_skipped_total", "variant", v.String()).Value()
 				if sweeps != int64(res.Iters) {
 					t.Errorf("%s: qp_sweeps_total %d, Iters %d", label, sweeps, res.Iters)
 				}
@@ -74,6 +79,12 @@ func TestSolveObsCounters(t *testing.T) {
 				case v != VariantClassic && calls < perIter:
 					t.Errorf("%s: lmo calls %d below loaded rows × Iters = %d", label, calls, perIter)
 				}
+			}
+			switch {
+			case (v == VariantClassic || in == generic) && skipped != 0:
+				t.Errorf("%v m=%d: %d bracket-settled row steps, want 0", v, in.M(), skipped)
+			case in == clustered && v == VariantAway && skipped == 0:
+				t.Errorf("%v m=%d: no bracket-settled row step on the metro oracle", v, in.M())
 			}
 		}
 	}

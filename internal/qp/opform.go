@@ -30,14 +30,13 @@ func LoadsSparse(in *model.Instance, rho *sparse.Matrix, dst []float64) {
 	}
 }
 
-// ObjectiveSparse evaluates ΣC_i at a sparse iterate in O(nnz + m),
-// with the same accumulation order as Objective so dense and sparse
-// solver runs agree bit for bit.
-func ObjectiveSparse(in *model.Instance, rho *sparse.Matrix) float64 {
-	m := in.M()
+// objectiveAt evaluates ΣC_i at a sparse iterate in O(nnz + m) from its
+// loads (as LoadsSparse computes them) and latRowBuf's row scratch, with
+// the same accumulation order as Objective so dense and sparse solver
+// runs agree bit for bit. The solver passes the loads its certificate
+// pass just computed, so the evaluation allocates nothing.
+func objectiveAt(in *model.Instance, rho *sparse.Matrix, loads, rowBuf []float64) float64 {
 	var cost float64
-	loads := make([]float64, m)
-	LoadsSparse(in, rho, loads)
 	for j, l := range loads {
 		cost += l * l / (2 * in.Speed[j])
 	}
@@ -62,7 +61,6 @@ func ObjectiveSparse(in *model.Instance, rho *sparse.Matrix) float64 {
 		}
 		return cost
 	}
-	rowBuf := latRowBuf(in)
 	for i, idx := range rho.Idx {
 		ni := in.Load[i]
 		if ni == 0 {

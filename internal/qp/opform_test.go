@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"delaylb/internal/model"
 	"delaylb/internal/sparse"
 )
 
@@ -32,6 +33,13 @@ func randomSimplexRho(m int, rng *rand.Rand) []float64 {
 	return v
 }
 
+// objectiveSparse evaluates ΣC_i at a sparse iterate from scratch.
+func objectiveSparse(in *model.Instance, rho *sparse.Matrix) float64 {
+	loads := make([]float64, in.M())
+	LoadsSparse(in, rho, loads)
+	return objectiveAt(in, rho, loads, latRowBuf(in))
+}
+
 // TestObjectiveSparseMatchesObjective pins the bit-level agreement the
 // sparse Frank–Wolfe run relies on.
 func TestObjectiveSparseMatchesObjective(t *testing.T) {
@@ -44,8 +52,8 @@ func TestObjectiveSparseMatchesObjective(t *testing.T) {
 			rho[i] = v[i*m : (i+1)*m]
 		}
 		sp := sparse.FromDense(rho, 0)
-		if got, want := ObjectiveSparse(in, sp), Objective(in, rho); got != want {
-			t.Fatalf("m=%d: ObjectiveSparse=%v, Objective=%v", m, got, want)
+		if got, want := objectiveSparse(in, sp), Objective(in, rho); got != want {
+			t.Fatalf("m=%d: objectiveSparse=%v, Objective=%v", m, got, want)
 		}
 		loadsDense := make([]float64, m)
 		loadsSparse := make([]float64, m)

@@ -3,6 +3,7 @@ package delaylb
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -127,6 +128,108 @@ func TestChurnErrorsNameTheEdit(t *testing.T) {
 				if err == nil || err.Error() != tc.want {
 					t.Errorf("%s: error %v, want %q", who, err, tc.want)
 				}
+			}
+		})
+	}
+}
+
+// TestResultReadersRejectHostileInput pins the input contract of the
+// calls that read a result's allocation: a nil result, one without an
+// allocation, or one sized for another system is an error naming the
+// call, and so are an organization or replication factor out of range,
+// a placement from a row above 1/r, and a task naming no organization or
+// with a NaN, infinite or negative size — never a panic, an empty or
+// duplicate placement or a meaningless cost. Valid calls on the same
+// system succeed.
+func TestResultReadersRejectHostileInput(t *testing.T) {
+	lat := [][]float64{{0, 5, 9}, {5, 0, 4}, {9, 4, 0}}
+	sys, err := New([]float64{1, 2, 3}, []float64{10, 6, 20}, lat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := sys.OptimizeReplicated(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	small, err := New([]float64{1, 2}, []float64{3, 4}, [][]float64{{0, 1}, {1, 0}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	other, err := small.Optimize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	unreplicated, err := sys.Optimize() // organization 1 keeps all its requests
+	if err != nil {
+		t.Fatal(err)
+	}
+	tasks := sys.GenerateTasks(2, 5)
+	eps := func(r *Result) func() error {
+		return func() error { _, err := sys.EpsilonNash(r); return err }
+	}
+	place := func(r *Result, org, rep int) func() error {
+		return func() error {
+			picks, err := sys.PlaceReplicas(r, org, rep, 1)
+			if err == nil && (len(picks) != rep || len(slices.Compact(slices.Sorted(slices.Values(picks)))) != rep) {
+				return fmt.Errorf("want %d distinct replicas, got %v", rep, picks)
+			}
+			return err
+		}
+	}
+	round := func(r *Result, tasks ...Task) func() error {
+		return func() error {
+			asg, disc, err := sys.RoundTasks(r, tasks)
+			if err == nil && (len(asg) != len(tasks) || math.IsNaN(disc.Cost) || disc.Cost <= 0) {
+				return fmt.Errorf("assignment %v, cost %v", asg, disc.Cost)
+			}
+			return err
+		}
+	}
+	cases := []struct {
+		name string
+		call func() error
+		want string // "" accepts; otherwise a substring of the error
+	}{
+		{"EpsilonNash nil", eps(nil), "EpsilonNash needs a result with an allocation"},
+		{"EpsilonNash no allocation", eps(&Result{}), "EpsilonNash needs a result with an allocation"},
+		{"EpsilonNash other system", eps(other), "EpsilonNash got a 2×2 allocation for a 3-server system"},
+		{"EpsilonNash valid", eps(res), ""},
+		{"PlaceReplicas nil", place(nil, 0, 2), "PlaceReplicas needs a result with an allocation"},
+		{"PlaceReplicas other system", place(other, 0, 2), "PlaceReplicas got a 2×2 allocation"},
+		{"PlaceReplicas org -1", place(res, -1, 2), "organization -1 out of range [0, 3)"},
+		{"PlaceReplicas org m", place(res, 3, 2), "organization 3 out of range [0, 3)"},
+		{"PlaceReplicas r 0", place(res, 0, 0), "replication factor 0 out of range [1, 3]"},
+		{"PlaceReplicas r > m", place(res, 0, 4), "replication factor 4 out of range [1, 3]"},
+		{"PlaceReplicas unreplicated", place(unreplicated, 1, 2), "organization 1 sends 1 of its requests to server 1, above 1/r = 0.5"},
+		{"PlaceReplicas valid", place(res, 2, 2), ""},
+		{"RoundTasks nil", round(nil, tasks...), "RoundTasks needs a result with an allocation"},
+		{"RoundTasks other system", round(other, tasks...), "RoundTasks got a 2×2 allocation"},
+		{"RoundTasks org -1", round(res, Task{Org: -1, Size: 1}), "task 0 organization -1 out of range [0, 3)"},
+		{"RoundTasks org m", round(res, tasks[0], Task{Org: 3, Size: 1}), "task 1 organization 3 out of range [0, 3)"},
+		{"RoundTasks NaN size", round(res, Task{Org: 0, Size: math.NaN()}), "task 0 size NaN"},
+		{"RoundTasks +Inf size", round(res, Task{Org: 1, Size: math.Inf(1)}), "task 0 size +Inf"},
+		{"RoundTasks negative size", round(res, Task{Org: 1, Size: -2}), "task 0 size -2"},
+		{"RoundTasks valid", round(res, tasks...), ""},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var err error
+			func() {
+				defer func() {
+					if p := recover(); p != nil {
+						err = fmt.Errorf("panic: %v", p)
+						t.Errorf("panicked: %v", p)
+					}
+				}()
+				err = tc.call()
+			}()
+			switch {
+			case tc.want == "" && err != nil:
+				t.Fatalf("valid call failed: %v", err)
+			case tc.want != "" && err == nil:
+				t.Fatalf("accepted, want an error naming %q", tc.want)
+			case tc.want != "" && !strings.Contains(err.Error(), tc.want):
+				t.Fatalf("error %q does not name %q", err, tc.want)
 			}
 		})
 	}

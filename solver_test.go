@@ -325,8 +325,8 @@ func TestThirdPartySolverViaNewResult(t *testing.T) {
 		t.Fatalf("session did not adopt the custom result: cost %v, want %v", got, want.Cost)
 	}
 	// And the analysis entry points accept it.
-	if eps := sys.EpsilonNash(res); eps < 0 {
-		t.Fatalf("EpsilonNash on a custom result = %v", eps)
+	if eps, err := sys.EpsilonNash(res); err != nil || eps < 0 {
+		t.Fatalf("EpsilonNash on a custom result = %v, %v", eps, err)
 	}
 	// Shape mismatches are rejected instead of corrupting state.
 	if _, err := NewResult(sys, make([][]float64, 3)); err == nil {
