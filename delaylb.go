@@ -166,8 +166,11 @@ func (r *Result) Requests() [][]float64 {
 
 // Fractions returns the dense relay-fraction matrix ρ with ρ_ij =
 // r_ij / n_i (rows with n_i == 0 report ρ_ii = 1). Materialized lazily
-// (O(m²)) and cached; treat as read-only.
+// (O(m²)) and cached; treat as read-only. A nil result has none.
 func (r *Result) Fractions() [][]float64 {
+	if r == nil {
+		return nil
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.fractions != nil {
@@ -606,10 +609,29 @@ func (s *System) PlaceReplicas(res *Result, org, r int, seed int64) ([]int, erro
 // rounding.
 type Task = discrete.Task
 
+// maxTasks bounds the split GenerateTasks makes.
+const maxTasks = 1 << 22
+
 // GenerateTasks splits each organization's load into whole tasks of mean
-// size meanSize (sizes vary lognormally).
-func (s *System) GenerateTasks(meanSize float64, seed int64) []Task {
-	return discrete.GenerateTasks(s.in, meanSize, rand.New(rand.NewSource(seed)))
+// size meanSize (sizes vary lognormally): an organization with load n_i
+// gets max(1, round(n_i/meanSize)) tasks summing to n_i, one without
+// load none. A meanSize that is not positive and finite is an error, and
+// so is a split into more than 4,194,304 (2²²) tasks in all, rejected
+// before anything is allocated.
+func (s *System) GenerateTasks(meanSize float64, seed int64) ([]Task, error) {
+	if !(meanSize > 0) || math.IsInf(meanSize, 1) {
+		return nil, fmt.Errorf("delaylb: GenerateTasks meanSize=%v, must be positive and finite", meanSize)
+	}
+	var total float64
+	for _, n := range s.in.Load {
+		if n > 0 {
+			total += math.Max(1, math.Round(n/meanSize))
+		}
+	}
+	if total > maxTasks {
+		return nil, fmt.Errorf("delaylb: GenerateTasks meanSize=%v splits the loads into %.4g tasks, more than %d", meanSize, total, maxTasks)
+	}
+	return discrete.GenerateTasks(s.in, meanSize, rand.New(rand.NewSource(seed))), nil
 }
 
 // RoundTasks assigns whole tasks to servers approximating the fractional

@@ -309,7 +309,10 @@ func TestRoundTasks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tasks := sys.GenerateTasks(3, 11)
+	tasks, err := sys.GenerateTasks(3, 11)
+	if err != nil {
+		t.Fatal(err)
+	}
 	asg, disc, err := sys.RoundTasks(res, tasks)
 	if err != nil {
 		t.Fatal(err)

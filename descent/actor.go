@@ -9,8 +9,13 @@ package descent
 //     units — row i sums to Load[i]);
 //   - cols: for each owned server, the per-row contributions currently
 //     routed to it. Columns mirror rows exactly (bit-identical floats)
-//     because delta messages carry absolute values; the column doubles
-//     as the subscription list for price publication;
+//     because delta messages carry absolute values;
+//   - subs: the subscription index — for each owned server, the peer
+//     actors whose rows use it, each with its row count, in one list
+//     sorted by (server, peer). It changes only where a column entry
+//     appears or disappears (foldColumn, applyHard, pruneFromSnapshots,
+//     and derive's counting pass), so publish walks the subscriptions,
+//     not every column entry;
 //   - load: each owned server's total load, maintained incrementally by
 //     folding each column's deltas in ascending row order;
 //   - price: last-received (load, speed) for every remote server the
@@ -83,6 +88,14 @@ type candidate struct {
 	price       float64
 }
 
+// subscription is one entry of the subscription index: a peer actor
+// whose rows use an owned server (by its position in own), and how many
+// of its rows do.
+type subscription struct {
+	slot, dst int32
+	rows      int32
+}
+
 type actor struct {
 	pl  *Plane
 	id  int
@@ -92,11 +105,13 @@ type actor struct {
 	cols  []*vec              // per-row contributions per server (shared)
 	load  []float64           // total load per server (shared)
 	price map[int32]loadSpeed // cache of remote server prices
+	subs  []subscription      // subscription index, sorted by (slot, dst)
 
 	byMetro [][]int32 // owned servers grouped by metro (block mode)
 
 	inMu  sync.Mutex
 	inbox [][]byte
+	spare [][]byte // a drained inbox's backing array, for the next drain
 
 	// Round-local state, reset by publish.
 	pendingLocal []deltaEntry
@@ -116,10 +131,12 @@ type actor struct {
 	// Reusable buffers.
 	outPrices [][]priceEntry
 	outDeltas [][]deltaEntry
-	marks     []int32 // last server published per dst, +1 (0 = none)
+	subAt     []int32 // per peer actor: its entry for the server being indexed, +1 (derive)
 	partial   []summaryEntry
+	sums      []summaryEntry // every summary received this round (step)
 	cand1     []candidate
 	cand2     []candidate
+	shared    [][]sharedCand // per home metro: the keyed candidates, in scan order
 	ws        []wsEntry
 	wsStamp   []int32 // per server: the stamp of the last row step whose ws holds it
 	stamp     int32
@@ -161,12 +178,21 @@ func (a *actor) enqueue(payload []byte) {
 	a.inMu.Unlock()
 }
 
+// drain takes the inbox, leaving the spare backing array to collect
+// what arrives next; recycle hands a drained inbox back once its
+// payloads are consumed, so inboxes keep their capacity across rounds.
+// Only the actor's own phase calls either, so spare needs no lock.
 func (a *actor) drain() [][]byte {
 	a.inMu.Lock()
 	msgs := a.inbox
-	a.inbox = nil
+	a.inbox, a.spare = a.spare, nil
 	a.inMu.Unlock()
 	return msgs
+}
+
+func (a *actor) recycle(msgs [][]byte) {
+	clear(msgs)
+	a.spare = msgs[:0]
 }
 
 // send ships one logical message. On a lossy transport it is wrapped in
@@ -210,37 +236,31 @@ func (a *actor) publish(round int) {
 		a.pruneSent(int32(round))
 		a.sendNacks(round)
 	}
+	a.collectPrices()
+	if p.block {
+		a.publishSummaries(round)
+	}
+	for dst := 0; dst < p.shards; dst++ {
+		if len(a.outPrices[dst]) > 0 {
+			a.send(dst, encodePrices(a.id, round, a.outPrices[dst]))
+		}
+	}
+}
+
+// collectPrices fills outPrices with each destination's start-of-round
+// price entries. In block mode server j's price goes to the owners of
+// exactly the rows in its column — its subscribers. The outer loop is
+// ascending in j, so every per-destination payload lists servers in
+// ascending order — a canonical byte stream.
+func (a *actor) collectPrices() {
+	p := a.pl
 	if a.outPrices == nil {
 		a.outPrices = make([][]priceEntry, p.shards)
-		a.marks = make([]int32, p.shards)
 	}
 	for d := range a.outPrices {
 		a.outPrices[d] = a.outPrices[d][:0]
-		a.marks[d] = 0
 	}
-
-	if p.block {
-		// Subscription-driven: server j's price goes to the owners of
-		// exactly the rows in its column. Outer loop ascending in j, so
-		// every per-destination payload lists servers in ascending order
-		// — a canonical byte stream.
-		for _, j := range a.own {
-			col := a.cols[j]
-			if len(col.idx) == 0 {
-				continue
-			}
-			e := priceEntry{j: j, load: a.load[j], speed: p.in.Speed[j]}
-			for _, row := range col.idx {
-				dst := int(p.owner[row])
-				if dst == a.id || a.marks[dst] == j+1 {
-					continue
-				}
-				a.marks[dst] = j + 1
-				a.outPrices[dst] = append(a.outPrices[dst], e)
-			}
-		}
-		a.publishSummaries(round)
-	} else {
+	if !p.block {
 		// Dense fallback (no metro structure): broadcast the full owned
 		// price table. O(m) per actor pair — small-m territory only.
 		for _, j := range a.own {
@@ -251,11 +271,12 @@ func (a *actor) publish(round int) {
 				}
 			}
 		}
+		return
 	}
-	for dst := 0; dst < p.shards; dst++ {
-		if len(a.outPrices[dst]) > 0 {
-			a.send(dst, encodePrices(a.id, round, a.outPrices[dst]))
-		}
+	for _, sb := range a.subs {
+		j := a.own[sb.slot]
+		e := priceEntry{j: j, load: a.load[j], speed: p.in.Speed[j]}
+		a.outPrices[sb.dst] = append(a.outPrices[sb.dst], e)
 	}
 }
 
@@ -299,11 +320,11 @@ func (a *actor) publishSummaries(round int) {
 	}
 }
 
-// mergeSummaries folds every received partial plus the actor's own into
-// per-metro top-2 candidates. The fold is order-independent: server ids
-// are globally unique across partials and selection is by the total
-// order (price, id).
-func (a *actor) mergeSummaries(msgs []message) {
+// mergeSummaries folds the actor's own partial, then every received
+// one, into per-metro top-2 candidates. The fold is order-independent:
+// server ids are globally unique across partials and selection is by
+// the total order (price, id).
+func (a *actor) mergeSummaries(received []summaryEntry) {
 	p := a.pl
 	if a.cand1 == nil {
 		a.cand1 = make([]candidate, p.k)
@@ -334,8 +355,52 @@ func (a *actor) mergeSummaries(msgs []message) {
 		}
 	}
 	fold(a.partial)
-	for _, m := range msgs {
-		fold(m.summaries)
+	fold(received)
+}
+
+// keyCandidates keys the merged metro candidates once per round for
+// each metro the actor's rows are homed in, sorted in scan order. A
+// candidate holds no requests from the row (r = 0), so its key
+// c = 0/(η·s) − gradient is the same for every row of the home metro:
+// its c_ij is the metro table's entry for the candidate's metro, and
+// the one row it differs for, the candidate's own, holds it as its
+// home and skips it. A server offered twice keeps its first offer in
+// working-set order, as a row's working set would.
+func (a *actor) keyCandidates(eta float64) {
+	p := a.pl
+	if a.shared == nil {
+		a.shared = make([][]sharedCand, p.k)
+	}
+	for h, servers := range a.byMetro {
+		if len(servers) == 0 {
+			continue
+		}
+		drow := p.metroDelays[h]
+		a.stamp++
+		list := a.shared[h][:0]
+		for g := range a.cand1 {
+			for r, c := range [2]candidate{a.cand1[g], a.cand2[g]} {
+				if c.id < 0 || a.wsStamp[c.id] == a.stamp {
+					continue
+				}
+				a.wsStamp[c.id] = a.stamp
+				e := wsEntry{j: c.id, load: c.load, speed: c.speed, cij: drow[p.labels[c.id]]}
+				list = append(list, sharedCand{
+					key:   proxKey{c: e.r/(eta*e.speed) - gradient(p.cfg.Mode, e), j: c.id, t: int32(2*g + r)},
+					speed: c.speed,
+				})
+			}
+		}
+		slices.SortFunc(list, func(x, y sharedCand) int {
+			switch {
+			case x.key.before(y.key):
+				return -1
+			case y.key.before(x.key):
+				return 1
+			}
+			return 0
+		})
+		a.shared[h] = list
 	}
 }
 
@@ -355,36 +420,9 @@ func (a *actor) step(round int) {
 			a.seedCandidatePrices()
 		}
 	} else {
-		var sumMsgs []message
-		for _, payload := range a.drain() {
-			// Delta payloads for the apply phase may already be here: a peer
-			// that finished its step before we started ours races its sends
-			// against our drain. Defer them — phase 3 owns them.
-			if len(payload) > 0 && msgKind(payload[0]) == kindDelta {
-				a.deferred = append(a.deferred, payload)
-				continue
-			}
-			m, err := decodeMessage(payload)
-			if err == nil {
-				// On the reliable Bus a malformed message is a bug, not
-				// weather — validation failures are fatal.
-				err = a.validateMessage(&m)
-			}
-			if err != nil {
-				p.noteErr(err)
-				continue
-			}
-			switch m.kind {
-			case kindPrices:
-				for _, e := range m.prices {
-					a.price[e.j] = loadSpeed{load: e.load, speed: e.speed}
-				}
-			case kindSummary:
-				sumMsgs = append(sumMsgs, m)
-			}
-		}
+		a.readPricesAndSummaries()
 		if p.block {
-			a.mergeSummaries(sumMsgs)
+			a.mergeSummaries(a.sums)
 		}
 	}
 	if a.outDeltas == nil {
@@ -397,8 +435,10 @@ func (a *actor) step(round int) {
 		a.wsStamp = make([]int32, p.in.M())
 		a.stamp = 0
 	}
-
 	eta := p.eta
+	if p.block {
+		a.keyCandidates(eta)
+	}
 	for _, i := range a.own {
 		a.stepRow(i, round, eta)
 	}
@@ -409,6 +449,66 @@ func (a *actor) step(round int) {
 	}
 	if p.harden && round%refreshRounds == 0 {
 		a.refreshRows(round)
+	}
+}
+
+// readPricesAndSummaries is the Bus half of step's intake: it decodes
+// the round's payloads into the actor's scratch — prices straight into
+// the price cache, summaries onto one flat slice (a.sums) — and defers
+// delta payloads to apply. On the reliable Bus a malformed message is a
+// bug, not weather — validation failures are fatal.
+func (a *actor) readPricesAndSummaries() {
+	a.sums = a.sums[:0]
+	msgs := a.drain()
+	for _, payload := range msgs {
+		var kind msgKind
+		if len(payload) > 0 {
+			kind = msgKind(payload[0])
+		}
+		switch kind {
+		case kindDelta:
+			// Delta payloads for the apply phase may already be here: a
+			// peer that finished its step before we started ours races its
+			// sends against our drain. Defer them — phase 3 owns them.
+			a.deferred = append(a.deferred, payload)
+		case kindPrices:
+			a.readPrices(payload)
+		default:
+			n := len(a.sums)
+			m := message{summaries: a.sums}
+			err := m.decodeAppend(payload)
+			a.sums = m.summaries
+			if err == nil {
+				m.summaries = m.summaries[n:]
+				err = a.validateMessage(&m)
+			}
+			if err != nil {
+				a.sums = a.sums[:n]
+				a.pl.noteErr(err)
+			}
+		}
+	}
+	a.recycle(msgs)
+}
+
+// readPrices validates a prices payload, then decodes it straight into
+// the price cache — two passes over the bytes, no entry slice.
+func (a *actor) readPrices(payload []byte) {
+	var m message
+	body, _, err := m.decodeHeader(payload)
+	if err == nil {
+		err = a.validateMessage(&m)
+	}
+	for off := 0; err == nil && off < len(body); off += priceEntryBytes {
+		err = a.checkPrice(m.from, priceAt(body, off))
+	}
+	if err != nil {
+		a.pl.noteErr(err)
+		return
+	}
+	for off := 0; off < len(body); off += priceEntryBytes {
+		e := priceAt(body, off)
+		a.price[e.j] = loadSpeed{load: e.load, speed: e.speed}
 	}
 }
 
@@ -457,7 +557,17 @@ func (a *actor) stepRow(i int32, round int, eta float64) {
 				continue
 			}
 		}
-		a.ws = append(a.ws, wsEntry{j: j, r: r, load: ls.load, speed: ls.speed, cij: p.cij(drow, i, j)})
+		// c_ij: on block views the metro table holds exactly the bits
+		// the latency view returns (model.ClusterDelays verifies every
+		// off-diagonal pair of a metro pair), and c_ii = 0.
+		var cij float64
+		switch {
+		case drow == nil:
+			cij = p.lat.At(int(i), int(j))
+		case j != i:
+			cij = drow[p.labels[j]]
+		}
+		a.ws = append(a.ws, wsEntry{j: j, r: r, load: ls.load, speed: ls.speed, cij: cij})
 		mark(j)
 	}
 	support := len(a.ws) // ws[:support] is in index order; candidates follow
@@ -467,17 +577,11 @@ func (a *actor) stepRow(i int32, round int, eta float64) {
 		a.ws = append(a.ws, wsEntry{j: i, r: 0, load: a.load[i], speed: p.in.Speed[i], cij: 0})
 		mark(i)
 	}
+	// O(k) metro candidates, keyed once for the home metro; the prox
+	// step merges them in and skips the ones marked here.
+	var shared []sharedCand
 	if p.block {
-		// O(k) metro candidates from the merged summaries.
-		for g := 0; g < p.k; g++ {
-			for _, c := range [2]candidate{a.cand1[g], a.cand2[g]} {
-				if c.id < 0 || c.id == i || inWS(c.id) {
-					continue
-				}
-				a.ws = append(a.ws, wsEntry{j: c.id, r: 0, load: c.load, speed: c.speed, cij: p.cij(drow, i, c.id)})
-				mark(c.id)
-			}
-		}
+		shared = a.shared[p.labels[i]]
 	} else {
 		// Dense fallback: the whole fleet is the working set.
 		for j := int32(0); j < int32(p.in.M()); j++ {
@@ -494,14 +598,17 @@ func (a *actor) stepRow(i int32, round int, eta float64) {
 					continue
 				}
 			}
-			a.ws = append(a.ws, wsEntry{j: j, r: 0, load: ls.load, speed: ls.speed, cij: p.cij(drow, i, j)})
+			a.ws = append(a.ws, wsEntry{j: j, r: 0, load: ls.load, speed: ls.speed, cij: p.lat.At(int(i), int(j))})
 		}
 	}
 	if budget <= 0 || len(a.ws) == 0 {
 		return
 	}
 
-	x := proxStep(p.cfg.Mode, eta, budget, a.ws, &a.scratch)
+	x := proxStep(p.cfg.Mode, eta, budget, a.ws, shared, a.wsStamp, stamp, &a.scratch)
+	for _, u := range a.scratch.popped {
+		a.ws = append(a.ws, wsEntry{j: shared[u].key.j})
+	}
 
 	// Route the changed coordinates to their owners.
 	changed := false
@@ -571,20 +678,6 @@ func (p *Plane) delayRow(i int32) []float64 {
 	return nil
 }
 
-// cij returns c_ij. With drow = delayRow(i) set it reads the metro table
-// instead of calling the latency view: model.ClusterDelays verifies that
-// every off-diagonal pair of a metro pair holds the same value, so the
-// table holds exactly the bits At returns, and At returns 0 for j = i.
-func (p *Plane) cij(drow []float64, i, j int32) float64 {
-	if drow == nil {
-		return p.lat.At(int(i), int(j))
-	}
-	if i == j {
-		return 0
-	}
-	return drow[p.labels[j]]
-}
-
 // apply is phase 3: fold every delta destined to this actor's servers —
 // remote and local alike — one owned column at a time.
 func (a *actor) apply(round int) {
@@ -595,22 +688,35 @@ func (a *actor) apply(round int) {
 	}
 	a.batch = append(a.batch[:0], a.pendingLocal...)
 	a.pendingLocal = a.pendingLocal[:0]
-	payloads := append(a.deferred, a.drain()...)
-	a.deferred = nil
-	for _, payload := range payloads {
-		m, err := decodeMessage(payload)
-		if err == nil {
-			err = a.validateMessage(&m)
-		}
-		if err != nil {
-			p.noteErr(err)
-			continue
-		}
-		if m.kind == kindDelta {
-			a.batch = append(a.batch, m.deltas...)
-		}
+	for _, payload := range a.deferred {
+		a.readDeltas(payload)
 	}
+	clear(a.deferred)
+	a.deferred = a.deferred[:0]
+	msgs := a.drain()
+	for _, payload := range msgs {
+		a.readDeltas(payload)
+	}
+	a.recycle(msgs)
 	a.foldBatch()
+}
+
+// readDeltas decodes one delta payload straight onto the apply batch.
+func (a *actor) readDeltas(payload []byte) {
+	n := len(a.batch)
+	m := message{deltas: a.batch}
+	err := m.decodeAppend(payload)
+	a.batch = m.deltas
+	if err == nil {
+		m.deltas = m.deltas[n:]
+		err = a.validateMessage(&m)
+	}
+	if err != nil {
+		a.pl.noteErr(err)
+	}
+	if err != nil || m.kind != kindDelta {
+		a.batch = a.batch[:n]
+	}
 }
 
 // foldBatch applies a.batch, which holds at most one delta per
@@ -645,18 +751,20 @@ func (a *actor) foldBatch() {
 		if hi > lo {
 			ups := by[lo:hi]
 			slices.SortFunc(ups, func(x, y deltaEntry) int { return cmp.Compare(x.row, y.row) })
-			a.foldColumn(a.own[s], ups)
+			a.foldColumn(int32(s), ups)
 		}
 		lo = hi
 	}
 	a.colEnd, a.byCol = end, by
 }
 
-// foldColumn merges ups — deltas for column j in ascending row order —
-// into the column in one pass over the entries from the first updated
-// row to the last, and folds load += val − old per delta in that
-// order. A zero value removes the entry.
-func (a *actor) foldColumn(j int32, ups []deltaEntry) {
+// foldColumn merges ups — deltas for the column of own slot s in
+// ascending row order — into the column in one pass over the entries
+// from the first updated row to the last, and folds load += val − old
+// per delta in that order. A zero value removes the entry. Entries that
+// appear or disappear update the subscription index.
+func (a *actor) foldColumn(s int32, ups []deltaEntry) {
+	j := a.own[s]
 	col := a.cols[j]
 	t, _ := col.find(ups[0].row)
 	head := t
@@ -669,13 +777,20 @@ func (a *actor) foldColumn(j int32, ups []deltaEntry) {
 			t++
 		}
 		var old float64
-		if t < len(col.idx) && col.idx[t] == d.row {
+		held := t < len(col.idx) && col.idx[t] == d.row
+		if held {
 			old = col.val[t]
 			t++
 		}
-		if d.val != 0 {
+		switch {
+		case d.val != 0:
 			idx = append(idx, d.row)
 			val = append(val, d.val)
+			if !held {
+				a.subscribe(s, d.row)
+			}
+		case held:
+			a.unsubscribe(s, d.row)
 		}
 		l += d.val - old
 	}
@@ -683,6 +798,94 @@ func (a *actor) foldColumn(j int32, ups []deltaEntry) {
 	col.val = slices.Replace(col.val, head, t, val...)
 	a.load[j] = l
 	a.colIdx, a.colVal = idx, val
+}
+
+// subscribe records that row, a new entry in the column of own slot s,
+// now uses the server; unsubscribe records that a row whose entry left
+// the column no longer does. Either shifts the index's tail: it holds
+// one entry per (server, peer) pair, about 160 per actor on the
+// descent-flash plane. The actor's own rows are no subscribers: publish
+// never sends to itself.
+func (a *actor) subscribe(s, row int32) {
+	dst := a.pl.owner[row]
+	if dst == int32(a.id) {
+		return
+	}
+	t, ok := a.findSubscription(s, dst)
+	if ok {
+		a.subs[t].rows++
+		return
+	}
+	a.subs = slices.Insert(a.subs, t, subscription{slot: s, dst: dst, rows: 1})
+}
+
+func (a *actor) unsubscribe(s, row int32) {
+	dst := a.pl.owner[row]
+	if dst == int32(a.id) {
+		return
+	}
+	t, ok := a.findSubscription(s, dst)
+	if !ok {
+		return
+	}
+	if a.subs[t].rows--; a.subs[t].rows == 0 {
+		a.subs = slices.Delete(a.subs, t, t+1)
+		// Give back the capacity early rounds grew: from the cold
+		// start, rows try every metro's candidates before they settle on
+		// a few servers, and the index shrinks several-fold. Halving at
+		// a quarter keeps the reallocations amortized O(1).
+		if c := cap(a.subs); c > 64 && len(a.subs) < c/4 {
+			a.subs = append(make([]subscription, 0, 2*len(a.subs)), a.subs...)
+		}
+	}
+}
+
+// findSubscription returns where (s, dst) sits in the index, or would.
+func (a *actor) findSubscription(s, dst int32) (int, bool) {
+	lo, hi := 0, len(a.subs)
+	for lo < hi {
+		h := int(uint(lo+hi) >> 1)
+		if e := a.subs[h]; e.slot < s || e.slot == s && e.dst < dst {
+			lo = h + 1
+		} else {
+			hi = h
+		}
+	}
+	return lo, lo < len(a.subs) && a.subs[lo].slot == s && a.subs[lo].dst == dst
+}
+
+// indexSubscriptions rebuilds the subscription index from the owned
+// columns in one counting pass, O(column entries + subscriptions) with
+// no per-entry search: subAt remembers where each peer actor sits among
+// the current server's entries. The index keeps its backing array.
+func (a *actor) indexSubscriptions() {
+	p := a.pl
+	if len(a.subAt) != p.shards {
+		a.subAt = make([]int32, p.shards)
+	}
+	at := a.subAt
+	a.subs = a.subs[:0]
+	for s, j := range a.own {
+		head := len(a.subs)
+		for _, i := range a.cols[j].idx {
+			d := p.owner[i]
+			if d == int32(a.id) {
+				continue
+			}
+			if at[d] == 0 {
+				a.subs = append(a.subs, subscription{slot: int32(s), dst: d})
+				at[d] = int32(len(a.subs))
+			}
+			a.subs[at[d]-1].rows++
+		}
+		list := a.subs[head:]
+		for u, e := range list {
+			at[e.dst] = 0
+			for v := u; v > 0 && list[v].dst < list[v-1].dst; v-- {
+				list[v], list[v-1] = list[v-1], list[v]
+			}
+		}
+	}
 }
 
 // nnz reports the entry count across the actor's rows.

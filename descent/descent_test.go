@@ -118,7 +118,7 @@ func TestProxStepFeasibleAndImproving(t *testing.T) {
 		{j: 2, r: 0, load: 30, speed: 1, cij: 0.1},
 	}
 	var scratch stepScratch
-	x := proxStep(Cooperative, 1, 6, ws, &scratch)
+	x := proxStep(Cooperative, 1, 6, ws, nil, nil, 0, &scratch)
 	sum := 0.0
 	for t2, v := range x {
 		if v < 0 {

@@ -132,7 +132,9 @@ func (fc *foldCase) clone() ([]*vec, []float64) {
 
 // TestFoldBatchMatchesPerDeltaFold checks the apply phase's column
 // merge against the per-delta fold bit for bit: same entries, same
-// values, same load bits, for every column of every actor.
+// values, same load bits, for every column of every actor. Each actor's
+// subscription index, built from the columns before the fold, must
+// match the folded columns after it.
 func TestFoldBatchMatchesPerDeltaFold(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	var cov foldCoverage
@@ -145,7 +147,7 @@ func TestFoldBatchMatchesPerDeltaFold(t *testing.T) {
 		}
 
 		gotCols, gotLoad := fc.clone()
-		p := &Plane{owner: fc.owner, slot: make([]int32, fc.m)}
+		p := &Plane{owner: fc.owner, slot: make([]int32, fc.m), shards: fc.shards}
 		actors := make([]*actor, fc.shards)
 		for id := range actors {
 			actors[id] = &actor{pl: p, id: id, cols: gotCols, load: gotLoad}
@@ -156,8 +158,12 @@ func TestFoldBatchMatchesPerDeltaFold(t *testing.T) {
 			a.own = append(a.own, int32(j))
 		}
 		for id, a := range actors {
+			a.indexSubscriptions()
 			a.batch = append(a.batch[:0], fc.batches[id]...)
 			a.foldBatch()
+			if err := checkSubscriptions(a); err != nil {
+				t.Fatalf("trial %d: %v", trial, err)
+			}
 		}
 
 		for j := 0; j < fc.m; j++ {

@@ -183,9 +183,11 @@ func (a *actor) sendNacks(round int) {
 // both the step and apply barriers: whatever a phase does not consume
 // lands in a cache or pend list for the phase that does.
 func (a *actor) ingest(round int32) {
-	for _, payload := range a.drain() {
+	msgs := a.drain()
+	for _, payload := range msgs {
 		a.ingestOne(payload, round)
 	}
+	a.recycle(msgs)
 }
 
 func (a *actor) ingestOne(payload []byte, round int32) {
@@ -283,13 +285,13 @@ func (a *actor) ingestOne(payload []byte, round int32) {
 // just this round's — under loss the freshest survivor is the best
 // available information) together with the actor's own partial.
 func (a *actor) mergeSummariesHard() {
-	var msgs []message
+	a.sums = a.sums[:0]
 	for src := range a.lastSum {
 		if st := &a.lastSum[src]; st.ok {
-			msgs = append(msgs, message{summaries: st.entries})
+			a.sums = append(a.sums, st.entries...)
 		}
 	}
-	a.mergeSummaries(msgs)
+	a.mergeSummaries(a.sums)
 }
 
 // applyHard is the hardened phase 3: ingest late arrivals, fold the
@@ -317,8 +319,18 @@ func (a *actor) applyHard(round int) {
 			continue
 		}
 		a.colRnd[key] = td.round
-		old := col.get(td.d.row)
+		var old float64
+		t, held := col.find(td.d.row)
+		if held {
+			old = col.val[t]
+		}
 		col.set(td.d.row, td.d.val)
+		switch s := p.slot[td.d.col]; {
+		case held && td.d.val == 0:
+			a.unsubscribe(s, td.d.row)
+		case !held && td.d.val != 0:
+			a.subscribe(s, td.d.row)
+		}
 		a.load[td.d.col] += td.d.val - old
 	}
 	a.deltaPend = a.deltaPend[:0]
@@ -344,7 +356,7 @@ func (a *actor) pruneFromSnapshots() {
 		return
 	}
 	var rm []int32
-	for _, j := range a.own {
+	for s, j := range a.own {
 		col := a.cols[j]
 		rm = rm[:0]
 		for _, i := range col.idx {
@@ -364,6 +376,7 @@ func (a *actor) pruneFromSnapshots() {
 		for _, i := range rm {
 			old := col.get(i)
 			col.set(i, 0)
+			a.unsubscribe(int32(s), i)
 			a.load[j] -= old
 			a.colRnd[coordKey(j, i)] = a.refreshIn[p.owner[i]].round
 		}
@@ -423,17 +436,8 @@ func (a *actor) validateMessage(msg *message) error {
 	switch msg.kind {
 	case kindPrices:
 		for _, e := range msg.prices {
-			if e.j < 0 || e.j >= m {
-				return fmt.Errorf("descent: price for server %d, fleet has %d", e.j, m)
-			}
-			if p.owner[e.j] != msg.from {
-				return fmt.Errorf("descent: price for server %d from actor %d, owner is %d", e.j, msg.from, p.owner[e.j])
-			}
-			// Loads are maintained by incremental delta folds, so honest
-			// values can carry ±1e-14 float dust below zero — only
-			// non-finite values are rejected.
-			if !finiteF(e.load) || !(e.speed > 0) || !finiteF(e.speed) {
-				return fmt.Errorf("descent: price for server %d has load=%v speed=%v", e.j, e.load, e.speed)
+			if err := a.checkPrice(msg.from, e); err != nil {
+				return err
 			}
 		}
 	case kindSummary:
@@ -482,6 +486,25 @@ func (a *actor) validateMessage(msg *message) error {
 		// retransmit buffer.
 	default:
 		return fmt.Errorf("descent: unexpected message kind %d", msg.kind)
+	}
+	return nil
+}
+
+// checkPrice is validateMessage's check of one prices entry from actor
+// from.
+func (a *actor) checkPrice(from int32, e priceEntry) error {
+	p := a.pl
+	if e.j < 0 || int(e.j) >= p.in.M() {
+		return fmt.Errorf("descent: price for server %d, fleet has %d", e.j, p.in.M())
+	}
+	if p.owner[e.j] != from {
+		return fmt.Errorf("descent: price for server %d from actor %d, owner is %d", e.j, from, p.owner[e.j])
+	}
+	// Loads are maintained by incremental delta folds, so honest values
+	// can carry ±1e-14 float dust below zero — only non-finite values
+	// are rejected.
+	if !finiteF(e.load) || !(e.speed > 0) || !finiteF(e.speed) {
+		return fmt.Errorf("descent: price for server %d has load=%v speed=%v", e.j, e.load, e.speed)
 	}
 	return nil
 }

@@ -32,6 +32,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 )
 
 type msgKind byte
@@ -183,36 +184,30 @@ func encodeResend(from, round int, seqs []uint32) []byte {
 
 func decodeMessage(payload []byte) (message, error) {
 	var m message
-	if len(payload) < headerBytes {
-		return m, fmt.Errorf("descent: payload of %d bytes is shorter than the header", len(payload))
+	err := m.decodeAppend(payload)
+	return m, err
+}
+
+// decodeAppend parses payload into m, appending its entries to m's entry
+// slices instead of replacing them, so a caller can decode into reused
+// scratch, or straight onto a batch it is filling: this payload's
+// entries are each slice's tail past its prior length. A malformed
+// payload returns an error before anything is appended.
+func (m *message) decodeAppend(payload []byte) error {
+	body, count, err := m.decodeHeader(payload)
+	if err != nil {
+		return err
 	}
-	m.kind = msgKind(payload[0])
-	m.from = int32(binary.LittleEndian.Uint32(payload[1:]))
-	m.round = int32(binary.LittleEndian.Uint32(payload[5:]))
-	count := int(binary.LittleEndian.Uint32(payload[9:]))
-	body := payload[headerBytes:]
 	switch m.kind {
 	case kindPrices:
-		if len(body) != count*priceEntryBytes {
-			return m, fmt.Errorf("descent: prices payload has %d body bytes, want %d", len(body), count*priceEntryBytes)
-		}
-		m.prices = make([]priceEntry, count)
-		for t := range m.prices {
-			off := t * priceEntryBytes
-			m.prices[t] = priceEntry{
-				j:     int32(binary.LittleEndian.Uint32(body[off:])),
-				load:  math.Float64frombits(binary.LittleEndian.Uint64(body[off+4:])),
-				speed: math.Float64frombits(binary.LittleEndian.Uint64(body[off+12:])),
-			}
+		m.prices = slices.Grow(m.prices, count)
+		for off := 0; off < len(body); off += priceEntryBytes {
+			m.prices = append(m.prices, priceAt(body, off))
 		}
 	case kindSummary:
-		if len(body) != count*summaryEntryBytes {
-			return m, fmt.Errorf("descent: summary payload has %d body bytes, want %d", len(body), count*summaryEntryBytes)
-		}
-		m.summaries = make([]summaryEntry, count)
-		for t := range m.summaries {
-			off := t * summaryEntryBytes
-			m.summaries[t] = summaryEntry{
+		m.summaries = slices.Grow(m.summaries, count)
+		for off := 0; off < len(body); off += summaryEntryBytes {
+			m.summaries = append(m.summaries, summaryEntry{
 				metro:      int32(binary.LittleEndian.Uint32(body[off:])),
 				best:       int32(binary.LittleEndian.Uint32(body[off+4:])),
 				bestLoad:   math.Float64frombits(binary.LittleEndian.Uint64(body[off+8:])),
@@ -221,34 +216,68 @@ func decodeMessage(payload []byte) (message, error) {
 				secondLoad: math.Float64frombits(binary.LittleEndian.Uint64(body[off+28:])),
 				secondSpd:  math.Float64frombits(binary.LittleEndian.Uint64(body[off+36:])),
 				load:       math.Float64frombits(binary.LittleEndian.Uint64(body[off+44:])),
-			}
+			})
 		}
 	case kindDelta, kindRefresh:
-		if len(body) != count*deltaEntryBytes {
-			return m, fmt.Errorf("descent: delta payload has %d body bytes, want %d", len(body), count*deltaEntryBytes)
-		}
-		m.deltas = make([]deltaEntry, count)
-		for t := range m.deltas {
-			off := t * deltaEntryBytes
-			m.deltas[t] = deltaEntry{
+		m.deltas = slices.Grow(m.deltas, count)
+		for off := 0; off < len(body); off += deltaEntryBytes {
+			m.deltas = append(m.deltas, deltaEntry{
 				row: int32(binary.LittleEndian.Uint32(body[off:])),
 				col: int32(binary.LittleEndian.Uint32(body[off+4:])),
 				val: math.Float64frombits(binary.LittleEndian.Uint64(body[off+8:])),
-			}
+			})
 		}
 	case kindEnvelope:
 		m.seq = uint32(count)
 		m.inner = body
 	case kindResend:
-		if len(body) != count*4 {
-			return m, fmt.Errorf("descent: resend payload has %d body bytes, want %d", len(body), count*4)
+		m.resend = slices.Grow(m.resend, count)
+		for off := 0; off < len(body); off += 4 {
+			m.resend = append(m.resend, binary.LittleEndian.Uint32(body[off:]))
 		}
-		m.resend = make([]uint32, count)
-		for t := range m.resend {
-			m.resend[t] = binary.LittleEndian.Uint32(body[t*4:])
-		}
-	default:
-		return m, fmt.Errorf("descent: unknown message kind %d", m.kind)
 	}
-	return m, nil
+	return nil
+}
+
+// decodeHeader parses payload's header into m and checks the body's
+// length against the kind's entry size, returning the body and the
+// header's count field.
+func (m *message) decodeHeader(payload []byte) ([]byte, int, error) {
+	if len(payload) < headerBytes {
+		return nil, 0, fmt.Errorf("descent: payload of %d bytes is shorter than the header", len(payload))
+	}
+	m.kind = msgKind(payload[0])
+	m.from = int32(binary.LittleEndian.Uint32(payload[1:]))
+	m.round = int32(binary.LittleEndian.Uint32(payload[5:]))
+	count := int(binary.LittleEndian.Uint32(payload[9:]))
+	body := payload[headerBytes:]
+	var what string
+	var size int
+	switch m.kind {
+	case kindPrices:
+		what, size = "prices", priceEntryBytes
+	case kindSummary:
+		what, size = "summary", summaryEntryBytes
+	case kindDelta, kindRefresh:
+		what, size = "delta", deltaEntryBytes
+	case kindEnvelope:
+		return body, count, nil
+	case kindResend:
+		what, size = "resend", 4
+	default:
+		return nil, 0, fmt.Errorf("descent: unknown message kind %d", m.kind)
+	}
+	if len(body) != count*size {
+		return nil, 0, fmt.Errorf("descent: %s payload has %d body bytes, want %d", what, len(body), count*size)
+	}
+	return body, count, nil
+}
+
+// priceAt decodes the prices entry at byte offset off of a body.
+func priceAt(body []byte, off int) priceEntry {
+	return priceEntry{
+		j:     int32(binary.LittleEndian.Uint32(body[off:])),
+		load:  math.Float64frombits(binary.LittleEndian.Uint64(body[off+4:])),
+		speed: math.Float64frombits(binary.LittleEndian.Uint64(body[off+12:])),
+	}
 }

@@ -18,10 +18,17 @@ package descent
 // with λ chosen so the row sums to its load — found by the standard
 // descending breakpoint scan over the working set W (current support
 // plus O(k) metro candidates, never m). The scan only ever reads the
-// active prefix plus one coordinate, so W is heapified in O(|W|) and
-// popped in order until the breakpoint: O(|W| + a·log |W|) for an
-// active prefix of a coordinates, where a full sort would pay
-// O(|W| log |W|).
+// active prefix plus one coordinate, and W comes in two parts. The
+// row's own part — its priced support and its home — is heapified in
+// O(|own|). The metro candidates hold no requests from the row (r = 0),
+// so their c = −g_j depends only on the home metro: the actor keys them
+// once per round and sorts them in scan order (keyCandidates), and
+// every row of that metro merges the shared list with its heap,
+// skipping the servers the row already holds — its support, frozen
+// coordinates included, and its home.
+// A step costs O(|own| + a·log |own| + s) for an active prefix of a
+// coordinates reached after s shared candidates, where heapifying the
+// whole set would pay O(|W|) per row and a full sort O(|W| log |W|).
 //
 // The gradient g_j encodes the regime split of the paper:
 //
@@ -64,9 +71,10 @@ type wsEntry struct {
 // stepScratch holds the reusable buffers of proxStep so steady-state
 // rounds allocate nothing.
 type stepScratch struct {
-	c    []float64
-	heap []proxKey
-	x    []float64
+	c      []float64
+	heap   []proxKey
+	x      []float64
+	popped []int32 // shared candidates the last step reached, in working-set order
 }
 
 // proxKey is one working-set coordinate's key for the breakpoint scan:
@@ -81,6 +89,14 @@ type proxKey struct {
 // Servers are unique in a working set, so the order is total.
 func (a proxKey) before(b proxKey) bool {
 	return a.c > b.c || (a.c == b.c && a.j < b.j)
+}
+
+// sharedCand is one metro candidate keyed for every row of a home
+// metro: its scan key, whose t is the candidate's position in
+// working-set order (metro, then best before second), and its speed.
+type sharedCand struct {
+	key   proxKey
+	speed float64
 }
 
 // siftDown restores the heap property below position i of h, a heap
@@ -104,15 +120,17 @@ func siftDown(h []proxKey, i int) {
 	}
 }
 
-func (s *stepScratch) grow(n int) {
+func (s *stepScratch) grow(n, shared int) {
 	if cap(s.c) < n {
 		s.c = make([]float64, n)
 		s.heap = make([]proxKey, n)
-		s.x = make([]float64, n)
+	}
+	if cap(s.x) < n+shared {
+		s.x = make([]float64, n+shared)
 	}
 	s.c = s.c[:n]
 	s.heap = s.heap[:n]
-	s.x = s.x[:n]
+	s.x = s.x[:n+shared]
 }
 
 // gradient evaluates the mode's partial derivative at a working-set
@@ -124,18 +142,26 @@ func gradient(mode Mode, e wsEntry) float64 {
 	return e.load/e.speed + e.cij
 }
 
-// proxStep computes the damped projected step for one row over its
-// working set: the minimizer of the prox objective above subject to
-// x ≥ 0 and Σx = budget. The result lands in scratch.x, aligned with
-// ws. budget must be > 0 and ws non-empty.
+// proxStep computes the damped projected step for one row: the
+// minimizer of the prox objective above subject to x ≥ 0 and
+// Σx = budget, over the working set ws plus every shared candidate
+// whose server is not held (held[j] != stamp). shared must be in scan
+// order; ws's servers must all be held, and so must every server a
+// shared candidate may not add (frozen coordinates, the home). A
+// shared candidate stands for the entry {r: 0, speed}, keyed as ws's
+// entries are. The result lands in scratch.x: ws's values, then those
+// of the shared candidates the scan reached (scratch.popped, indices
+// into shared) in working-set order. Every other candidate's value is
+// exactly 0. budget must be > 0 and ws non-empty.
 //
 // Determinism: the only data-dependent branch is the breakpoint scan
 // over coordinates in (c desc, j asc) order — a total order on the
 // working set — so identical inputs give bit-identical outputs
-// regardless of which shard runs the row.
-func proxStep(mode Mode, eta, budget float64, ws []wsEntry, scratch *stepScratch) []float64 {
+// regardless of which shard runs the row, and bit-identical to a scan
+// over ws with the unheld candidates appended in working-set order.
+func proxStep(mode Mode, eta, budget float64, ws []wsEntry, shared []sharedCand, held []int32, stamp int32, scratch *stepScratch) []float64 {
 	n := len(ws)
-	scratch.grow(n)
+	scratch.grow(n, len(shared))
 	c, heap, x := scratch.c, scratch.heap, scratch.x
 	for t, e := range ws {
 		c[t] = e.r/(eta*e.speed) - gradient(mode, e)
@@ -144,27 +170,64 @@ func proxStep(mode Mode, eta, budget float64, ws []wsEntry, scratch *stepScratch
 	for i := n/2 - 1; i >= 0; i-- {
 		siftDown(heap, i)
 	}
+	popped := scratch.popped[:0]
+	sh := 0 // next shared candidate not held
+	for sh < len(shared) && held[shared[sh].key.j] == stamp {
+		sh++
+	}
 	// Breakpoint scan: λ_t = (Σ_{u≤t} w_u·c_u − budget)/Σ_{u≤t} w_u with
-	// w = η·s, over coordinates popped in scan order. The active prefix
-	// is the largest t whose λ_t stays below the next coordinate's c,
-	// which is the heap's root once coordinate t is popped.
+	// w = η·s, over coordinates taken in scan order from the heap and the
+	// shared list. The active prefix is the largest t whose λ_t stays
+	// below the next coordinate's c, the larger of the heap root's and
+	// the next shared candidate's once coordinate t is taken.
 	var wSum, wcSum, lam float64
+scan:
 	for {
-		k := heap[0]
-		heap[0] = heap[len(heap)-1]
-		heap = heap[:len(heap)-1]
-		siftDown(heap, 0)
-		w := eta * ws[k.t].speed
+		var k proxKey
+		var w float64
+		if sh < len(shared) && (len(heap) == 0 || shared[sh].key.before(heap[0])) {
+			k, w = shared[sh].key, eta*shared[sh].speed
+			popped = append(popped, int32(sh))
+			for sh++; sh < len(shared) && held[shared[sh].key.j] == stamp; sh++ {
+			}
+		} else {
+			k = heap[0]
+			heap[0] = heap[len(heap)-1]
+			heap = heap[:len(heap)-1]
+			siftDown(heap, 0)
+			w = eta * ws[k.t].speed
+		}
 		wSum += w
 		wcSum += w * k.c
 		lam = (wcSum - budget) / wSum
-		if len(heap) == 0 || lam >= heap[0].c {
+		var next float64
+		switch {
+		case len(heap) > 0 && sh < len(shared):
+			next = max(heap[0].c, shared[sh].key.c)
+		case len(heap) > 0:
+			next = heap[0].c
+		case sh < len(shared):
+			next = shared[sh].key.c
+		default:
+			break scan
+		}
+		if lam >= next {
 			break
 		}
 	}
+	// The reached candidates follow ws in working-set order; the scan
+	// took them in scan order.
+	for u := 1; u < len(popped); u++ {
+		for v := u; v > 0 && shared[popped[v]].key.t < shared[popped[v-1]].key.t; v-- {
+			popped[v], popped[v-1] = popped[v-1], popped[v]
+		}
+	}
+	scratch.popped = popped
 	// Evaluate the closed form and repair the float residual so the row
 	// keeps its exact load: dump the difference on the largest
-	// coordinate (always ≥ budget/n > 0, so it stays nonnegative).
+	// coordinate (always ≥ budget/n > 0, so it stays nonnegative). A
+	// candidate the scan never reached has c ≤ λ, so its value is 0: it
+	// adds nothing to the sum and can never be the largest.
 	var sum float64
 	big := 0
 	for t, e := range ws {
@@ -178,8 +241,20 @@ func proxStep(mode Mode, eta, budget float64, ws []wsEntry, scratch *stepScratch
 			big = t
 		}
 	}
+	for u, sc := range popped {
+		s := &shared[sc]
+		v := eta * s.speed * (s.key.c - lam)
+		if v < 0 {
+			v = 0
+		}
+		x[n+u] = v
+		sum += v
+		if v > x[big] {
+			big = n + u
+		}
+	}
 	x[big] += budget - sum
-	return x
+	return x[:n+len(popped)]
 }
 
 // splitmix64 is the same generator the sweep uses for cell seeds: a

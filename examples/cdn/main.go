@@ -55,7 +55,10 @@ func run(w io.Writer) error {
 		opt.Cost, opt.Iterations)
 
 	// 2. Round to whole content chunks (mean size 5 requests' worth).
-	tasks := sys.GenerateTasks(5, seed+3)
+	tasks, err := sys.GenerateTasks(5, seed+3)
+	if err != nil {
+		return err
+	}
 	_, discrete, err := sys.RoundTasks(opt, tasks)
 	if err != nil {
 		return err

@@ -48,7 +48,10 @@ func TestFullPipeline(t *testing.T) {
 	}
 
 	// 3. Discrete rounding stays close to the fractional optimum.
-	tasks := sys.GenerateTasks(4, 103)
+	tasks, err := sys.GenerateTasks(4, 103)
+	if err != nil {
+		t.Fatal(err)
+	}
 	_, disc, err := sys.RoundTasks(mine, tasks)
 	if err != nil {
 		t.Fatal(err)

@@ -139,8 +139,10 @@ func TestChurnErrorsNameTheEdit(t *testing.T) {
 // call, and so are an organization or replication factor out of range,
 // a placement from a row above 1/r, and a task naming no organization or
 // with a NaN, infinite or negative size — never a panic, an empty or
-// duplicate placement or a meaningless cost. Valid calls on the same
-// system succeed.
+// duplicate placement or a meaningless cost. GenerateTasks rejects a
+// mean task size that is not positive and finite, or one that would
+// split the loads into more tasks than its bound, and a nil result's
+// Fractions are nil. Valid calls on the same system succeed.
 func TestResultReadersRejectHostileInput(t *testing.T) {
 	lat := [][]float64{{0, 5, 9}, {5, 0, 4}, {9, 4, 0}}
 	sys, err := New([]float64{1, 2, 3}, []float64{10, 6, 20}, lat)
@@ -163,7 +165,19 @@ func TestResultReadersRejectHostileInput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tasks := sys.GenerateTasks(2, 5)
+	tasks, err := sys.GenerateTasks(2, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen := func(meanSize float64) func() error {
+		return func() error {
+			got, err := sys.GenerateTasks(meanSize, 5)
+			if err == nil && len(got) == 0 {
+				return fmt.Errorf("no tasks for mean size %v", meanSize)
+			}
+			return err
+		}
+	}
 	eps := func(r *Result) func() error {
 		return func() error { _, err := sys.EpsilonNash(r); return err }
 	}
@@ -210,6 +224,20 @@ func TestResultReadersRejectHostileInput(t *testing.T) {
 		{"RoundTasks +Inf size", round(res, Task{Org: 1, Size: math.Inf(1)}), "task 0 size +Inf"},
 		{"RoundTasks negative size", round(res, Task{Org: 1, Size: -2}), "task 0 size -2"},
 		{"RoundTasks valid", round(res, tasks...), ""},
+		{"GenerateTasks mean 0", gen(0), "GenerateTasks meanSize=0, must be positive and finite"},
+		{"GenerateTasks mean -1", gen(-1), "GenerateTasks meanSize=-1, must be positive"},
+		{"GenerateTasks mean NaN", gen(math.NaN()), "GenerateTasks meanSize=NaN"},
+		{"GenerateTasks mean +Inf", gen(math.Inf(1)), "GenerateTasks meanSize=+Inf"},
+		{"GenerateTasks mean 1e-300", gen(1e-300), "more than 4194304"},
+		{"GenerateTasks mean 1e-6", gen(1e-6), "splits the loads into 3.6e+07 tasks"},
+		{"GenerateTasks valid", gen(2), ""},
+		{"GenerateTasks one per organization", gen(1e300), ""},
+		{"Fractions nil", func() error {
+			if f := (*Result)(nil).Fractions(); f != nil {
+				return fmt.Errorf("nil result has fractions %v", f)
+			}
+			return nil
+		}, ""},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
